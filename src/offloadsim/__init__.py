@@ -60,7 +60,6 @@ from .threshold import (
     decide,
     solve_monotone,
     t_star_view,
-    threshold_pass,
 )
 
 __all__ = [
@@ -109,7 +108,6 @@ __all__ = [
     "solve",
     "solve_monotone",
     "t_star_view",
-    "threshold_pass",
     "tie_break",
     "transition_dist",
     "wiffler_decide",

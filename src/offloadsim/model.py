@@ -112,6 +112,14 @@ class PenaltyFn:
     def __call__(self, k: float) -> float:
         raise NotImplementedError
 
+    def on_grid(self, grid: np.ndarray) -> np.ndarray:
+        """Penalty at every size in ``grid``.
+
+        This scalar loop is the reference; the bundled families override it
+        with one array expression that gives the same values bit for bit.
+        """
+        return np.array([self(float(k)) for k in grid], dtype=float)
+
 
 @dataclass(frozen=True)
 class QuadraticPenalty(PenaltyFn):
@@ -124,6 +132,9 @@ class QuadraticPenalty(PenaltyFn):
     def __call__(self, k: float) -> float:
         return self.coefficient * k * k
 
+    def on_grid(self, grid: np.ndarray) -> np.ndarray:
+        return self.coefficient * grid * grid
+
 
 @dataclass(frozen=True)
 class StepPenalty(PenaltyFn):
@@ -135,6 +146,9 @@ class StepPenalty(PenaltyFn):
 
     def __call__(self, k: float) -> float:
         return self.amount if k > 0 else 0.0
+
+    def on_grid(self, grid: np.ndarray) -> np.ndarray:
+        return np.where(grid > 0, float(self.amount), 0.0)
 
 
 @dataclass(frozen=True)
@@ -164,16 +178,25 @@ class TabulatedPenalty(PenaltyFn):
             raise DomainError(f"size {k!r} not on the tabulated grid")
         return self.values[n]
 
+    def on_grid(self, grid: np.ndarray) -> np.ndarray:
+        n = np.rint(grid / self.grid_step).astype(np.int64)
+        off = np.abs(grid - n * self.grid_step) > GRID_EPS * np.maximum(1.0, np.abs(grid))
+        bad = off | (n < 0) | (n >= len(self.values))
+        if bad.any():
+            k = float(grid[np.argmax(bad)])
+            raise DomainError(f"size {k!r} not on the tabulated grid")
+        return np.asarray(self.values, dtype=float)[n]
+
 
 def penalty_on_grid(pen: PenaltyFn, grid: np.ndarray) -> np.ndarray:
-    return np.array([pen(float(k)) for k in grid], dtype=float)
+    """Terminal penalty at every size of the grid, as one float array."""
+    return pen.on_grid(np.asarray(grid, dtype=float))
 
 
-def is_convex_on_grid(pen: PenaltyFn, step: float, kmax: float, tol: float = 1e-9) -> bool:
-    """Second differences of the penalty on the grid are all >= -tol."""
-    n = int(round(kmax / step))
-    vals = penalty_on_grid(pen, np.arange(n + 1) * step)
-    if n < 2:
+def is_convex_on_grid(vals: np.ndarray, tol: float = 1e-9) -> bool:
+    """Second differences of penalty values on the grid are all >= -tol
+    (relative to the largest magnitude, floored at 1)."""
+    if vals.size < 3:
         return True
     second = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
     scale = max(1.0, float(np.abs(vals).max()))

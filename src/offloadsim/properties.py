@@ -24,6 +24,7 @@ from .model import (
     ProblemSpec,
     State,
     is_convex_on_grid,
+    penalty_on_grid,
 )
 from .oracle import expectimax
 from .sim import sample_instance
@@ -371,7 +372,7 @@ def run_verification(cfg: ScenarioConfig, properties=None) -> list:
 
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(9000,)))
     model, spec = sample_instance(cfg, rng)
-    convex = is_convex_on_grid(spec.penalty, spec.grid_step, spec.file_size)
+    convex = is_convex_on_grid(penalty_on_grid(spec.penalty, spec.grid_values))
 
     flat_needed = {"lemma1b", "lemma2", "theorem2", "theorem3"} & set(names)
     flat_policy = flat_vt = flat_net = tp = None

@@ -4,10 +4,9 @@ Under a simplified cost model (free Wi-Fi, location-independent cellular
 price and rates, convex penalty, full-slot cellular billing) the optimal
 decision switches at most once along the remaining-size axis and at most
 once along the time axis.  This planner computes only those switch points
-per (location, epoch): while scanning sizes it keeps a single candidate
-action below the previous epoch's frontier and locks to cellular above
-the current one, instead of minimizing over the whole action set at every
-lattice point.
+per (location, epoch), searching for each one only at or above the
+frontier found one epoch later, instead of minimizing over the whole
+action set at every lattice point.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dp import TIE_REL_TOL, ValueTable, _rate_steps
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, ResourceLimitError
 from .model import (
     Action,
     NetworkModel,
@@ -29,13 +28,6 @@ from .model import (
     is_convex_on_grid,
     penalty_on_grid,
 )
-
-try:
-    from numba import njit as _njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
 
 # Max relative spread tolerated when checking location-independence.
 _SPREAD_TOL = 1e-9
@@ -148,7 +140,7 @@ class MonotoneModel:
             mu2 = float(wifi_rates[0]) if wifi else 0.0
             p1 = float(cell_prices[0])
 
-        if not is_convex_on_grid(spec.penalty, spec.grid_step, spec.file_size):
+        if not is_convex_on_grid(penalty_on_grid(spec.penalty, spec.grid_values)):
             raise PreconditionError("penalty must be convex on the size grid")
 
         return cls(
@@ -256,189 +248,110 @@ def t_star_view(tp: ThresholdPolicy, k: float, l: int) -> int:
     return int(hits[0]) + 1 if hits.size else tp.horizon + 1
 
 
-def threshold_pass(
-    mm: MonotoneModel,
-    spec: ProblemSpec,
-    l: int,
-    t: int,
-    v_next: np.ndarray,
-    k_star_next: float,
-):
-    """One backward step at one location, scanning sizes upward.
-
-    ``v_next`` is the next epoch's cost slice ``[location-1, k/step]`` and
-    ``k_star_next`` the frontier found one epoch later (0 on the first
-    pass, so the whole range is searched).  Below ``k_star_next`` only the
-    free action is evaluated; between the frontiers both candidates are
-    compared; after the switch only cellular is evaluated.  Returns the
-    frontier (sentinel: file size + one step) and the cost row.
-    """
-    N = spec.grid_points
-    sigma = spec.grid_step
-    wifi = l in mm.wifi_locations
-    dj = _rate_steps(spec, mm.mu_wifi) if wifi else 0
-    d1 = _rate_steps(spec, mm.mu_cellular)
-    q = mm.cellular_cost
-    w = mm.mobility[l - 1] @ v_next
-
-    ks_next_idx = min(int(round(k_star_next / sigma)), N + 1)
-    vrow = np.empty(N + 1)
-    ks_idx = N + 1
-    compare = False  # both candidates in play
-    locked = False  # cellular region reached
-    for n in range(N + 1):
-        if not compare and not locked and n >= ks_next_idx:
-            compare = True
-        psi_1 = q + w[max(0, n - d1)]
-        psi_j = w[max(0, n - dj)]
-        if locked:
-            vrow[n] = min(psi_1, psi_j)
-            continue
-        if compare:
-            vrow[n] = min(psi_1, psi_j)
-            if wifi:
-                take_cell = psi_1 < psi_j * (1.0 - TIE_REL_TOL)
-            else:
-                take_cell = psi_j >= psi_1 * (1.0 - TIE_REL_TOL)
-            if take_cell:
-                ks_idx = n
-                locked = True
-                compare = False
-        else:
-            vrow[n] = psi_j
-    return ks_idx * sigma, vrow
+def _cellular_values(w: np.ndarray, d: int, lo: int, q: float) -> np.ndarray:
+    """``q + w[:, max(n - d, 0)]`` for columns ``n = lo..N``, from basic slices."""
+    width = w.shape[1]
+    if lo >= d:
+        return w[:, lo - d : width - d] + q
+    out = np.empty((w.shape[0], width - lo))
+    clear = min(d, width) - lo  # one cellular slot clears these sizes
+    out[:, :clear] = w[:, :1] + q
+    out[:, clear:] = w[:, : max(width - d, 0)] + q
+    return out
 
 
-if _HAVE_NUMBA:
-
-    @_njit(cache=True)
-    def _scan_and_fill(vt, idx1, idx2, wifi_flags, gather, q, omt, ks_next, ks_out):
-        # vt rows hold the idle continuation on entry and the epoch's
-        # cost-to-go on exit.  Scans run over original values (the fill
-        # writes descending, and every gather index points at or below the
-        # write position), so arithmetic matches the vectorized path
-        # operation for operation.
-        L, width = vt.shape
-        N = width - 1
-        for l in range(L):
-            row = vt[l]
-            wifi = wifi_flags[l]
-            ks = N + 1
-            start = ks_next[l]
-            if start <= N:
-                for n in range(start, N + 1):
-                    psi1 = q + row[idx1[n]]
-                    if wifi:
-                        if psi1 < row[idx2[n]] * omt:
-                            ks = n
-                            break
-                    else:
-                        if row[n] >= psi1 * omt:
-                            ks = n
-                            break
-            ks_out[l] = ks
-            if wifi and gather:
-                for n in range(N, -1, -1):
-                    psij = row[idx2[n]]
-                    if n >= ks:
-                        psi1 = q + row[idx1[n]]
-                        row[n] = psi1 if psi1 < psij else psij
-                    else:
-                        row[n] = psij
-            else:
-                for n in range(N, ks - 1, -1):
-                    psi1 = q + row[idx1[n]]
-                    psij = row[n]
-                    row[n] = psi1 if psi1 < psij else psij
-
-
-def solve_monotone(
-    mm: MonotoneModel,
-    spec: ProblemSpec,
-    *,
-    max_cells: int = 50_000_000,
-    use_numba: bool = None,
-):
+def solve_monotone(mm: MonotoneModel, spec: ProblemSpec, *, max_cells: int = 50_000_000):
     """Backward induction that only searches around the moving frontier.
 
     Returns ``(ThresholdPolicy, ValueTable)``.  The induced decision rule
     matches the exact planner's table cell for cell when that planner is
-    run with ``flat_payment=True`` on the equivalent network.  The compiled
-    kernel is used when available unless ``use_numba`` forces a path; both
-    paths produce the same frontiers.
-    """
-    if not is_convex_on_grid(spec.penalty, spec.grid_step, spec.file_size):
-        raise PreconditionError("penalty must be convex on the size grid")
+    run with ``flat_payment=True`` on the equivalent network.  The penalty
+    comes from ``spec``, as in the exact planner.
 
+    Each epoch shifts the idle continuation ``P @ v[t+1]`` by the cellular
+    and Wi-Fi transfers, then searches each coverage class for its switch
+    only at or above that class's lowest frontier one epoch later
+    (Theorem 3: going back in time, frontiers only rise).  A class whose
+    frontiers are all past the file size is not searched at all.
+    """
     L = mm.num_locations
     N = spec.grid_points
     T = spec.horizon
     cells = (T + 1) * (N + 1) * L
     if cells > max_cells:
-        raise PreconditionError(
-            f"value lattice needs {cells} cells, budget is {max_cells}"
+        raise ResourceLimitError(
+            f"value lattice needs {cells} cells ({cells * 8} bytes), "
+            f"budget is {max_cells} cells"
         )
+    terminal = penalty_on_grid(spec.penalty, spec.grid_values)
+    if not is_convex_on_grid(terminal):
+        raise PreconditionError("penalty must be convex on the size grid")
 
     d1 = _rate_steps(spec, mm.mu_cellular)
     d2 = _rate_steps(spec, mm.mu_wifi)
-    arange = np.arange(N + 1)
-    idx1 = np.maximum(arange - d1, 0)
-    idx2 = np.maximum(arange - d2, 0)
-    wifi_rows = np.array(sorted(l - 1 for l in mm.wifi_locations), dtype=np.intp)
-    gather_wifi = wifi_rows.size > 0 and d2 > 0
-    wifi_mesh = np.ix_(wifi_rows, idx2) if gather_wifi else None
-    wifi_here = np.zeros((L, 1), dtype=bool)
-    wifi_here[wifi_rows] = True
+    covered = np.zeros(L, dtype=bool)
+    covered[[l - 1 for l in mm.wifi_locations]] = True
+    wifi_rows = np.flatnonzero(covered)
+    # Mirror the exact planner's displacement rule per coverage class: on
+    # Wi-Fi, cellular must beat the free transfer strictly (ties stay
+    # free); away from it, cellular takes a cell unless idling is strictly
+    # cheaper (ties transmit).
+    classes = [(wifi_rows, True), (np.flatnonzero(~covered), False)]
+    classes = [(rows, wifi) for rows, wifi in classes if rows.size]
+    shift_wifi = wifi_rows.size > 0 and d2 > 0
+    cols = np.arange(N + 1)
     q = mm.cellular_cost
     P = mm.mobility
-
-    v = np.empty((T + 1, L, N + 1))
-    v[T] = penalty_on_grid(mm.penalty, spec.grid_values)[None, :]
-    ks_idx = np.empty((L, T), dtype=np.int64)
-    ks_next = np.full(L, 0, dtype=np.int64)
     omt = 1.0 - TIE_REL_TOL
 
-    if use_numba is None:
-        use_numba = _HAVE_NUMBA
-    elif use_numba and not _HAVE_NUMBA:
-        raise PreconditionError("numba is not installed")
-
-    if use_numba:
-        wifi_flags = wifi_here[:, 0].copy()
-        ks_t = np.empty(L, dtype=np.int64)
-        for t in range(T - 1, -1, -1):
-            v_t = v[t]
-            np.matmul(P, v[t + 1], out=v_t)
-            _scan_and_fill(v_t, idx1, idx2, wifi_flags, gather_wifi, q, omt, ks_next, ks_t)
-            ks_idx[:, t] = ks_t
-            ks_next = ks_idx[:, t]
-    else:
-        for t in range(T - 1, -1, -1):
-            v_t = v[t]
-            np.matmul(P, v[t + 1], out=v_t)  # v_t holds the idle continuation
-            lo = int(ks_next.min())
-            v1 = v_t[:, idx1[lo:]] + q if lo <= N else None
-            if gather_wifi:
-                # Free-action value at covered locations is the Wi-Fi one.
-                v_t[wifi_rows] = v_t[wifi_mesh]
-            if lo > N:
-                # Frontier already above the file size one epoch later,
-                # hence above it now too: cellular is never chosen.
-                ks_idx[:, t] = N + 1
+    v = np.empty((T + 1, L, N + 1))
+    v[T] = terminal
+    ks_idx = np.full((L, T), N + 1, dtype=np.int64)
+    ks_next = np.zeros(L, dtype=np.int64)
+    starts = [0] * len(classes)  # lowest frontier of each class one epoch later
+    # Switch test over sizes [start, N] of one class, plus an always-true
+    # column N + 1, so that argmax lands on the sentinel when nothing switches.
+    switch = np.empty((L, N + 2), dtype=bool)
+    switch[:, N + 1] = True
+    for t in range(T - 1, -1, -1):
+        v_t = v[t]
+        np.matmul(P, v[t + 1], out=v_t)  # v_t holds the idle continuation
+        lo = min(starts)  # lowest frontier one epoch later, over all locations
+        if lo <= N:
+            v1 = _cellular_values(v_t, d1, lo, q)
+        if shift_wifi:
+            # Free-action value at covered locations is the Wi-Fi one.
+            idle = v_t[wifi_rows]
+            v_t[wifi_rows, :d2] = idle[:, :1]
+            v_t[wifi_rows, d2:] = idle[:, : max(N + 1 - d2, 0)]
+        if lo > N:
+            # Every frontier is above the file size one epoch later, hence
+            # now too: cellular is never chosen.
+            continue
+        ks_t = ks_idx[:, t]
+        for c, (rows, wifi) in enumerate(classes):
+            start = starts[c]
+            if start > N:
                 continue
-            sl = slice(lo, N + 1)
-            vj = v_t[:, sl]
-            # Mirror the exact planner's displacement rule per location
-            # class: away from Wi-Fi, cellular takes a cell unless idling is
-            # strictly cheaper (ties transmit); on Wi-Fi, cellular must beat
-            # the free transfer strictly (ties stay free).
-            live = np.where(wifi_here, v1 < vj * omt, vj >= v1 * omt)
-            live &= arange[None, sl] >= ks_next[:, None]
-            has = live.any(axis=1)
-            ks_t = np.where(has, live.argmax(axis=1) + lo, N + 1)
-            v_t[:, sl] = np.minimum(v1, vj)
-            ks_idx[:, t] = ks_t
-            ks_next = ks_t
+            c1 = v1[rows, start - lo :]
+            cj = v_t[rows, start:]
+            hit = switch[: rows.size, start:]
+            if wifi:
+                np.less(c1, cj * omt, out=hit[:, :-1])
+            else:
+                np.greater_equal(cj, c1 * omt, out=hit[:, :-1])
+            ks = hit.argmax(axis=1) + start
+            below = ks_next[rows]
+            if (ks < below).any():
+                # Some row switches below its own later frontier: search
+                # each row only from that frontier.
+                hit[:, :-1] &= cols[start:] >= below[:, None]
+                ks = hit.argmax(axis=1) + start
+            ks_t[rows] = ks
+            starts[c] = int(ks.min())
+        tail = v_t[:, lo:]
+        np.minimum(v1, tail, out=tail)
+        ks_next = ks_t
 
     modes = tuple(mm.mode_of(l + 1) for l in range(L))
     tp = ThresholdPolicy(

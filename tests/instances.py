@@ -61,19 +61,12 @@ def random_general_instance(rng):
     return model, spec
 
 
-def random_flatcost_instance(rng, wifi_slower=True, max_locations=6):
-    """Instance meeting the threshold planner's preconditions: free Wi-Fi,
-    location-independent prices and rates, convex quadratic penalty."""
-    L = int(rng.integers(2, max_locations + 1))
-    T = int(rng.integers(3, 13))
-    N = int(rng.integers(4, 31))
-    sigma = 1.0
-    wifi = frozenset(l + 1 for l in range(L) if rng.random() < 0.5)
-
-    mu1 = rng.uniform(0.5, 6.0)
-    mu2 = rng.uniform(0.2, mu1) if wifi_slower else rng.uniform(mu1, 8.0)
-    p1 = rng.uniform(0.05, 1.5)
-
+def flatcost_instance(mobility, wifi, mu1, mu2, p1, N, T, coefficient, initial_location=1):
+    """Instance in the threshold planner's regime from explicit parameters:
+    free Wi-Fi at rate ``mu2``, cellular at rate ``mu1`` and unit price
+    ``p1`` everywhere, an ``N``-step file on a unit grid and a quadratic
+    penalty."""
+    L = len(mobility)
     rate = np.zeros((L, 3))
     price = np.zeros((L, 3))
     rate[:, Action.CELLULAR] = mu1
@@ -83,19 +76,35 @@ def random_flatcost_instance(rng, wifi_slower=True, max_locations=6):
 
     model = NetworkModel(
         num_locations=L,
-        wifi_locations=wifi,
-        mobility=random_mobility(rng, L),
+        wifi_locations=frozenset(wifi),
+        mobility=mobility,
         price=price,
         rate=rate,
     )
     spec = ProblemSpec(
-        file_size=N * sigma,
+        file_size=float(N),
         horizon=T,
-        grid_step=sigma,
-        penalty=QuadraticPenalty(rng.uniform(0.05, 4.0)),
-        initial_location=int(rng.integers(1, L + 1)),
+        grid_step=1.0,
+        penalty=QuadraticPenalty(coefficient),
+        initial_location=initial_location,
     )
     return model, spec
+
+
+def random_flatcost_instance(rng, wifi_slower=True, max_locations=6):
+    """Instance meeting the threshold planner's preconditions: free Wi-Fi,
+    location-independent prices and rates, convex quadratic penalty."""
+    L = int(rng.integers(2, max_locations + 1))
+    T = int(rng.integers(3, 13))
+    N = int(rng.integers(4, 31))
+    wifi = [l + 1 for l in range(L) if rng.random() < 0.5]
+    mu1 = rng.uniform(0.5, 6.0)
+    mu2 = rng.uniform(0.2, mu1) if wifi_slower else rng.uniform(mu1, 8.0)
+    p1 = rng.uniform(0.05, 1.5)
+    mobility = random_mobility(rng, L)
+    coefficient = rng.uniform(0.05, 4.0)
+    l0 = int(rng.integers(1, L + 1))
+    return flatcost_instance(mobility, wifi, mu1, mu2, p1, N, T, coefficient, l0)
 
 
 def single_class_flatcost_instance(rng, all_wifi):
@@ -103,33 +112,31 @@ def single_class_flatcost_instance(rng, all_wifi):
     L = int(rng.integers(2, 5))
     T = int(rng.integers(3, 10))
     N = int(rng.integers(4, 25))
-    sigma = 1.0
-    wifi = frozenset(range(1, L + 1)) if all_wifi else frozenset()
-
+    wifi = range(1, L + 1) if all_wifi else ()
     mu1 = rng.uniform(0.5, 6.0)
     mu2 = rng.uniform(0.2, mu1)
-    rate = np.zeros((L, 3))
-    price = np.zeros((L, 3))
-    rate[:, Action.CELLULAR] = mu1
-    price[:, Action.CELLULAR] = rng.uniform(0.05, 1.5)
-    for l in wifi:
-        rate[l - 1, Action.WIFI] = mu2
+    p1 = rng.uniform(0.05, 1.5)
+    mobility = random_mobility(rng, L)
+    coefficient = rng.uniform(0.05, 4.0)
+    l0 = int(rng.integers(1, L + 1))
+    return flatcost_instance(mobility, wifi, mu1, mu2, p1, N, T, coefficient, l0)
 
-    model = NetworkModel(
-        num_locations=L,
-        wifi_locations=wifi,
-        mobility=random_mobility(rng, L),
-        price=price,
-        rate=rate,
-    )
-    spec = ProblemSpec(
-        file_size=N * sigma,
-        horizon=T,
-        grid_step=sigma,
-        penalty=QuadraticPenalty(rng.uniform(0.05, 4.0)),
-        initial_location=int(rng.integers(1, L + 1)),
-    )
-    return model, spec
+
+def edge_flatcost_instances():
+    """Flat-cost instances at the edges of the size axis and of coverage."""
+    rng = np.random.default_rng(7)
+    return [
+        # one cellular slot clears the file (d1 > N)
+        flatcost_instance(random_mobility(rng, 3), {2}, 9.0, 2.0, 0.3, 6, 5, 1.0),
+        # the Wi-Fi step exceeds the file as well (d2 > N)
+        flatcost_instance(random_mobility(rng, 3), {1, 3}, 12.0, 8.0, 0.3, 6, 5, 1.0),
+        # no location has Wi-Fi
+        flatcost_instance(random_mobility(rng, 4), (), 2.5, 1.0, 0.4, 20, 8, 0.5),
+        # every location has Wi-Fi
+        flatcost_instance(random_mobility(rng, 4), {1, 2, 3, 4}, 3.0, 1.5, 0.2, 20, 8, 0.5),
+        # Wi-Fi faster than cellular
+        flatcost_instance(random_mobility(rng, 4), {2, 4}, 2.0, 5.0, 0.4, 20, 8, 0.5),
+    ]
 
 
 def grid_demo_model(mu_cellular=2.0, mu_wifi=1.0, price_cellular=0.5):

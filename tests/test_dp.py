@@ -14,6 +14,7 @@ from offloadsim.model import (
     admissible_actions,
 )
 from offloadsim.oracle import expectimax
+from offloadsim.threshold import MonotoneModel, solve_monotone
 
 from instances import random_general_instance
 
@@ -167,3 +168,10 @@ def test_lattice_budget():
     spec = ProblemSpec(1000.0, 100, 1.0, QuadraticPenalty(1.0))
     with pytest.raises(ResourceLimitError, match="cells"):
         solve(model, spec, max_cells=1000)
+
+
+def test_frontier_planner_lattice_budget():
+    spec = ProblemSpec(1000.0, 100, 1.0, QuadraticPenalty(1.0))
+    mm = MonotoneModel(1, frozenset(), np.array([[1.0]]), 1.0, 0.0, 2.5, spec.penalty)
+    with pytest.raises(ResourceLimitError, match="cells"):
+        solve_monotone(mm, spec, max_cells=1000)

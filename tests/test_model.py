@@ -7,6 +7,7 @@ from offloadsim.errors import DomainError
 from offloadsim.model import (
     Action,
     NetworkModel,
+    PenaltyFn,
     ProblemSpec,
     QuadraticPenalty,
     State,
@@ -17,6 +18,7 @@ from offloadsim.model import (
     next_file_size,
     payment,
     penalty,
+    penalty_on_grid,
     slot_payment,
     transition_dist,
 )
@@ -116,11 +118,36 @@ def test_tabulated_penalty_validation():
     assert pen(2.0) == 5.0
     with pytest.raises(DomainError):
         pen(3.0)
+    with pytest.raises(DomainError, match="3.0"):
+        pen.on_grid(np.array([0.0, 3.0]))
+    with pytest.raises(DomainError, match="0.5"):
+        pen.on_grid(np.array([0.0, 0.5, 1.0]))
 
 
 def test_convexity_scan():
-    assert is_convex_on_grid(QuadraticPenalty(2.0), 1.0, 20.0)
-    assert not is_convex_on_grid(StepPenalty(10.0), 1.0, 20.0)
+    grid = np.arange(21) * 1.0
+    assert is_convex_on_grid(penalty_on_grid(QuadraticPenalty(2.0), grid))
+    assert not is_convex_on_grid(penalty_on_grid(StepPenalty(10.0), grid))
+    assert is_convex_on_grid(penalty_on_grid(StepPenalty(10.0), grid[:2]))
+
+
+def test_penalty_array_form_matches_scalar_loop():
+    steps = np.random.default_rng(3).uniform(0.0, 2.0, size=40)
+    families = [
+        QuadraticPenalty(0.7),
+        QuadraticPenalty(3),
+        StepPenalty(5.0),
+        StepPenalty(0.0),
+        TabulatedPenalty(tuple(np.concatenate([[0.0], np.cumsum(steps)])), 0.1),
+    ]
+    for step in (1.0, 0.1, 10.0):
+        grid = np.arange(41) * step
+        for pen in families:
+            if isinstance(pen, TabulatedPenalty) and pen.grid_step != step:
+                continue
+            reference = PenaltyFn.on_grid(pen, grid)  # the scalar loop
+            assert pen.on_grid(grid).tobytes() == reference.tobytes()
+            assert penalty_on_grid(pen, grid).tobytes() == reference.tobytes()
 
 
 def test_next_file_size_clamp_and_quantization():

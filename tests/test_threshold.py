@@ -1,9 +1,10 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
-from offloadsim.dp import solve
+from offloadsim.dp import TIE_REL_TOL, _rate_steps, solve
 from offloadsim.errors import PreconditionError
 from offloadsim.model import (
     Action,
@@ -19,10 +20,10 @@ from offloadsim.threshold import (
     decide,
     solve_monotone,
     t_star_view,
-    threshold_pass,
 )
 
 from instances import (
+    edge_flatcost_instances,
     grid_demo_model,
     monotone_view,
     random_flatcost_instance,
@@ -81,10 +82,57 @@ def test_solve_monotone_rejects_nonconvex_penalty():
         solve_monotone(mm, step_spec)
 
 
+def threshold_pass(mm, spec, l, v_next, k_star_next):
+    """Pure-Python reference for one backward step at one location.
+
+    ``v_next`` is the next epoch's cost slice ``[location-1, k/step]`` and
+    ``k_star_next`` the frontier found one epoch later (0 on the first
+    pass, so the whole range is searched).  Sizes are scanned upward:
+    below ``k_star_next`` only the free action is evaluated; between the
+    frontiers both candidates are compared; after the switch the cost is
+    the cheaper of the two.  Returns the frontier (sentinel: file size +
+    one step) and the cost row.
+    """
+    N = spec.grid_points
+    sigma = spec.grid_step
+    wifi = l in mm.wifi_locations
+    dj = _rate_steps(spec, mm.mu_wifi) if wifi else 0
+    d1 = _rate_steps(spec, mm.mu_cellular)
+    q = mm.cellular_cost
+    w = mm.mobility[l - 1] @ v_next
+
+    ks_next_idx = min(int(round(k_star_next / sigma)), N + 1)
+    vrow = np.empty(N + 1)
+    ks_idx = N + 1
+    locked = False  # cellular region reached
+    for n in range(N + 1):
+        psi_1 = q + w[max(0, n - d1)]
+        psi_j = w[max(0, n - dj)]
+        if n < ks_next_idx:
+            vrow[n] = psi_j
+            continue
+        vrow[n] = min(psi_1, psi_j)
+        if not locked:
+            if wifi:
+                take_cell = psi_1 < psi_j * (1.0 - TIE_REL_TOL)
+            else:
+                take_cell = psi_j >= psi_1 * (1.0 - TIE_REL_TOL)
+            if take_cell:
+                ks_idx = n
+                locked = True
+    return ks_idx * sigma, vrow
+
+
+def flatcost_cases(seed, count, wifi_slower):
+    """``count`` seeded flat-cost instances followed by the edge instances."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        yield random_flatcost_instance(rng, wifi_slower=wifi_slower(i))
+    yield from edge_flatcost_instances()
+
+
 def test_threshold_pass_matches_fast_solver():
-    rng = np.random.default_rng(21)
-    for i in range(15):
-        model, spec = random_flatcost_instance(rng, wifi_slower=(i % 3 != 0))
+    for model, spec in flatcost_cases(21, 15, lambda i: i % 3 != 0):
         mm = monotone_view(model, spec)
         tp, vt = solve_monotone(mm, spec)
         N = spec.grid_points
@@ -94,23 +142,21 @@ def test_threshold_pass_matches_fast_solver():
                 ks_next = (
                     tp.threshold(l, t + 1) if t < spec.horizon else 0.0
                 )
-                ks, row = threshold_pass(mm, spec, l, t, v_next, ks_next)
+                ks, row = threshold_pass(mm, spec, l, v_next, ks_next)
                 assert ks == pytest.approx(tp.threshold(l, t))
                 np.testing.assert_allclose(
                     row, vt.values[t - 1, l - 1], rtol=1e-12, atol=0
                 )
 
 
-def test_numba_and_numpy_paths_agree():
-    pytest.importorskip("numba")
-    rng = np.random.default_rng(22)
-    for i in range(10):
-        model, spec = random_flatcost_instance(rng, wifi_slower=(i % 4 != 0))
-        mm = monotone_view(model, spec)
-        tp_fast, vt_fast = solve_monotone(mm, spec, use_numba=True)
-        tp_ref, vt_ref = solve_monotone(mm, spec, use_numba=False)
-        assert np.array_equal(tp_fast.k_star_idx, tp_ref.k_star_idx)
-        np.testing.assert_allclose(vt_fast.values, vt_ref.values, rtol=1e-12, atol=0)
+def test_solve_monotone_takes_penalty_from_spec():
+    model, spec = threshold_demo()
+    mm = dataclasses.replace(monotone_view(model, spec), penalty=StepPenalty(50.0))
+    _, vt = solve_monotone(mm, spec)
+    terminal = [spec.penalty(float(k)) for k in spec.grid_values]
+    assert (vt.values[spec.horizon] == np.array(terminal)[None, :]).all()
+    _, vt_flat = solve(model, spec, flat_payment=True)
+    np.testing.assert_allclose(vt.values, vt_flat.values, rtol=2e-9, atol=0)
 
 
 def test_decide_semantics():
@@ -191,9 +237,7 @@ def test_t_star_view():
 
 
 def test_policy_equivalence_with_exact_planner():
-    rng = np.random.default_rng(24)
-    for i in range(8):
-        model, spec = random_flatcost_instance(rng, wifi_slower=(i % 4 != 0))
+    for model, spec in flatcost_cases(24, 8, lambda i: i % 4 != 0):
         mm = monotone_view(model, spec)
         tp, vt_m = solve_monotone(mm, spec)
         pol, vt_f = solve(model, spec, flat_payment=True)
