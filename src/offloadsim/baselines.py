@@ -62,6 +62,30 @@ class WifflerState:
         if self.window < 1:
             raise ValueError("window must be >= 1")
 
+    def observe(self, t: int, wifi_rate) -> None:
+        """``wiffler_observe`` for a location already looked up: ``wifi_rate``
+        is its Wi-Fi amount per slot, or None off coverage."""
+        in_wifi = wifi_rate is not None
+        if in_wifi:
+            if not self._in_wifi:
+                self._enc_start = t
+                self._enc_slots = 0
+                self._enc_rate_sum = 0.0
+            self._enc_slots += 1
+            self._enc_rate_sum += wifi_rate
+        elif self._in_wifi:
+            self.history.append(
+                Encounter(
+                    inter_meeting_time=self._enc_start - self._prev_start,
+                    dwell_slots=self._enc_slots,
+                    rate=self._enc_rate_sum / self._enc_slots,
+                )
+            )
+            self._prev_start = self._enc_start
+            while len(self.history) > self.window:
+                self.history.popleft()
+        self._in_wifi = in_wifi
+
 
 def wiffler_observe(ws: WifflerState, model: NetworkModel, l: int, t: int) -> None:
     """Update the encounter history with the location seen at slot ``t``.
@@ -69,26 +93,7 @@ def wiffler_observe(ws: WifflerState, model: NetworkModel, l: int, t: int) -> No
     Call once per slot, before deciding.  An encounter runs from entering
     Wi-Fi coverage to leaving it; it is recorded when it ends.
     """
-    in_wifi = model.has_wifi(l)
-    if in_wifi and not ws._in_wifi:
-        ws._enc_start = t
-        ws._enc_slots = 0
-        ws._enc_rate_sum = 0.0
-    if in_wifi:
-        ws._enc_slots += 1
-        ws._enc_rate_sum += model.rate_of(l, Action.WIFI)
-    if not in_wifi and ws._in_wifi:
-        ws.history.append(
-            Encounter(
-                inter_meeting_time=ws._enc_start - ws._prev_start,
-                dwell_slots=ws._enc_slots,
-                rate=ws._enc_rate_sum / ws._enc_slots,
-            )
-        )
-        ws._prev_start = ws._enc_start
-        while len(ws.history) > ws.window:
-            ws.history.popleft()
-    ws._in_wifi = in_wifi
+    ws.observe(t, model.rate_of(l, Action.WIFI) if model.has_wifi(l) else None)
 
 
 def wiffler_predict(ws: WifflerState, remaining_time: int) -> float:
@@ -112,11 +117,60 @@ def wiffler_decide(
 ) -> Action:
     """Wi-Fi on the spot; off coverage, wait only if the predicted Wi-Fi
     capacity covers ``theta`` times the remaining size."""
-    if s.k <= 0:
+    return _wiffler_choice(ws, s.k, model.has_wifi(s.l), horizon - t)
+
+
+def _wiffler_choice(ws: WifflerState, k: float, on_wifi: bool, remaining_time: int) -> Action:
+    if k <= 0:
         return Action.IDLE
-    if model.has_wifi(s.l):
+    if on_wifi:
         return Action.WIFI
-    zeta = wiffler_predict(ws, horizon - t)
-    if zeta >= ws.theta * s.k:
+    if wiffler_predict(ws, remaining_time) >= ws.theta * k:
         return Action.IDLE
     return Action.CELLULAR
+
+
+# Per-episode agents for ``sim.run_episode``, which asks ``decide(n, l, t)``
+# with ``n`` grid steps left and only while ``n > 0``, so the zero-size
+# branches of the rules above never apply there.
+
+
+class NoOffloadAgent:
+    """``no_offload_decide`` for the walk."""
+
+    def decide(self, n: int, l: int, t: int) -> Action:
+        return Action.CELLULAR
+
+
+class OtsoAgent:
+    """``otso_decide`` for the walk, with the coverage looked up once."""
+
+    def __init__(self, model: NetworkModel):
+        self._choice = [
+            Action.WIFI if l in model.wifi_locations else Action.CELLULAR
+            for l in range(1, model.num_locations + 1)
+        ]
+
+    def decide(self, n: int, l: int, t: int) -> Action:
+        return self._choice[l - 1]
+
+
+class WifflerAgent:
+    """``wiffler_observe`` then ``wiffler_decide`` for the walk, with each
+    location's Wi-Fi rate looked up once."""
+
+    def __init__(
+        self, model: NetworkModel, horizon: int, grid_step: float, theta: float, window: int
+    ):
+        self._ws = WifflerState(theta=theta, window=window)
+        rates = model.rate[:, Action.WIFI].tolist()
+        self._wifi_rate = [
+            r if l in model.wifi_locations else None for l, r in enumerate(rates, 1)
+        ]
+        self._horizon = horizon
+        self._step = grid_step
+
+    def decide(self, n: int, l: int, t: int) -> Action:
+        rate = self._wifi_rate[l - 1]
+        self._ws.observe(t, rate)
+        return _wiffler_choice(self._ws, n * self._step, rate is not None, self._horizon - t)

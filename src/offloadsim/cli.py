@@ -25,9 +25,9 @@ from . import dp
 from .config import SWEEP_AXES, ScenarioConfig, parse_config, serialize_config
 from .errors import OffloadError
 from .properties import PROPERTY_NAMES, run_verification
-from .sim import SCHEMES, run_experiment, sample_instance
+from .sim import SCHEMES, means_model, run_experiment, sample_instance
 from .model import State
-from .threshold import MonotoneModel, decide as threshold_decide, solve_monotone
+from .threshold import decide as threshold_decide, solve_monotone
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -51,20 +51,6 @@ def _instance_for(cfg: ScenarioConfig):
     return sample_instance(cfg, rng)
 
 
-def _means_model(cfg: ScenarioConfig, model, spec) -> MonotoneModel:
-    mu_c = cfg.rate_mbit_per_slot(cfg.mu_cellular_mbps)
-    mu_w = cfg.rate_mbit_per_slot(cfg.mu_wifi_mbps)
-    return MonotoneModel(
-        num_locations=model.num_locations,
-        wifi_locations=model.wifi_locations,
-        mobility=model.mobility,
-        mu_cellular=mu_c,
-        mu_wifi=mu_w,
-        cellular_cost=mu_c * cfg.price_per_mbit,
-        penalty=spec.penalty,
-    )
-
-
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
     model, spec = _instance_for(cfg)
@@ -77,7 +63,7 @@ def cmd_solve(args) -> int:
         vt.write_csv(outdir / "value.csv")
         written = ["policy.csv", "value.csv"]
     else:
-        mm = _means_model(cfg, model, spec)
+        mm = means_model(cfg, model, spec)
         tp, vt = solve_monotone(mm, spec)
         tp.write_csv(outdir / "thresholds.csv")
         vt.write_csv(outdir / "value.csv")
@@ -142,7 +128,7 @@ def cmd_policy_map(args) -> int:
         policy, _ = dp.solve(model, spec)
         matrix = policy.actions[:, l - 1, :]
     else:
-        mm = _means_model(cfg, model, spec)
+        mm = means_model(cfg, model, spec)
         tp, _ = solve_monotone(mm, spec)
         matrix = np.array(
             [
@@ -226,7 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="axis or axis=v1,v2,... (axes: " + ", ".join(SWEEP_AXES) + ")",
     )
     p.add_argument("--out", required=True, help="output path; .csv and .json are written")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for episodes")
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes for episodes (>= 1; capped at the CPU count)",
+    )
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("policy-map", help="dump one location's decision matrix")

@@ -15,7 +15,7 @@ Internally the simulator works in megabits: file sizes convert at
 from __future__ import annotations
 
 import dataclasses
-import json
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -62,6 +62,12 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self) -> None:
+        for key in sorted(_FLOAT_KEYS):
+            v = getattr(self, key)
+            if not math.isfinite(v):
+                raise ConfigError(f"{key} must be a finite number, got {v!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         if self.grid_rows < 1 or self.grid_cols < 1:
             raise ConfigError("grid_rows and grid_cols must be >= 1")
         for key in ("p_stay", "wifi_prob"):
@@ -214,7 +220,3 @@ def serialize_config(cfg: ScenarioConfig) -> str:
             rendered = value if isinstance(value, str) else repr(value)
         lines.append(f"{f.name} = {rendered}")
     return "\n".join(lines) + "\n"
-
-
-def config_to_json(cfg: ScenarioConfig) -> str:
-    return json.dumps(cfg.to_dict(), indent=2, sort_keys=True)

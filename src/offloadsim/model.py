@@ -299,18 +299,15 @@ def penalty(spec: ProblemSpec, k: float) -> float:
     return float(spec.penalty(k))
 
 
-def quantized_transfer(spec: ProblemSpec, transfer: float) -> float:
-    """Transfer amount rounded down to the grid (progress is never overstated)."""
-    if transfer <= 0:
-        return 0.0
-    return math.floor(transfer / spec.grid_step + GRID_EPS) * spec.grid_step
+def transfer_steps(spec: ProblemSpec, transfer: float) -> int:
+    """Whole grid steps one slot's transfer covers (progress is never overstated)."""
+    return int(math.floor(transfer / spec.grid_step + GRID_EPS)) if transfer > 0 else 0
 
 
 def next_file_size(spec: ProblemSpec, k: float, transfer: float) -> float:
     """Remaining size after one slot: grid-quantized transfer, clamped at zero."""
     n = int(round(k / spec.grid_step))
-    steps = int(math.floor(transfer / spec.grid_step + GRID_EPS)) if transfer > 0 else 0
-    return max(0, n - steps) * spec.grid_step
+    return max(0, n - transfer_steps(spec, transfer)) * spec.grid_step
 
 
 def transition_dist(model: NetworkModel, spec: ProblemSpec, s: State, a: Action):

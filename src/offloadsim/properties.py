@@ -27,8 +27,8 @@ from .model import (
     penalty_on_grid,
 )
 from .oracle import expectimax
-from .sim import sample_instance
-from .threshold import MonotoneModel, ThresholdPolicy, solve_monotone
+from .sim import means_model, sample_instance
+from .threshold import ThresholdPolicy, solve_monotone
 
 PROPERTY_NAMES = ("lemma1a", "lemma1b", "lemma2", "theorem2", "theorem3", "oracle")
 
@@ -310,20 +310,6 @@ def check_oracle(
     return CheckResult(name, "pass")
 
 
-def _means_model(cfg: ScenarioConfig, model: NetworkModel, spec: ProblemSpec) -> MonotoneModel:
-    mu_c = cfg.rate_mbit_per_slot(cfg.mu_cellular_mbps)
-    mu_w = cfg.rate_mbit_per_slot(cfg.mu_wifi_mbps)
-    return MonotoneModel(
-        num_locations=model.num_locations,
-        wifi_locations=model.wifi_locations,
-        mobility=model.mobility,
-        mu_cellular=mu_c,
-        mu_wifi=mu_w,
-        cellular_cost=mu_c * cfg.price_per_mbit,
-        penalty=spec.penalty,
-    )
-
-
 def _tiny_instance(cfg: ScenarioConfig, rng):
     """Shrunken variant of the configured scenario, inside the oracle guard."""
     from .sim import build_grid_mobility, truncated_normal
@@ -377,7 +363,7 @@ def run_verification(cfg: ScenarioConfig, properties=None) -> list:
     flat_needed = {"lemma1b", "lemma2", "theorem2", "theorem3"} & set(names)
     flat_policy = flat_vt = flat_net = tp = None
     if flat_needed and convex:
-        mm = _means_model(cfg, model, spec)
+        mm = means_model(cfg, model, spec)
         flat_net = mm.to_network_model()
         flat_policy, flat_vt = dp.solve(flat_net, spec, flat_payment=True)
         tp, _ = solve_monotone(mm, spec)

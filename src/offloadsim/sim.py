@@ -14,32 +14,21 @@ information the way a device without per-location measurements would.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from multiprocessing import Pool
 
 import numpy as np
 
 from . import dp
-from .baselines import (
-    WifflerState,
-    no_offload_decide,
-    otso_decide,
-    wiffler_decide,
-    wiffler_observe,
-)
+from .baselines import NoOffloadAgent, OtsoAgent, WifflerAgent
 from .config import DEFAULT_SWEEP_VALUES, ScenarioConfig
 from .errors import ConfigError, SchemeError
-from .model import (
-    Action,
-    NetworkModel,
-    ProblemSpec,
-    State,
-    admissible_actions,
-    next_file_size,
-    payment,
-)
-from .threshold import MonotoneModel, decide as threshold_decide, solve_monotone
+from .model import Action, NetworkModel, ProblemSpec, admissible_actions, transfer_steps
+from .threshold import LocationMode, MonotoneModel, solve_monotone
 
 SCHEMES = ("general", "monotone", "no-offload", "otso", "wiffler")
 
@@ -79,6 +68,14 @@ def build_grid_mobility(rows: int, cols: int, p_stay: float) -> np.ndarray:
     return P
 
 
+@functools.lru_cache(maxsize=64)
+def _shared_grid_mobility(rows: int, cols: int, p_stay: float) -> np.ndarray:
+    """``build_grid_mobility``, built once per grid and shared read-only."""
+    P = build_grid_mobility(rows, cols, p_stay)
+    P.setflags(write=False)
+    return P
+
+
 def truncated_normal(rng, mean: float, std: float) -> float:
     """Normal draw rejected until non-negative (exact at these scales)."""
     if std <= 0:
@@ -87,6 +84,18 @@ def truncated_normal(rng, mean: float, std: float) -> float:
         x = rng.normal(mean, std)
         if x >= 0:
             return float(x)
+
+
+def truncated_normals(rng, mean: float, std: float, size: int) -> np.ndarray:
+    """The ``size`` values that ``size`` successive ``truncated_normal``
+    calls return, drawn in batches (the rejection stream is the same)."""
+    if std <= 0:
+        return np.full(size, max(mean, 0.0))
+    kept = np.empty(0)
+    while kept.size < size:
+        x = rng.normal(mean, std, size=size)
+        kept = np.concatenate((kept, x[x >= 0]))
+    return kept[:size]
 
 
 def sample_instance(cfg: ScenarioConfig, rng):
@@ -98,25 +107,21 @@ def sample_instance(cfg: ScenarioConfig, rng):
     """
     g_wifi, g_cell, g_wrate, g_init = rng.spawn(4)
     L = cfg.num_locations
-    wifi = frozenset(
-        l + 1 for l in range(L) if g_wifi.random() < cfg.wifi_prob
-    )
+    covered = g_wifi.random(L) < cfg.wifi_prob
     mu_c = cfg.rate_mbit_per_slot(cfg.mu_cellular_mbps)
     mu_w = cfg.rate_mbit_per_slot(cfg.mu_wifi_mbps)
     std = cfg.rate_mbit_per_slot(cfg.rate_std_mbps)
 
     rate = np.zeros((L, 3))
     price = np.zeros((L, 3))
-    rate[:, Action.CELLULAR] = [truncated_normal(g_cell, mu_c, std) for _ in range(L)]
-    wifi_draws = [truncated_normal(g_wrate, mu_w, std) for _ in range(L)]
-    for l in wifi:
-        rate[l - 1, Action.WIFI] = wifi_draws[l - 1]
+    rate[:, Action.CELLULAR] = truncated_normals(g_cell, mu_c, std, L)
+    rate[covered, Action.WIFI] = truncated_normals(g_wrate, mu_w, std, L)[covered]
     price[:, Action.CELLULAR] = cfg.price_per_mbit
 
     model = NetworkModel(
         num_locations=L,
-        wifi_locations=wifi,
-        mobility=build_grid_mobility(cfg.grid_rows, cfg.grid_cols, cfg.p_stay),
+        wifi_locations=frozenset((np.flatnonzero(covered) + 1).tolist()),
+        mobility=_shared_grid_mobility(cfg.grid_rows, cfg.grid_cols, cfg.p_stay),
         price=price,
         rate=rate,
     )
@@ -133,56 +138,60 @@ def sample_instance(cfg: ScenarioConfig, rng):
 def sample_trajectory(model: NetworkModel, spec: ProblemSpec, rng) -> list:
     """Location per slot, starting from the problem's initial location."""
     T = spec.horizon
-    locs = [spec.initial_location]
+    l = spec.initial_location
+    locs = [l]
     if T > 1:
-        cum = np.cumsum(model.mobility, axis=1)
-        draws = rng.random(T - 1)
-        l = spec.initial_location
-        for u in draws:
-            l = int(np.searchsorted(cum[l - 1], u, side="right")) + 1
-            l = min(l, model.num_locations)
+        cum = np.cumsum(model.mobility, axis=1).tolist()
+        L = model.num_locations
+        for u in rng.random(T - 1).tolist():
+            l = min(bisect_right(cum[l - 1], u) + 1, L)
             locs.append(l)
     return locs
 
 
-class _PolicyAgent:
-    def __init__(self, policy: dp.Policy):
-        self._policy = policy
+def means_model(cfg: ScenarioConfig, model: NetworkModel, spec: ProblemSpec) -> MonotoneModel:
+    """The frontier planner's input for a sampled instance: its Wi-Fi set and
+    mobility with the configured mean rates instead of the sampled ones."""
+    mu_c = cfg.rate_mbit_per_slot(cfg.mu_cellular_mbps)
+    mu_w = cfg.rate_mbit_per_slot(cfg.mu_wifi_mbps)
+    return MonotoneModel(
+        num_locations=model.num_locations,
+        wifi_locations=model.wifi_locations,
+        mobility=model.mobility,
+        mu_cellular=mu_c,
+        mu_wifi=mu_w,
+        cellular_cost=mu_c * cfg.price_per_mbit,
+        penalty=spec.penalty,
+    )
 
-    def decide(self, k: float, l: int, t: int) -> Action:
-        return self._policy.action(t, k, l)
+
+class _PolicyAgent:
+    """The exact planner's decision table, indexed directly."""
+
+    def __init__(self, policy: dp.Policy):
+        self._action = policy.actions.item
+
+    def decide(self, n: int, l: int, t: int) -> int:
+        return self._action(t - 1, l - 1, n)
 
 
 class _ThresholdAgent:
+    """``threshold.decide`` on the frontiers, read from lists."""
+
     def __init__(self, tp):
-        self._tp = tp
+        never = [math.inf] * tp.horizon  # Wi-Fi-faster locations always use Wi-Fi
+        self._k_star = [
+            never if mode is LocationMode.WIFI_FASTER else row
+            for row, mode in zip(tp.k_star_idx.tolist(), tp.modes)
+        ]
+        self._below = [
+            Action.IDLE if mode is LocationMode.NO_WIFI else Action.WIFI for mode in tp.modes
+        ]
 
-    def decide(self, k: float, l: int, t: int) -> Action:
-        return threshold_decide(self._tp, State(k, l), t)
-
-
-class _NoOffloadAgent:
-    def decide(self, k: float, l: int, t: int) -> Action:
-        return no_offload_decide(State(k, l))
-
-
-class _OtsoAgent:
-    def __init__(self, model: NetworkModel):
-        self._model = model
-
-    def decide(self, k: float, l: int, t: int) -> Action:
-        return otso_decide(self._model, State(k, l))
-
-
-class _WifflerAgent:
-    def __init__(self, model: NetworkModel, horizon: int, theta: float, window: int):
-        self._model = model
-        self._horizon = horizon
-        self._ws = WifflerState(theta=theta, window=window)
-
-    def decide(self, k: float, l: int, t: int) -> Action:
-        wiffler_observe(self._ws, self._model, l, t)
-        return wiffler_decide(self._ws, self._model, State(k, l), t, self._horizon)
+    def decide(self, n: int, l: int, t: int) -> Action:
+        if n >= self._k_star[l - 1][t - 1]:
+            return Action.CELLULAR
+        return self._below[l - 1]
 
 
 def make_agent(scheme: str, model: NetworkModel, spec: ProblemSpec, cfg: ScenarioConfig):
@@ -191,25 +200,16 @@ def make_agent(scheme: str, model: NetworkModel, spec: ProblemSpec, cfg: Scenari
         policy, _ = dp.solve(model, spec)
         return _PolicyAgent(policy)
     if scheme == "monotone":
-        mu_c = cfg.rate_mbit_per_slot(cfg.mu_cellular_mbps)
-        mu_w = cfg.rate_mbit_per_slot(cfg.mu_wifi_mbps)
-        mm = MonotoneModel(
-            num_locations=model.num_locations,
-            wifi_locations=model.wifi_locations,
-            mobility=model.mobility,
-            mu_cellular=mu_c,
-            mu_wifi=mu_w,
-            cellular_cost=mu_c * cfg.price_per_mbit,
-            penalty=spec.penalty,
-        )
-        tp, _ = solve_monotone(mm, spec)
+        tp, _ = solve_monotone(means_model(cfg, model, spec), spec)
         return _ThresholdAgent(tp)
     if scheme == "no-offload":
-        return _NoOffloadAgent()
+        return NoOffloadAgent()
     if scheme == "otso":
-        return _OtsoAgent(model)
+        return OtsoAgent(model)
     if scheme == "wiffler":
-        return _WifflerAgent(model, spec.horizon, cfg.wiffler_theta, cfg.wiffler_window)
+        return WifflerAgent(
+            model, spec.horizon, spec.grid_step, cfg.wiffler_theta, cfg.wiffler_window
+        )
     raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
 
 
@@ -225,39 +225,59 @@ class EpisodeResult:
     trajectory: tuple  # (t, location, size before acting, action) per slot used
 
 
+_ACTIONS_WITH_WIFI = (0, 1, 2)
+_ACTIONS_WITHOUT_WIFI = (0, 1)
+
+
 def run_episode(agent, model: NetworkModel, spec: ProblemSpec, *, rng=None, trajectory=None) -> EpisodeResult:
     """Walk one transfer: location from the trajectory, action from the
-    agent, size and payment from the model primitives, penalty on whatever
-    is left at the horizon."""
+    agent, size and payment from the model's rates and prices, penalty on
+    whatever is left at the horizon.
+
+    The remaining size is kept as its grid index ``n``: a send moves it
+    down by ``transfer_steps`` of the slot's rate, as ``next_file_size``
+    does, and is billed for at most what was left, as ``payment`` is.
+    ``agent.decide(n, l, t)`` returns the action for ``n`` grid steps left
+    at location ``l`` in slot ``t``; it is asked only while ``n > 0``."""
     if trajectory is None:
         if rng is None:
             raise ValueError("run_episode needs either a trajectory or an rng")
         trajectory = sample_trajectory(model, spec, rng)
     if len(trajectory) < spec.horizon:
         raise ValueError("trajectory shorter than the horizon")
+    path = trajectory[: spec.horizon]
+    model.check_location(min(path))
+    model.check_location(max(path))
 
-    k = spec.file_size
+    step = spec.grid_step
+    rate = model.rate.tolist()
+    price = model.price.tolist()
+    wifi = model.wifi_locations
+    decide = agent.decide
+
+    n = spec.grid_points
     pay = 0.0
-    counts = {Action.IDLE: 0, Action.CELLULAR: 0, Action.WIFI: 0}
+    counts = [0, 0, 0]
     trace = []
-    for t in range(1, spec.horizon + 1):
-        if k <= 0:
+    for t, l in enumerate(path, 1):
+        if not n:
             break
-        l = trajectory[t - 1]
-        a = Action(agent.decide(k, l, t))
-        if a not in admissible_actions(model, l):
+        a = int(decide(n, l, t))
+        if a not in (_ACTIONS_WITH_WIFI if l in wifi else _ACTIONS_WITHOUT_WIFI):
             raise SchemeError(
-                f"scheme chose {a.name} at location {l}, which only admits "
+                f"scheme chose action {a} at location {l}, which only admits "
                 f"{[x.name for x in admissible_actions(model, l)]}"
             )
-        trace.append((t, l, k, int(a)))
+        k = n * step
+        trace.append((t, l, k, a))
         counts[a] += 1
-        if a is not Action.IDLE:
-            pay += payment(model, spec, State(k, l), a)
-            k = next_file_size(spec, k, model.rate_of(l, a))
-    pen = float(spec.penalty(k)) if k > 0 else 0.0
+        if a:
+            r = rate[l - 1][a]
+            pay += min(k, r) * price[l - 1][a]
+            n = max(0, n - transfer_steps(spec, r))
+    pen = float(spec.penalty(n * step)) if n else 0.0
     return EpisodeResult(
-        completed=k <= 0,
+        completed=n == 0,
         total_payment=pay,
         penalty_paid=pen,
         total_cost=pay + pen,
@@ -422,6 +442,14 @@ def _run_block_star(args):
     return _run_block(*args)
 
 
+def worker_count(jobs: int, runs: int, cpus) -> int:
+    """Processes to split ``runs`` episodes over when ``jobs`` are asked
+    for: at most one per run and one per CPU (``cpus`` None counts as 1)."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs!r}")
+    return min(jobs, runs, cpus or 1)
+
+
 def run_experiment(
     cfg: ScenarioConfig,
     schemes,
@@ -431,8 +459,8 @@ def run_experiment(
     jobs: int = 1,
 ) -> ExperimentResult:
     """Sweep one parameter, run ``cfg.runs`` paired episodes per point and
-    scheme, and aggregate.  ``jobs > 1`` splits runs across processes;
-    output is identical regardless of the split."""
+    scheme, and aggregate.  ``jobs > 1`` splits runs across processes
+    (see ``worker_count``); output is identical regardless of the split."""
     schemes = tuple(schemes)
     for s in schemes:
         if s not in SCHEMES:
@@ -442,15 +470,15 @@ def run_experiment(
     if not values:
         values = tuple(cfg.sweep_values) or DEFAULT_SWEEP_VALUES[axis]
 
+    workers = worker_count(jobs, cfg.runs, os.cpu_count())
+
     metrics = {}
     samples = {}
     for value in values:
         cfg_v = cfg.with_sweep_value(axis, value)
         indices = list(range(cfg.runs))
-        if jobs > 1 and cfg.runs > 1:
-            blocks = [
-                (cfg_v, schemes, indices[i::jobs]) for i in range(jobs) if indices[i::jobs]
-            ]
+        if workers > 1:
+            blocks = [(cfg_v, schemes, indices[i::workers]) for i in range(workers)]
             with Pool(processes=len(blocks)) as pool:
                 results = pool.map(_run_block_star, blocks)
             records = [None] * cfg.runs

@@ -219,3 +219,42 @@ def test_cli_dump_config(capsys):
     assert "slot_seconds = 10.0" in text
     cfg = parse_config_text(text)
     assert cfg == ScenarioConfig()
+
+
+# `dump-config` loads and validates the scenario and samples nothing, so a
+# missing check shows up as exit code 0 rather than as a hang in the
+# sampler or a traceback from the planner.
+
+
+def test_cli_rejects_nan_rate(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SMALL + "mu_cellular_mbps = nan\n")
+    assert run_cli(["dump-config", "--config", cfg]) == 2
+    assert "mu_cellular_mbps must be a finite number" in capsys.readouterr().err
+
+
+def test_cli_rejects_infinite_price(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SMALL + "price_per_gbyte = inf\n")
+    assert run_cli(["dump-config", "--config", cfg]) == 2
+    assert "price_per_gbyte must be a finite number" in capsys.readouterr().err
+
+
+def test_cli_rejects_infinite_file_size(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "file_mbytes = inf\n")
+    assert run_cli(["dump-config", "--config", cfg]) == 2
+    assert "file_mbytes must be a finite number" in capsys.readouterr().err
+
+
+def test_cli_rejects_negative_seed(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "seed = -1\n")
+    assert run_cli(["dump-config", "--config", cfg]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert run_cli(["dump-config", "--seed", "-1"]) == 2
+
+
+def test_cli_rejects_zero_jobs(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SMALL)
+    out = tmp_path / "exp"
+    for jobs in ("0", "-3"):
+        assert run_cli(["simulate", "--config", cfg, "--jobs", jobs, "--out", str(out)]) == 2
+        assert "jobs must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "exp.csv").exists()

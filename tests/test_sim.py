@@ -1,20 +1,41 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from offloadsim import dp
+from offloadsim.baselines import (
+    WifflerState,
+    no_offload_decide,
+    otso_decide,
+    wiffler_decide,
+    wiffler_observe,
+)
 from offloadsim.config import ScenarioConfig
 from offloadsim.errors import ConfigError, SchemeError
-from offloadsim.model import Action
+from offloadsim.model import (
+    Action,
+    NetworkModel,
+    ProblemSpec,
+    State,
+    admissible_actions,
+    next_file_size,
+    payment,
+)
 from offloadsim.sim import (
     SCHEMES,
+    EpisodeResult,
     build_grid_mobility,
     make_agent,
+    means_model,
     run_episode,
     run_experiment,
     sample_instance,
     sample_trajectory,
     truncated_normal,
+    worker_count,
 )
-
+from offloadsim.threshold import decide as threshold_decide, solve_monotone
 
 
 def small_cfg(**over):
@@ -211,12 +232,254 @@ def test_monotone_agent_plans_from_mean_rates():
     # the threshold agent must not depend on the sampled per-location rates
     cfg = small_cfg(runs=1, rate_std_mbps=5.0)
     model, spec = sample_instance(cfg, np.random.default_rng(15))
-    agent = make_agent("monotone", model, spec, cfg)
-    tp = agent._tp
+    mm = means_model(cfg, model, spec)
+    tp, _ = solve_monotone(mm, spec)
     assert tp.horizon == spec.horizon
     # planner input was built from configured means, not instance draws
     mu_c = cfg.rate_mbit_per_slot(cfg.mu_cellular_mbps)
+    assert mm.mu_cellular == mu_c == 900.0
     assert tp.grid_step == spec.grid_step
+    agent = make_agent("monotone", model, spec, cfg)
+    other = make_agent("monotone", dataclasses.replace(model, rate=model.rate * 0.5), spec, cfg)
+    for t in range(1, spec.horizon + 1):
+        for l in range(1, model.num_locations + 1):
+            for n in range(1, spec.grid_points + 1):
+                assert agent.decide(n, l, t) == other.decide(n, l, t)
     ep = run_episode(agent, model, spec, rng=np.random.default_rng(16))
     assert ep.total_cost >= 0.0
-    assert mu_c == 900.0
+
+
+def test_worker_count_caps_at_runs_and_cpus():
+    assert worker_count(10**12, 1000, 2) == 2
+    assert worker_count(10**12, 3, 64) == 3
+    assert worker_count(8, 1000, None) == 1
+    assert worker_count(1, 1000, 64) == 1
+    for bad in (0, -3):
+        with pytest.raises(ConfigError, match="jobs"):
+            worker_count(bad, 1000, 2)
+
+
+def test_experiment_rejects_zero_jobs():
+    with pytest.raises(ConfigError, match="jobs"):
+        run_experiment(small_cfg(runs=2), ("otso",), "deadline", (1.0,), jobs=0)
+
+
+# ---------------------------------------------------------------------------
+# Reference Monte-Carlo path: scalar rate and coverage draws, a trajectory
+# from ``np.searchsorted``, and a walk on float sizes through the model
+# primitives (``payment``, ``next_file_size``, ``admissible_actions``) with
+# agents built on the public decision rules.  The simulator must agree with
+# it field for field.
+# ---------------------------------------------------------------------------
+
+
+def reference_sample_instance(cfg, rng):
+    g_wifi, g_cell, g_wrate, g_init = rng.spawn(4)
+    L = cfg.num_locations
+    wifi = frozenset(l + 1 for l in range(L) if g_wifi.random() < cfg.wifi_prob)
+    mu_c = cfg.rate_mbit_per_slot(cfg.mu_cellular_mbps)
+    mu_w = cfg.rate_mbit_per_slot(cfg.mu_wifi_mbps)
+    std = cfg.rate_mbit_per_slot(cfg.rate_std_mbps)
+    rate = np.zeros((L, 3))
+    price = np.zeros((L, 3))
+    rate[:, Action.CELLULAR] = [truncated_normal(g_cell, mu_c, std) for _ in range(L)]
+    wifi_draws = [truncated_normal(g_wrate, mu_w, std) for _ in range(L)]
+    for l in wifi:
+        rate[l - 1, Action.WIFI] = wifi_draws[l - 1]
+    price[:, Action.CELLULAR] = cfg.price_per_mbit
+    model = NetworkModel(
+        num_locations=L,
+        wifi_locations=wifi,
+        mobility=build_grid_mobility(cfg.grid_rows, cfg.grid_cols, cfg.p_stay),
+        price=price,
+        rate=rate,
+    )
+    spec = ProblemSpec(
+        file_size=cfg.file_mbit,
+        horizon=cfg.horizon,
+        grid_step=cfg.grid_step_mbit,
+        penalty=cfg.make_penalty(),
+        initial_location=int(g_init.integers(1, L + 1)),
+    )
+    return model, spec
+
+
+def reference_sample_trajectory(model, spec, rng):
+    locs = [spec.initial_location]
+    if spec.horizon > 1:
+        cum = np.cumsum(model.mobility, axis=1)
+        l = spec.initial_location
+        for u in rng.random(spec.horizon - 1):
+            l = int(np.searchsorted(cum[l - 1], u, side="right")) + 1
+            l = min(l, model.num_locations)
+            locs.append(l)
+    return locs
+
+
+class _RefPolicyAgent:
+    def __init__(self, policy):
+        self._policy = policy
+
+    def decide(self, k, l, t):
+        return self._policy.action(t, k, l)
+
+
+class _RefThresholdAgent:
+    def __init__(self, tp):
+        self._tp = tp
+
+    def decide(self, k, l, t):
+        return threshold_decide(self._tp, State(k, l), t)
+
+
+class _RefNoOffloadAgent:
+    def decide(self, k, l, t):
+        return no_offload_decide(State(k, l))
+
+
+class _RefOtsoAgent:
+    def __init__(self, model):
+        self._model = model
+
+    def decide(self, k, l, t):
+        return otso_decide(self._model, State(k, l))
+
+
+class _RefWifflerAgent:
+    def __init__(self, model, horizon, theta, window):
+        self._model = model
+        self._horizon = horizon
+        self._ws = WifflerState(theta=theta, window=window)
+
+    def decide(self, k, l, t):
+        wiffler_observe(self._ws, self._model, l, t)
+        return wiffler_decide(self._ws, self._model, State(k, l), t, self._horizon)
+
+
+def reference_run_episode(agent, model, spec, trajectory):
+    k = spec.file_size
+    pay = 0.0
+    counts = {Action.IDLE: 0, Action.CELLULAR: 0, Action.WIFI: 0}
+    trace = []
+    for t in range(1, spec.horizon + 1):
+        if k <= 0:
+            break
+        l = trajectory[t - 1]
+        a = Action(agent.decide(k, l, t))
+        if a not in admissible_actions(model, l):
+            raise SchemeError(f"{a.name} at location {l}")
+        trace.append((t, l, k, int(a)))
+        counts[a] += 1
+        if a is not Action.IDLE:
+            pay += payment(model, spec, State(k, l), a)
+            k = next_file_size(spec, k, model.rate_of(l, a))
+    pen = float(spec.penalty(k)) if k > 0 else 0.0
+    return EpisodeResult(
+        completed=k <= 0,
+        total_payment=pay,
+        penalty_paid=pen,
+        total_cost=pay + pen,
+        slots_cellular=counts[Action.CELLULAR],
+        slots_wifi=counts[Action.WIFI],
+        slots_waiting=counts[Action.IDLE],
+        trajectory=tuple(trace),
+    )
+
+
+def _run_rngs(cfg, j):
+    return (
+        np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(j, 0))),
+        np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(j, 1))),
+    )
+
+
+# Slow cellular (50-60 Mbit per slot against a 1000 Mbit file) leaves
+# transfers unfinished and makes the Wiffler rule wait; the 10 +- 50 Mbit
+# Wi-Fi draws of "slow-links" reject about four draws in ten.
+WALK_CONFIGS = {
+    "default": {},
+    "no-wifi": dict(wifi_prob=0.0, deadline_minutes=2.0),
+    "all-wifi": dict(wifi_prob=1.0, deadline_minutes=3.0),
+    "fixed-rates": dict(rate_std_mbps=0.0, deadline_minutes=4.0),
+    "empty-file": dict(file_mbytes=0.0),
+    "step-penalty": dict(
+        penalty="step", grid_rows=3, mu_cellular_mbps=6.0, deadline_minutes=2.0
+    ),
+    "wifi-faster": dict(mu_wifi_mbps=120.0, deadline_minutes=2.0),
+    "slow-links": dict(
+        mu_cellular_mbps=5.0,
+        mu_wifi_mbps=1.0,
+        rate_std_mbps=5.0,
+        grid_rows=3,
+        grid_cols=3,
+        deadline_minutes=3.0,
+        wiffler_theta=0.5,
+        wiffler_window=2,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALK_CONFIGS))
+def test_walk_matches_reference(name):
+    cfg = small_cfg(**WALK_CONFIGS[name])
+    # the frontier planner needs a convex penalty
+    schemes = [s for s in SCHEMES if s != "monotone" or cfg.penalty != "step"]
+    for j in range(6):
+        inst_rng, traj_rng = _run_rngs(cfg, j)
+        model, spec = sample_instance(cfg, inst_rng)
+        traj = sample_trajectory(model, spec, traj_rng)
+        reference = {
+            "general": lambda: _RefPolicyAgent(dp.solve(model, spec)[0]),
+            "monotone": lambda: _RefThresholdAgent(
+                solve_monotone(means_model(cfg, model, spec), spec)[0]
+            ),
+            "no-offload": _RefNoOffloadAgent,
+            "otso": lambda: _RefOtsoAgent(model),
+            "wiffler": lambda: _RefWifflerAgent(
+                model, spec.horizon, cfg.wiffler_theta, cfg.wiffler_window
+            ),
+        }
+        for scheme in schemes:
+            got = run_episode(make_agent(scheme, model, spec, cfg), model, spec, trajectory=traj)
+            want = reference_run_episode(reference[scheme](), model, spec, traj)
+            assert got == want, (name, j, scheme)
+            assert repr(got) == repr(want), (name, j, scheme)
+
+
+# "rejecting" draws Wi-Fi rates at 10 +- 50 Mbit per slot; "zero-mean"
+# rejects half of the cellular draws as well.
+SAMPLER_CONFIGS = {
+    "default": {},
+    "no-wifi": dict(wifi_prob=0.0),
+    "fixed-rates": dict(wifi_prob=1.0, rate_std_mbps=0.0),
+    "rejecting": dict(mu_wifi_mbps=1.0, rate_std_mbps=5.0, grid_rows=4, grid_cols=4),
+    "zero-mean": dict(mu_cellular_mbps=0.0, mu_wifi_mbps=1.0, rate_std_mbps=5.0, p_stay=0.1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLER_CONFIGS))
+def test_samplers_match_scalar_reference(name):
+    cfg = small_cfg(**SAMPLER_CONFIGS[name])
+    for j in range(40):
+        inst_rng, traj_rng = _run_rngs(cfg, j)
+        model, spec = sample_instance(cfg, inst_rng)
+        inst_rng, _ = _run_rngs(cfg, j)
+        ref_model, ref_spec = reference_sample_instance(cfg, inst_rng)
+        assert model.wifi_locations == ref_model.wifi_locations
+        for field in ("rate", "price", "mobility"):
+            assert getattr(model, field).tobytes() == getattr(ref_model, field).tobytes()
+        assert spec == ref_spec
+        _, ref_traj_rng = _run_rngs(cfg, j)
+        assert sample_trajectory(model, spec, traj_rng) == reference_sample_trajectory(
+            model, spec, ref_traj_rng
+        )
+
+
+def test_rejection_heavy_draws_are_exercised():
+    # the "rejecting" sampler case does reject draws, many of them
+    cfg = small_cfg(**SAMPLER_CONFIGS["rejecting"])
+    rejected = 0
+    for j in range(40):
+        g_wrate = _run_rngs(cfg, j)[0].spawn(4)[2]
+        rejected += int((g_wrate.normal(10.0, 50.0, size=16) < 0).sum())
+    assert rejected > 100
