@@ -103,6 +103,32 @@ class ScenarioConfig:
                 f"slot_seconds={self.slot_seconds!r} give a non-integral "
                 f"slot count {slots!r}"
             )
+        self._check_derived()
+
+    def _check_derived(self) -> None:
+        """Reject finite inputs whose derived quantities overflow.  Per-slot
+        rates stay below 2**53 grid steps, so the planners' step counts are
+        exact integers, and a bound on one run's cost is squared and summed
+        over the runs, as the confidence intervals do."""
+        step = self.grid_step_mbit
+        mu_c, mu_w, std = (
+            self.rate_mbit_per_slot(v)
+            for v in (self.mu_cellular_mbps, self.mu_wifi_mbps, self.rate_std_mbps)
+        )
+        size = self.file_mbit + step  # the file rounded up to the grid, at most
+        worst = self.horizon * size * self.price_per_mbit + self.make_penalty()(size)
+        for keys, what, value, limit in (
+            ("file_mbytes", "file size in Mbit", self.file_mbit, math.inf),
+            ("file_mbytes", "grid point count", self.file_mbit / step, math.inf),
+            ("mu_cellular_mbps", "cellular rate in grid steps", mu_c / step, 2.0**53),
+            ("mu_wifi_mbps", "Wi-Fi rate in grid steps", mu_w / step, 2.0**53),
+            ("rate_std_mbps", "rate spread in grid steps", std / step, 2.0**53),
+            ("price_per_gbyte", "cellular cost per slot", mu_c * self.price_per_mbit, math.inf),
+            ("price_per_gbyte, file_mbytes, penalty or runs", "squared cost bound",
+             worst * worst * self.runs, math.inf),
+        ):
+            if not value < limit:
+                raise ConfigError(f"{keys} too large: the {what} is {value!r}, not below {limit!r}")
 
     @property
     def horizon(self) -> int:

@@ -65,6 +65,8 @@ class NetworkModel:
         mob = np.asarray(self.mobility, dtype=float)
         if mob.shape != (L, L):
             raise DomainError(f"mobility must be {L}x{L}, got {mob.shape}")
+        if not np.isfinite(mob).all():
+            raise DomainError("mobility entries must be finite")
         if (mob < 0).any():
             raise DomainError("mobility entries must be non-negative")
         rowsum = mob.sum(axis=1)
@@ -79,6 +81,8 @@ class NetworkModel:
         for name, arr in (("price", price), ("rate", rate)):
             if arr.shape != (L, 3):
                 raise DomainError(f"{name} must have shape ({L}, 3), got {arr.shape}")
+            if not np.isfinite(arr).all():
+                raise DomainError(f"{name} entries must be finite")
             if (arr < 0).any():
                 raise DomainError(f"{name} entries must be non-negative")
             if arr[:, Action.IDLE].any():
@@ -218,12 +222,12 @@ class ProblemSpec:
     initial_location: int = 1
 
     def __post_init__(self):
-        if self.grid_step <= 0:
-            raise DomainError("grid step must be > 0")
+        if not math.isfinite(self.grid_step) or self.grid_step <= 0:
+            raise DomainError(f"grid step must be finite and > 0, got {self.grid_step!r}")
         if self.horizon < 1:
             raise DomainError("horizon must be >= 1 slot")
-        if self.file_size < 0:
-            raise DomainError("file size must be >= 0")
+        if not math.isfinite(self.file_size) or self.file_size < 0:
+            raise DomainError(f"file size must be finite and >= 0, got {self.file_size!r}")
         n = self.file_size / self.grid_step
         n_up = int(math.ceil(n - GRID_EPS))
         rounded = n_up * self.grid_step

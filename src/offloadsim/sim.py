@@ -7,6 +7,13 @@ numbers: every scheme in a run sees the identical environment and
 trajectory, and runs are seeded by (seed, run index) substreams so
 results do not depend on worker count or execution order.
 
+Sweep points that differ only in the deadline share each run's work.  The
+run samples its environment and path and plans once, at the longest
+horizon, and a point with horizon T walks the first T slots of that path
+with the last T epochs of the plans.  That is exactly what sampling and
+planning at T give: the streams do not depend on the horizon, and the
+model is time-homogeneous with the penalty charged only at the horizon.
+
 The exact planner is given the sampled per-location rates; the threshold
 planner is given only the configured mean rates, planning from summary
 information the way a device without per-location measurements would.
@@ -14,6 +21,7 @@ information the way a device without per-location measurements would.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import os
@@ -166,23 +174,26 @@ def means_model(cfg: ScenarioConfig, model: NetworkModel, spec: ProblemSpec) -> 
 
 
 class _PolicyAgent:
-    """The exact planner's decision table, indexed directly."""
+    """The exact planner's decision table, indexed directly.  With an
+    ``offset`` the episode's slot t reads epoch ``t + offset``: the last
+    epochs of a plan for a longer horizon."""
 
-    def __init__(self, policy: dp.Policy):
-        self._action = policy.actions.item
+    def __init__(self, policy: dp.Policy, offset: int = 0):
+        self._action = policy.actions[offset:].item
 
     def decide(self, n: int, l: int, t: int) -> int:
         return self._action(t - 1, l - 1, n)
 
 
 class _ThresholdAgent:
-    """``threshold.decide`` on the frontiers, read from lists."""
+    """``threshold.decide`` on the frontiers, read from lists, with the
+    epoch ``offset`` of ``_PolicyAgent``."""
 
-    def __init__(self, tp):
-        never = [math.inf] * tp.horizon  # Wi-Fi-faster locations always use Wi-Fi
+    def __init__(self, tp, offset: int = 0):
+        never = [math.inf] * (tp.horizon - offset)  # Wi-Fi-faster locations always use Wi-Fi
         self._k_star = [
             never if mode is LocationMode.WIFI_FASTER else row
-            for row, mode in zip(tp.k_star_idx.tolist(), tp.modes)
+            for row, mode in zip(tp.k_star_idx[:, offset:].tolist(), tp.modes)
         ]
         self._below = [
             Action.IDLE if mode is LocationMode.NO_WIFI else Action.WIFI for mode in tp.modes
@@ -411,30 +422,50 @@ class ExperimentResult:
             fh.write("\n")
 
 
-def _run_block(cfg: ScenarioConfig, schemes: tuple, run_indices) -> list:
+def _run_block(cfgs: tuple, schemes: tuple, run_indices) -> list:
+    """Walk runs ``run_indices`` at the sweep points ``cfgs``, which differ
+    only in their deadline, sampling and planning each run once at the
+    longest horizon.  Returns per run one ``{scheme: record}`` per point."""
+    top = max(cfgs, key=lambda c: c.horizon)
     out = []
     for j in run_indices:
         inst_rng = np.random.default_rng(
-            np.random.SeedSequence(cfg.seed, spawn_key=(j, 0))
+            np.random.SeedSequence(top.seed, spawn_key=(j, 0))
         )
         traj_rng = np.random.default_rng(
-            np.random.SeedSequence(cfg.seed, spawn_key=(j, 1))
+            np.random.SeedSequence(top.seed, spawn_key=(j, 1))
         )
-        model, spec = sample_instance(cfg, inst_rng)
+        model, spec = sample_instance(top, inst_rng)
         traj = sample_trajectory(model, spec, traj_rng)
-        rec = {}
-        for scheme in schemes:
-            agent = make_agent(scheme, model, spec, cfg)
-            ep = run_episode(agent, model, spec, trajectory=traj)
-            rec[scheme] = (
-                ep.total_cost,
-                ep.total_payment,
-                1.0 if ep.completed else 0.0,
-                ep.slots_cellular,
-                ep.slots_wifi,
-                ep.slots_waiting,
-            )
-        out.append(rec)
+        planned = {}  # scheme -> agent factory taking the epoch offset
+        if "general" in schemes:
+            planned["general"] = functools.partial(_PolicyAgent, dp.solve(model, spec)[0])
+        if "monotone" in schemes:
+            tp, _ = solve_monotone(means_model(top, model, spec), spec)
+            planned["monotone"] = functools.partial(_ThresholdAgent, tp)
+        recs = []
+        for cfg in cfgs:
+            # Round the configured size, as sampling does: rounding the
+            # rounded size again can add a grid step at ~10**7 grid points.
+            spec_t = dataclasses.replace(spec, file_size=cfg.file_mbit, horizon=cfg.horizon)
+            offset = spec.horizon - spec_t.horizon
+            rec = {}
+            for scheme in schemes:
+                if scheme in planned:
+                    agent = planned[scheme](offset)
+                else:
+                    agent = make_agent(scheme, model, spec_t, cfg)
+                ep = run_episode(agent, model, spec_t, trajectory=traj)
+                rec[scheme] = (
+                    ep.total_cost,
+                    ep.total_payment,
+                    1.0 if ep.completed else 0.0,
+                    ep.slots_cellular,
+                    ep.slots_wifi,
+                    ep.slots_waiting,
+                )
+            recs.append(rec)
+        out.append(recs)
     return out
 
 
@@ -470,26 +501,35 @@ def run_experiment(
     if not values:
         values = tuple(cfg.sweep_values) or DEFAULT_SWEEP_VALUES[axis]
 
+    # Every point is validated before any episode is walked.
+    points = [cfg.with_sweep_value(axis, value) for value in values]
+    groups = {}  # point config with the deadline reset -> indices of its points
+    for i, p in enumerate(points):
+        key = dataclasses.replace(p, deadline_minutes=cfg.deadline_minutes)
+        groups.setdefault(key, []).append(i)
+
     workers = worker_count(jobs, cfg.runs, os.cpu_count())
+    indices = list(range(cfg.runs))
+    tasks = [
+        (group, indices[w::workers]) for group in groups.values() for w in range(workers)
+    ]
+    blocks = [(tuple(points[i] for i in group), schemes, idx) for group, idx in tasks]
+    if workers > 1:
+        with Pool(processes=workers) as pool:
+            results = pool.map(_run_block_star, blocks)
+    else:
+        results = [_run_block(*block) for block in blocks]
+    records = [[None] * cfg.runs for _ in points]  # [point][run] -> {scheme: record}
+    for (group, idx), block in zip(tasks, results):
+        for j, recs in zip(idx, block):
+            for i, rec in zip(group, recs):
+                records[i][j] = rec
 
     metrics = {}
     samples = {}
-    for value in values:
-        cfg_v = cfg.with_sweep_value(axis, value)
-        indices = list(range(cfg.runs))
-        if workers > 1:
-            blocks = [(cfg_v, schemes, indices[i::workers]) for i in range(workers)]
-            with Pool(processes=len(blocks)) as pool:
-                results = pool.map(_run_block_star, blocks)
-            records = [None] * cfg.runs
-            for (_, _, idx), block in zip(blocks, results):
-                for j, rec in zip(idx, block):
-                    records[j] = rec
-        else:
-            records = _run_block(cfg_v, schemes, indices)
-
+    for value, recs in zip(values, records):
         for scheme in schemes:
-            arr = np.array([rec[scheme] for rec in records], dtype=float)
+            arr = np.array([rec[scheme] for rec in recs], dtype=float)
             ss = SchemeSamples(
                 total_cost=arr[:, 0],
                 payment=arr[:, 1],

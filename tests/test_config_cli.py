@@ -258,3 +258,28 @@ def test_cli_rejects_zero_jobs(tmp_path, capsys):
         assert run_cli(["simulate", "--config", cfg, "--jobs", jobs, "--out", str(out)]) == 2
         assert "jobs must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "exp.csv").exists()
+
+
+# Finite values whose derived quantities overflow: at 1e308 the per-slot
+# rates and the file size in Mbit are inf, and the price makes each run's
+# cost so large that its confidence interval overflows.  Each used to end
+# in an OverflowError traceback or in inf/NaN metrics.
+@pytest.mark.parametrize(
+    "key",
+    ["file_mbytes", "mu_cellular_mbps", "mu_wifi_mbps", "rate_std_mbps", "price_per_gbyte"],
+)
+def test_cli_rejects_overflowing_value(tmp_path, capsys, key):
+    cfg = write_cfg(tmp_path, f"grid_rows = 2\ngrid_cols = 2\nruns = 4\n{key} = 1e308\n")
+    out = tmp_path / "exp"
+    args = ["simulate", "--config", cfg, "--schemes", "otso,wiffler", "--sweep", "deadline=1"]
+    assert run_cli(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "too large" in err and key in err
+    assert not (tmp_path / "exp.csv").exists()
+
+
+def test_rate_step_count_must_fit_the_planners_indices():
+    # 1e19 grid steps per slot is finite but beyond exact integer step counts
+    with pytest.raises(ConfigError, match="mu_cellular_mbps too large"):
+        parse_config_text("mu_cellular_mbps = 1e19\n")
+    parse_config_text("mu_cellular_mbps = 1e14\n")

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -224,6 +225,31 @@ def test_network_model_validation():
         NetworkModel(L, frozenset({5}), np.eye(L), good_price, good_rate)
     with pytest.raises(DomainError, match="non-negative"):
         NetworkModel(L, frozenset(), np.eye(L), good_price, good_rate - 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_network_model_rejects_non_finite(bad):
+    L = 2
+    rate = np.zeros((L, 3))
+    rate[:, Action.CELLULAR] = 1.0
+    # all-NaN mobility passes every comparison-based check
+    with pytest.raises(DomainError, match="mobility entries must be finite"):
+        NetworkModel(L, frozenset(), np.full((L, L), bad), np.zeros((L, 3)), rate)
+    for name in ("price", "rate"):
+        arrays = {"price": np.zeros((L, 3)), "rate": rate.copy()}
+        arrays[name][1, Action.CELLULAR] = bad
+        with pytest.raises(DomainError, match=f"{name} entries must be finite"):
+            NetworkModel(L, frozenset(), np.eye(L), arrays["price"], arrays["rate"])
+
+
+def test_problem_spec_rejects_non_finite():
+    # these used to escape as OverflowError (ceil of inf) and ValueError (of nan)
+    for size in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="file size"):
+            ProblemSpec(size, 3, 10.0, QuadraticPenalty(1.0))
+    for step in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="grid step"):
+            ProblemSpec(10.0, 3, step, QuadraticPenalty(1.0))
 
 
 def test_problem_spec_rounds_size_up_with_warning():

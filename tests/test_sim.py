@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from offloadsim import dp
+from offloadsim import dp, sim
 from offloadsim.baselines import (
     WifflerState,
     no_offload_decide,
@@ -187,6 +187,40 @@ def test_experiment_jobs_match_serial():
     serial = run_experiment(cfg, ("no-offload", "otso"), "deadline", (1.0,))
     parallel = run_experiment(cfg, ("no-offload", "otso"), "deadline", (1.0,), jobs=2)
     assert serial.to_csv_text() == parallel.to_csv_text()
+    # a deadline sweep shares each run's plans across its points
+    cfg = small_cfg(runs=5, mu_cellular_mbps=10.0, mu_wifi_mbps=4.0)
+    schemes = ("general", "monotone", "wiffler")
+    serial = run_experiment(cfg, schemes, "deadline", (2.0, 1.0))
+    parallel = run_experiment(cfg, schemes, "deadline", (2.0, 1.0), jobs=2)
+    assert serial.to_csv_text() == parallel.to_csv_text()
+
+
+# Links slow enough that the deadline binds: cellular needs 10 of the 6-18
+# slots, so plans and paths past the first slots decide the outcome.
+SWEEP_CASES = {
+    "deadline": (dict(mu_cellular_mbps=10.0, mu_wifi_mbps=4.0), (3.0, 1.0, 2.0)),
+    "mu_wifi": (dict(mu_cellular_mbps=10.0, deadline_minutes=2.0), (4.0, 12.0)),
+}
+
+
+@pytest.mark.parametrize("axis", sorted(SWEEP_CASES))
+def test_sweep_matches_single_point_experiments(axis):
+    over, values = SWEEP_CASES[axis]
+    cfg = small_cfg(runs=6, **over)
+    swept = run_experiment(cfg, SCHEMES, axis, values).to_csv_text().splitlines()
+    rows = [swept[0]]
+    for value in values:
+        rows += run_experiment(cfg, SCHEMES, axis, (value,)).to_csv_text().splitlines()[1:]
+    assert swept == rows
+
+
+def test_experiment_validates_every_point_before_walking(monkeypatch):
+    walked = []
+    monkeypatch.setattr(sim, "run_episode", lambda *a, **k: walked.append(a))
+    # 1.05 minutes are 6.3 ten-second slots
+    with pytest.raises(ConfigError, match="slot count"):
+        run_experiment(small_cfg(runs=2), ("otso",), "deadline", (1.0, 1.05))
+    assert walked == []
 
 
 def test_single_run_aggregate_equals_episode():
