@@ -7,6 +7,10 @@ factor.  Its predictor averages the inter-encounter period and the
 per-encounter transferable amount over a sliding window of completed
 Wi-Fi encounters; the exact estimator is pluggable because published
 descriptions of the rule leave it open.
+
+The Monte-Carlo walk reads each rule as data: no-offload and OTSO as one
+action per location, Wiffler as its encounter means after each slot of
+the path (``wiffler_means``), which depend on the path alone.
 """
 
 from __future__ import annotations
@@ -27,6 +31,20 @@ def otso_decide(model: NetworkModel, s: State) -> Action:
     if s.k <= 0:
         return Action.IDLE
     return Action.WIFI if model.has_wifi(s.l) else Action.CELLULAR
+
+
+_CELLULAR, _WIFI = int(Action.CELLULAR), int(Action.WIFI)
+
+
+def no_offload_actions(covered) -> list:
+    """``no_offload_decide`` per location while something is left, as int
+    action codes; ``covered`` flags each location's Wi-Fi coverage."""
+    return [_CELLULAR] * len(covered)
+
+
+def otso_actions(covered) -> list:
+    """``otso_decide`` per location while something is left."""
+    return [_WIFI if c else _CELLULAR for c in covered]
 
 
 @dataclass(frozen=True)
@@ -62,10 +80,12 @@ class WifflerState:
         if self.window < 1:
             raise ValueError("window must be >= 1")
 
-    def observe(self, t: int, wifi_rate) -> None:
+    def observe(self, t: int, wifi_rate) -> bool:
         """``wiffler_observe`` for a location already looked up: ``wifi_rate``
-        is its Wi-Fi amount per slot, or None off coverage."""
+        is its Wi-Fi amount per slot, or None off coverage.  Returns whether
+        an encounter ended, which is the only time the history changes."""
         in_wifi = wifi_rate is not None
+        ended = self._in_wifi and not in_wifi
         if in_wifi:
             if not self._in_wifi:
                 self._enc_start = t
@@ -73,7 +93,7 @@ class WifflerState:
                 self._enc_rate_sum = 0.0
             self._enc_slots += 1
             self._enc_rate_sum += wifi_rate
-        elif self._in_wifi:
+        elif ended:
             self.history.append(
                 Encounter(
                     inter_meeting_time=self._enc_start - self._prev_start,
@@ -85,6 +105,7 @@ class WifflerState:
             while len(self.history) > self.window:
                 self.history.popleft()
         self._in_wifi = in_wifi
+        return ended
 
 
 def wiffler_observe(ws: WifflerState, model: NetworkModel, l: int, t: int) -> None:
@@ -96,6 +117,19 @@ def wiffler_observe(ws: WifflerState, model: NetworkModel, l: int, t: int) -> No
     ws.observe(t, model.rate_of(l, Action.WIFI) if model.has_wifi(l) else None)
 
 
+def encounter_means(history):
+    """``(mean inter-meeting period, mean per-encounter amount)`` of the
+    encounters in ``history``, or None when there are none or the mean
+    period is not positive (nothing to predict from)."""
+    if not history:
+        return None
+    mean_gap = sum(e.inter_meeting_time for e in history) / len(history)
+    if mean_gap <= 0:
+        return None
+    mean_transfer = sum(e.transferred for e in history) / len(history)
+    return mean_gap, mean_transfer
+
+
 def wiffler_predict(ws: WifflerState, remaining_time: int) -> float:
     """Expected Wi-Fi capacity before the deadline.
 
@@ -103,13 +137,29 @@ def wiffler_predict(ws: WifflerState, remaining_time: int) -> float:
     the mean per-encounter amount; with no history the estimate is zero
     (nothing known, assume nothing).
     """
-    if remaining_time <= 0 or not ws.history:
+    means = encounter_means(ws.history)
+    if remaining_time <= 0 or means is None:
         return 0.0
-    mean_gap = sum(e.inter_meeting_time for e in ws.history) / len(ws.history)
-    if mean_gap <= 0:
-        return 0.0
-    mean_transfer = sum(e.transferred for e in ws.history) / len(ws.history)
+    mean_gap, mean_transfer = means
     return (remaining_time / mean_gap) * mean_transfer
+
+
+def wiffler_means(path, wifi_rate, window: int) -> list:
+    """Wiffler's encounter means along ``path``: entry ``t - 1`` is
+    ``encounter_means`` of the history once slots ``1..t`` are observed.
+
+    ``wifi_rate[l - 1]`` is location ``l``'s Wi-Fi amount per slot, or None
+    off coverage.  The history depends only on the path, not on the
+    actions or the deadline, so one list serves every deadline of a run.
+    """
+    ws = WifflerState(window=window)
+    means = None
+    out = []
+    for t, l in enumerate(path, 1):
+        if ws.observe(t, wifi_rate[l - 1]):
+            means = encounter_means(ws.history)
+        out.append(means)
+    return out
 
 
 def wiffler_decide(
@@ -117,60 +167,10 @@ def wiffler_decide(
 ) -> Action:
     """Wi-Fi on the spot; off coverage, wait only if the predicted Wi-Fi
     capacity covers ``theta`` times the remaining size."""
-    return _wiffler_choice(ws, s.k, model.has_wifi(s.l), horizon - t)
-
-
-def _wiffler_choice(ws: WifflerState, k: float, on_wifi: bool, remaining_time: int) -> Action:
-    if k <= 0:
+    if s.k <= 0:
         return Action.IDLE
-    if on_wifi:
+    if model.has_wifi(s.l):
         return Action.WIFI
-    if wiffler_predict(ws, remaining_time) >= ws.theta * k:
+    if wiffler_predict(ws, horizon - t) >= ws.theta * s.k:
         return Action.IDLE
     return Action.CELLULAR
-
-
-# Per-episode agents for ``sim.run_episode``, which asks ``decide(n, l, t)``
-# with ``n`` grid steps left and only while ``n > 0``, so the zero-size
-# branches of the rules above never apply there.
-
-
-class NoOffloadAgent:
-    """``no_offload_decide`` for the walk."""
-
-    def decide(self, n: int, l: int, t: int) -> Action:
-        return Action.CELLULAR
-
-
-class OtsoAgent:
-    """``otso_decide`` for the walk, with the coverage looked up once."""
-
-    def __init__(self, model: NetworkModel):
-        self._choice = [
-            Action.WIFI if l in model.wifi_locations else Action.CELLULAR
-            for l in range(1, model.num_locations + 1)
-        ]
-
-    def decide(self, n: int, l: int, t: int) -> Action:
-        return self._choice[l - 1]
-
-
-class WifflerAgent:
-    """``wiffler_observe`` then ``wiffler_decide`` for the walk, with each
-    location's Wi-Fi rate looked up once."""
-
-    def __init__(
-        self, model: NetworkModel, horizon: int, grid_step: float, theta: float, window: int
-    ):
-        self._ws = WifflerState(theta=theta, window=window)
-        rates = model.rate[:, Action.WIFI].tolist()
-        self._wifi_rate = [
-            r if l in model.wifi_locations else None for l, r in enumerate(rates, 1)
-        ]
-        self._horizon = horizon
-        self._step = grid_step
-
-    def decide(self, n: int, l: int, t: int) -> Action:
-        rate = self._wifi_rate[l - 1]
-        self._ws.observe(t, rate)
-        return _wiffler_choice(self._ws, n * self._step, rate is not None, self._horizon - t)

@@ -229,7 +229,12 @@ class ProblemSpec:
         if not math.isfinite(self.file_size) or self.file_size < 0:
             raise DomainError(f"file size must be finite and >= 0, got {self.file_size!r}")
         n = self.file_size / self.grid_step
-        n_up = int(math.ceil(n - GRID_EPS))
+        n_up = round(n)
+        # A size already on the grid (n_up steps, as rounding stores it) is
+        # kept; the absolute slack below is under the float spacing of n on
+        # grids of more than a few million points.
+        if n_up * self.grid_step != self.file_size:
+            n_up = int(math.ceil(n - GRID_EPS))
         rounded = n_up * self.grid_step
         if abs(rounded - self.file_size) > GRID_EPS * max(1.0, self.file_size):
             warnings.warn(

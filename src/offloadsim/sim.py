@@ -28,11 +28,12 @@ import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from multiprocessing import Pool
+from typing import NamedTuple
 
 import numpy as np
 
 from . import dp
-from .baselines import NoOffloadAgent, OtsoAgent, WifflerAgent
+from .baselines import no_offload_actions, otso_actions, wiffler_means
 from .config import DEFAULT_SWEEP_VALUES, ScenarioConfig
 from .errors import ConfigError, SchemeError
 from .model import Action, NetworkModel, ProblemSpec, admissible_actions, transfer_steps
@@ -173,55 +174,111 @@ def means_model(cfg: ScenarioConfig, model: NetworkModel, spec: ProblemSpec) -> 
     )
 
 
-class _PolicyAgent:
-    """The exact planner's decision table, indexed directly.  With an
-    ``offset`` the episode's slot t reads epoch ``t + offset``: the last
-    epochs of a plan for a longer horizon."""
+class RunTables(NamedTuple):
+    """What every episode of one run reads, built once per run by
+    ``run_tables``: per location (index ``l - 1``) each action's rate, price
+    and grid steps per slot, and whether the location has Wi-Fi."""
 
-    def __init__(self, policy: dp.Policy, offset: int = 0):
-        self._action = policy.actions[offset:].item
-
-    def decide(self, n: int, l: int, t: int) -> int:
-        return self._action(t - 1, l - 1, n)
-
-
-class _ThresholdAgent:
-    """``threshold.decide`` on the frontiers, read from lists, with the
-    epoch ``offset`` of ``_PolicyAgent``."""
-
-    def __init__(self, tp, offset: int = 0):
-        never = [math.inf] * (tp.horizon - offset)  # Wi-Fi-faster locations always use Wi-Fi
-        self._k_star = [
-            never if mode is LocationMode.WIFI_FASTER else row
-            for row, mode in zip(tp.k_star_idx[:, offset:].tolist(), tp.modes)
-        ]
-        self._below = [
-            Action.IDLE if mode is LocationMode.NO_WIFI else Action.WIFI for mode in tp.modes
-        ]
-
-    def decide(self, n: int, l: int, t: int) -> Action:
-        if n >= self._k_star[l - 1][t - 1]:
-            return Action.CELLULAR
-        return self._below[l - 1]
+    model: NetworkModel
+    grid_step: float
+    rate: list
+    price: list
+    steps: list
+    covered: list
 
 
-def make_agent(scheme: str, model: NetworkModel, spec: ProblemSpec, cfg: ScenarioConfig):
-    """Plan (where the scheme plans) and return a per-episode decision agent."""
-    if scheme == "general":
-        policy, _ = dp.solve(model, spec)
-        return _PolicyAgent(policy)
-    if scheme == "monotone":
-        tp, _ = solve_monotone(means_model(cfg, model, spec), spec)
-        return _ThresholdAgent(tp)
+def run_tables(model: NetworkModel, spec: ProblemSpec) -> RunTables:
+    rate = model.rate.tolist()
+    wifi = model.wifi_locations
+    return RunTables(
+        model,
+        spec.grid_step,
+        rate,
+        model.price.tolist(),
+        # idle, cellular and Wi-Fi; idle and Wi-Fi off coverage never move
+        [[0, transfer_steps(spec, c), transfer_steps(spec, w) if w else 0] for _, c, w in rate],
+        [l in wifi for l in range(1, model.num_locations + 1)],
+    )
+
+
+class WifflerPlan(NamedTuple):
+    """Wiffler's parameters and its encounter means along ``path``
+    (``baselines.wiffler_means``); a walk on another path computes its own."""
+
+    theta: float
+    window: int
+    path: list = ()
+    means: list = ()
+
+
+class Decisions(NamedTuple):
+    """One scheme's decisions for an episode, as data that ``run_episode``
+    reads inline.  With ``n > 0`` grid steps left at location ``l`` in slot
+    ``t``, the action is given by the fields set besides ``run``:
+
+    - ``table`` (general): ``table(t - 1, l - 1, n)``, the exact planner's
+      action table read from an epoch offset;
+    - ``frontier`` and ``actions`` (monotone): cellular when
+      ``n >= frontier[l - 1][t - 1]``, else ``actions[l - 1]``;
+    - ``actions`` alone (no-offload, OTSO): ``actions[l - 1]``;
+    - ``wiffler``: Wi-Fi where covered; elsewhere idle when the predicted
+      Wi-Fi capacity covers ``theta`` times the remaining size, else cellular.
+    """
+
+    run: RunTables
+    table: object = None
+    frontier: list = None
+    actions: list = None
+    wiffler: WifflerPlan = None
+
+
+def policy_decisions(run: RunTables, policy: dp.Policy, offset: int = 0) -> Decisions:
+    """The exact planner's table; slot t reads epoch ``t + offset``, so a
+    plan for a longer horizon serves a shorter one from its last epochs."""
+    return Decisions(run, table=policy.actions[offset:].item)
+
+
+def frontier_decisions(run: RunTables, tp, offset: int = 0) -> Decisions:
+    """``threshold.decide`` on the frontiers, with the epoch ``offset`` of
+    ``policy_decisions``."""
+    never = [math.inf] * (tp.horizon - offset)  # Wi-Fi-faster locations always use Wi-Fi
+    frontier = [
+        never if mode is LocationMode.WIFI_FASTER else row
+        for row, mode in zip(tp.k_star_idx[:, offset:].tolist(), tp.modes)
+    ]
+    below = [
+        int(Action.IDLE if mode is LocationMode.NO_WIFI else Action.WIFI) for mode in tp.modes
+    ]
+    return Decisions(run, frontier=frontier, actions=below)
+
+
+def wifi_rates(run: RunTables) -> list:
+    """Each location's Wi-Fi amount per slot, or None off coverage."""
+    return [w if c else None for (_, _, w), c in zip(run.rate, run.covered)]
+
+
+def heuristic_decisions(scheme: str, run: RunTables, cfg: ScenarioConfig, path=()) -> Decisions:
+    """No-offload, OTSO or Wiffler.  Wiffler's encounter means are computed
+    along ``path`` when one is given, else by the walk for its own path."""
     if scheme == "no-offload":
-        return NoOffloadAgent()
+        return Decisions(run, actions=no_offload_actions(run.covered))
     if scheme == "otso":
-        return OtsoAgent(model)
+        return Decisions(run, actions=otso_actions(run.covered))
     if scheme == "wiffler":
-        return WifflerAgent(
-            model, spec.horizon, spec.grid_step, cfg.wiffler_theta, cfg.wiffler_window
-        )
+        window = cfg.wiffler_window
+        means = wiffler_means(path, wifi_rates(run), window) if path else ()
+        return Decisions(run, wiffler=WifflerPlan(cfg.wiffler_theta, window, path, means))
     raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+
+
+def make_agent(scheme: str, model: NetworkModel, spec: ProblemSpec, cfg: ScenarioConfig) -> Decisions:
+    """Plan (where the scheme plans) and return its decisions for one episode."""
+    run = run_tables(model, spec)
+    if scheme == "general":
+        return policy_decisions(run, dp.solve(model, spec)[0])
+    if scheme == "monotone":
+        return frontier_decisions(run, solve_monotone(means_model(cfg, model, spec), spec)[0])
+    return heuristic_decisions(scheme, run, cfg)
 
 
 @dataclass(frozen=True)
@@ -240,16 +297,18 @@ _ACTIONS_WITH_WIFI = (0, 1, 2)
 _ACTIONS_WITHOUT_WIFI = (0, 1)
 
 
-def run_episode(agent, model: NetworkModel, spec: ProblemSpec, *, rng=None, trajectory=None) -> EpisodeResult:
+def run_episode(
+    decisions: Decisions, model: NetworkModel, spec: ProblemSpec, *, rng=None, trajectory=None
+) -> EpisodeResult:
     """Walk one transfer: location from the trajectory, action from the
-    agent, size and payment from the model's rates and prices, penalty on
-    whatever is left at the horizon.
+    ``decisions``, size and payment from the model's rates and prices,
+    penalty on whatever is left at the horizon.
 
     The remaining size is kept as its grid index ``n``: a send moves it
     down by ``transfer_steps`` of the slot's rate, as ``next_file_size``
     does, and is billed for at most what was left, as ``payment`` is.
-    ``agent.decide(n, l, t)`` returns the action for ``n`` grid steps left
-    at location ``l`` in slot ``t``; it is asked only while ``n > 0``."""
+    Decisions are read only while ``n > 0``, and every action is checked
+    against the location's coverage."""
     if trajectory is None:
         if rng is None:
             raise ValueError("run_episode needs either a trajectory or an rng")
@@ -259,12 +318,20 @@ def run_episode(agent, model: NetworkModel, spec: ProblemSpec, *, rng=None, traj
     path = trajectory[: spec.horizon]
     model.check_location(min(path))
     model.check_location(max(path))
+    run = decisions.run
+    if run.model is not model or run.grid_step != spec.grid_step:
+        raise ValueError("decisions were built for another model or size grid")
 
     step = spec.grid_step
-    rate = model.rate.tolist()
-    price = model.price.tolist()
-    wifi = model.wifi_locations
-    decide = agent.decide
+    rate, price, steps, covered = run.rate, run.price, run.steps, run.covered
+    table, frontier = decisions.table, decisions.frontier
+    actions, wiffler = decisions.actions, decisions.wiffler
+    if wiffler is not None:
+        theta = wiffler.theta
+        horizon = spec.horizon
+        means = wiffler.means
+        if wiffler.path[: len(path)] != path:
+            means = wiffler_means(path, wifi_rates(run), wiffler.window)
 
     n = spec.grid_points
     pay = 0.0
@@ -273,19 +340,33 @@ def run_episode(agent, model: NetworkModel, spec: ProblemSpec, *, rng=None, traj
     for t, l in enumerate(path, 1):
         if not n:
             break
-        a = int(decide(n, l, t))
-        if a not in (_ACTIONS_WITH_WIFI if l in wifi else _ACTIONS_WITHOUT_WIFI):
+        i = l - 1
+        k = n * step
+        if actions is not None:
+            a = 1 if frontier is not None and n >= frontier[i][t - 1] else actions[i]
+        elif table is not None:
+            a = table(t - 1, i, n)
+        elif covered[i]:
+            a = 2
+        else:
+            m = means[t - 1]
+            left = horizon - t
+            # wiffler_predict on the means, then the waiting rule
+            predicted = (left / m[0]) * m[1] if m is not None and left > 0 else 0.0
+            a = 0 if predicted >= theta * k else 1
+        if a not in (_ACTIONS_WITH_WIFI if covered[i] else _ACTIONS_WITHOUT_WIFI):
             raise SchemeError(
                 f"scheme chose action {a} at location {l}, which only admits "
                 f"{[x.name for x in admissible_actions(model, l)]}"
             )
-        k = n * step
         trace.append((t, l, k, a))
         counts[a] += 1
         if a:
-            r = rate[l - 1][a]
-            pay += min(k, r) * price[l - 1][a]
-            n = max(0, n - transfer_steps(spec, r))
+            r = rate[i][a]
+            pay += (r if r < k else k) * price[i][a]  # min(k, r)
+            n -= steps[i][a]
+            if n < 0:
+                n = 0
     pen = float(spec.penalty(n * step)) if n else 0.0
     return EpisodeResult(
         completed=n == 0,
@@ -426,7 +507,8 @@ def _run_block(cfgs: tuple, schemes: tuple, run_indices) -> list:
     """Walk runs ``run_indices`` at the sweep points ``cfgs``, which differ
     only in their deadline, sampling and planning each run once at the
     longest horizon.  Returns per run one ``{scheme: record}`` per point."""
-    top = max(cfgs, key=lambda c: c.horizon)
+    horizons = [c.horizon for c in cfgs]
+    top = cfgs[horizons.index(max(horizons))]
     out = []
     for j in run_indices:
         inst_rng = np.random.default_rng(
@@ -437,25 +519,27 @@ def _run_block(cfgs: tuple, schemes: tuple, run_indices) -> list:
         )
         model, spec = sample_instance(top, inst_rng)
         traj = sample_trajectory(model, spec, traj_rng)
-        planned = {}  # scheme -> agent factory taking the epoch offset
-        if "general" in schemes:
-            planned["general"] = functools.partial(_PolicyAgent, dp.solve(model, spec)[0])
-        if "monotone" in schemes:
-            tp, _ = solve_monotone(means_model(top, model, spec), spec)
-            planned["monotone"] = functools.partial(_ThresholdAgent, tp)
+        run = run_tables(model, spec)
+        policy = dp.solve(model, spec)[0] if "general" in schemes else None
+        tp = solve_monotone(means_model(top, model, spec), spec)[0] if "monotone" in schemes else None
+        shared = {  # the heuristics' decisions do not depend on the deadline
+            s: heuristic_decisions(s, run, top, traj)
+            for s in schemes
+            if s not in ("general", "monotone")
+        }
         recs = []
-        for cfg in cfgs:
-            # Round the configured size, as sampling does: rounding the
-            # rounded size again can add a grid step at ~10**7 grid points.
-            spec_t = dataclasses.replace(spec, file_size=cfg.file_mbit, horizon=cfg.horizon)
-            offset = spec.horizon - spec_t.horizon
+        for horizon in horizons:
+            offset = spec.horizon - horizon
+            spec_t = dataclasses.replace(spec, horizon=horizon) if offset else spec
             rec = {}
             for scheme in schemes:
-                if scheme in planned:
-                    agent = planned[scheme](offset)
+                if scheme == "general":
+                    x = policy_decisions(run, policy, offset)
+                elif scheme == "monotone":
+                    x = frontier_decisions(run, tp, offset)
                 else:
-                    agent = make_agent(scheme, model, spec_t, cfg)
-                ep = run_episode(agent, model, spec_t, trajectory=traj)
+                    x = shared[scheme]
+                ep = run_episode(x, model, spec_t, trajectory=traj)
                 rec[scheme] = (
                     ep.total_cost,
                     ep.total_payment,

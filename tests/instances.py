@@ -1,6 +1,8 @@
-"""Random and fixed instance builders shared by the test modules."""
+"""Random and fixed instance builders shared by the test modules, and the
+hypothesis strategies that generate instances."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from offloadsim.model import (
     Action,
@@ -203,3 +205,47 @@ def multiswitch_demo():
 
 def monotone_view(model, spec):
     return MonotoneModel.from_network_model(model, spec)
+
+
+# Hypothesis strategies
+
+
+@st.composite
+def mobilities(draw, L):
+    weights = draw(
+        st.lists(
+            st.lists(st.floats(0.01, 1.0), min_size=L, max_size=L), min_size=L, max_size=L
+        )
+    )
+    P = np.array(weights)
+    return P / P.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def penalties(draw, N):
+    kind = draw(st.sampled_from(("quadratic", "step", "tabulated")))
+    if kind == "quadratic":
+        return QuadraticPenalty(draw(st.floats(0.0, 5.0)))
+    if kind == "step":
+        return StepPenalty(draw(st.floats(0.0, 50.0)))
+    steps = draw(st.lists(st.floats(0.0, 5.0), min_size=N, max_size=N))
+    return TabulatedPenalty(tuple(np.concatenate([[0.0], np.cumsum(steps)])), 1.0)
+
+
+@st.composite
+def general_instances(draw, max_steps=12):
+    """Arbitrary prices, rates and penalty on a unit grid of 0 to
+    ``max_steps`` steps, with 1-4 locations and 1-6 slots."""
+    L = draw(st.integers(1, 4))
+    N = draw(st.integers(0, max_steps))
+    T = draw(st.integers(1, 6))
+    wifi = draw(st.sets(st.integers(1, L)))
+    rate = np.zeros((L, 3))
+    price = np.zeros((L, 3))
+    for l in range(1, L + 1):
+        actions = (Action.CELLULAR, Action.WIFI) if l in wifi else (Action.CELLULAR,)
+        for a in actions:
+            rate[l - 1, a] = draw(st.floats(0.0, 6.5))
+            price[l - 1, a] = draw(st.floats(0.0, 2.0))
+    model = NetworkModel(L, frozenset(wifi), draw(mobilities(L)), price, rate)
+    return model, ProblemSpec(float(N), T, 1.0, draw(penalties(N)))

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from offloadsim.baselines import (
     WifflerState,
     no_offload_decide,
     otso_decide,
     wiffler_decide,
+    wiffler_means,
     wiffler_observe,
     wiffler_predict,
 )
@@ -109,3 +111,45 @@ def test_wiffler_state_validation():
         WifflerState(theta=0.0)
     with pytest.raises(ValueError):
         WifflerState(window=0)
+
+
+@st.composite
+def wiffler_paths(draw):
+    """A path over 1-5 locations, each location's Wi-Fi rate (None off
+    coverage; no, some or all locations covered) and a window length."""
+    L = draw(st.integers(1, 5))
+    covered = draw(
+        st.one_of(
+            st.just(frozenset()),
+            st.just(frozenset(range(1, L + 1))),
+            st.frozensets(st.integers(1, L)),
+        )
+    )
+    rates = draw(st.lists(st.floats(0.0, 100.0), min_size=L, max_size=L))
+    path = draw(st.lists(st.integers(1, L), min_size=1, max_size=40))
+    window = draw(st.integers(1, 12))
+    return path, [r if l in covered else None for l, r in enumerate(rates, 1)], window
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(wiffler_paths())
+# window 1: every new encounter evicts the last
+@example(([1, 2, 1, 1, 2, 1, 2, 2, 1, 2], [3.3, None], 1))
+# window longer than the encounters seen, and the path ends inside one
+@example(([2, 1, 1, 2, 3, 3, 1, 3], [None, 7.1, 0.45], 9))
+@example(([1, 2, 2, 1, 1], [None, None], 2))  # no Wi-Fi
+@example(([1, 2, 2, 1, 2, 1], [4.0, 2.5], 3))  # all Wi-Fi
+def test_wiffler_means_match_stepping(case):
+    # the walk's prediction from the means, at every slot and every
+    # horizon up to the path length, against observe-then-predict
+    path, wifi_rate, window = case
+    means = wiffler_means(path, wifi_rate, window)
+    assert len(means) == len(path)
+    ws = WifflerState(window=window)
+    for t, l in enumerate(path, 1):
+        ws.observe(t, wifi_rate[l - 1])
+        m = means[t - 1]
+        for horizon in range(t, len(path) + 1):
+            left = horizon - t
+            got = (left / m[0]) * m[1] if m is not None and left > 0 else 0.0
+            assert got.hex() == wiffler_predict(ws, left).hex(), (t, horizon)

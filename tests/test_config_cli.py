@@ -1,9 +1,17 @@
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from offloadsim import cli
-from offloadsim.config import ScenarioConfig, parse_config_text, serialize_config
+from offloadsim.config import (
+    SWEEP_AXES,
+    ScenarioConfig,
+    parse_config,
+    parse_config_text,
+    serialize_config,
+)
 from offloadsim.errors import ConfigError
 
 
@@ -63,6 +71,66 @@ def test_round_trip():
         sweep_values=(10.0, 20.0),
     )
     assert parse_config_text(serialize_config(cfg)) == cfg
+
+
+GENERATED = settings(derandomize=True, max_examples=100, deadline=None, database=None)
+FLOAT_KEYS = [f.name for f in dataclasses.fields(ScenarioConfig) if f.type == "float"]
+
+
+@st.composite
+def valid_configs(draw):
+    """Any valid scenario; the ranges keep every derived quantity finite."""
+    slot_seconds = draw(st.floats(0.5, 60.0))
+    slots = draw(st.integers(1, 60))
+    return ScenarioConfig(
+        grid_rows=draw(st.integers(1, 6)),
+        grid_cols=draw(st.integers(1, 6)),
+        p_stay=draw(st.floats(0.0, 1.0)),
+        wifi_prob=draw(st.floats(0.0, 1.0)),
+        mu_cellular_mbps=draw(st.floats(0.0, 1e3)),
+        mu_wifi_mbps=draw(st.floats(0.0, 1e3)),
+        rate_std_mbps=draw(st.floats(0.0, 1e2)),
+        price_per_gbyte=draw(st.floats(0.0, 1e2)),
+        file_mbytes=draw(st.floats(0.0, 1e4)),
+        deadline_minutes=slots * slot_seconds / 60.0,
+        slot_seconds=slot_seconds,
+        grid_step_mbit=draw(st.floats(1e-2, 1e2)),
+        penalty=draw(st.sampled_from(("quadratic", "step"))),
+        penalty_quadratic_coeff=draw(st.floats(0.0, 10.0)),
+        penalty_step_amount=draw(st.floats(0.0, 1e6)),
+        wiffler_theta=draw(st.floats(1e-3, 10.0)),
+        wiffler_window=draw(st.integers(1, 20)),
+        runs=draw(st.integers(1, 10**6)),
+        seed=draw(st.integers(0, 2**64)),
+        sweep_axis=draw(st.sampled_from(SWEEP_AXES)),
+        sweep_values=tuple(draw(st.lists(st.floats(-1e6, 1e6), max_size=4))),
+    )
+
+
+def _replace_line(text, key, raw):
+    lines = [f"{key} = {raw}" if line.startswith(f"{key} = ") else line for line in text.splitlines()]
+    return "\n".join(lines) + "\n"
+
+
+@GENERATED
+@given(valid_configs())
+def test_any_valid_config_survives_a_file_round_trip(tmp_path_factory, cfg):
+    path = tmp_path_factory.mktemp("cfg") / "scenario.cfg"
+    path.write_text(serialize_config(cfg), encoding="utf-8")
+    assert parse_config(path) == cfg
+
+
+@GENERATED
+@given(valid_configs(), st.integers(1, 2**64), st.integers(0, 60), st.floats(0.01, 0.99))
+def test_generated_invalid_values_raise_config_error(cfg, below_zero, slots, fraction):
+    # every float key non-finite, a negative seed, a non-integral slot count
+    bad = [(key, raw) for key in FLOAT_KEYS for raw in ("nan", "inf", "-inf")]
+    bad.append(("seed", str(-below_zero)))
+    bad.append(("deadline_minutes", repr((slots + fraction) * cfg.slot_seconds / 60.0)))
+    text = serialize_config(cfg)
+    for key, raw in bad:
+        with pytest.raises(ConfigError):
+            parse_config_text(_replace_line(text, key, raw))
 
 
 def test_comments_and_blank_lines():

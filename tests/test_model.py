@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -266,6 +267,22 @@ def test_problem_spec_exact_multiple_no_warning():
         spec = ProblemSpec(740.0, 3, 10.0, QuadraticPenalty(1.0))
     assert spec.file_size == 740.0
     assert not caught
+
+
+def test_problem_spec_rounding_is_idempotent():
+    # 26,860,349 points: the float spacing of the grid index there is above
+    # the absolute slack of the rounding, which once added a step here
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        spec = ProblemSpec(2686034.8901427463, 1, 0.1, QuadraticPenalty(1.0))
+    assert spec.grid_points == 26_860_349
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        again = dataclasses.replace(spec)
+        longer = dataclasses.replace(spec, horizon=5)
+    assert not caught
+    assert again.file_size == longer.file_size == spec.file_size
+    assert again.grid_points == 26_860_349
 
 
 def test_problem_spec_zero_size_allowed():

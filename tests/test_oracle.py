@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from offloadsim import dp
 from offloadsim.errors import OracleSizeError
 from offloadsim.model import (
     Action,
@@ -9,9 +11,9 @@ from offloadsim.model import (
     QuadraticPenalty,
     State,
 )
-from offloadsim.oracle import expectimax
+from offloadsim.oracle import MAX_GRID_POINTS, expectimax
 
-from instances import random_general_instance
+from instances import general_instances, random_general_instance
 
 
 def tiny_model(L=1, wifi=frozenset(), rate_cell=1.0, price_cell=2.0):
@@ -68,3 +70,16 @@ def test_intermediate_epoch_start():
     t = spec.horizon  # last decision epoch
     res = expectimax(model, spec, State(spec.grid_step * spec.grid_points, 1), t)
     assert res.optimal_value >= 0.0
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(general_instances(max_steps=MAX_GRID_POINTS), st.booleans())
+def test_exact_planner_matches_oracle(instance, flat_payment):
+    # every start location of a generated tiny instance is a root
+    model, spec = instance
+    policy, values = dp.solve(model, spec, flat_payment=flat_payment)
+    k = spec.file_size
+    for l in range(1, model.num_locations + 1):
+        res = expectimax(model, spec, State(k, l), 1, flat_payment=flat_payment)
+        assert values.value(1, k, l) == pytest.approx(res.optimal_value, rel=1e-12, abs=1e-12)
+        assert policy.action(1, k, l) in res.optimal_action_at_root

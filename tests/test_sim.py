@@ -148,14 +148,25 @@ def test_episode_counts_and_penalty_flag():
 
 
 def test_episode_rejects_inadmissible_scheme():
-    class BadAgent:
-        def decide(self, k, l, t):
-            return Action.WIFI
-
+    # decision data that sends over Wi-Fi where there is none
     cfg = small_cfg(wifi_prob=0.0)
     model, spec = sample_instance(cfg, np.random.default_rng(13))
+    otso = make_agent("otso", model, spec, cfg)
+    bad = otso._replace(actions=[int(Action.WIFI)] * model.num_locations)
     with pytest.raises(SchemeError):
-        run_episode(BadAgent(), model, spec, rng=np.random.default_rng(14))
+        run_episode(bad, model, spec, rng=np.random.default_rng(14))
+
+
+def test_episode_rejects_decisions_for_another_instance():
+    cfg = small_cfg()
+    model, spec = sample_instance(cfg, np.random.default_rng(13))
+    otso = make_agent("otso", model, spec, cfg)
+    other_model = dataclasses.replace(model, rate=model.rate * 0.5)
+    with pytest.raises(ValueError, match="another model"):
+        run_episode(otso, other_model, spec, rng=np.random.default_rng(14))
+    coarser = dataclasses.replace(spec, grid_step=20.0)
+    with pytest.raises(ValueError, match="size grid"):
+        run_episode(otso, model, coarser, rng=np.random.default_rng(14))
 
 
 def test_common_random_numbers_across_schemes():
@@ -223,6 +234,42 @@ def test_experiment_validates_every_point_before_walking(monkeypatch):
     assert walked == []
 
 
+def test_sweep_calls_each_layer_once_per_unit_of_work(monkeypatch):
+    # The benchmark's tracer wraps these three functions where the sweep
+    # looks them up and reads the spec from run_episode's third argument.
+    episodes, solves = [], {"general": 0, "monotone": 0}
+    walk, exact, frontier = sim.run_episode, dp.solve, sim.solve_monotone
+
+    def counted_walk(*args, **kwargs):
+        ep = walk(*args, **kwargs)
+        episodes.append((args, ep))
+        return ep
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            solves[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(sim, "run_episode", counted_walk)
+    monkeypatch.setattr(dp, "solve", counted("general", exact))
+    monkeypatch.setattr(sim, "solve_monotone", counted("monotone", frontier))
+    cfg = small_cfg(runs=3, mu_cellular_mbps=10.0, mu_wifi_mbps=4.0)
+    run_experiment(cfg, SCHEMES, "deadline", (2.0, 1.0))
+
+    assert solves == {"general": 3, "monotone": 3}
+    expected = []  # run-major: per run, per point, per scheme
+    for j in range(cfg.runs):
+        _, spec = sample_instance(cfg.with_sweep_value("deadline", 2.0), _run_rngs(cfg, j)[0])
+        for horizon in (12, 6):
+            expected += [dataclasses.replace(spec, horizon=horizon)] * len(SCHEMES)
+    assert len(episodes) == len(expected) == 3 * 2 * len(SCHEMES)
+    for (args, ep), spec in zip(episodes, expected):
+        assert len(args) == 3 and args[2] == spec
+        assert isinstance(ep, EpisodeResult)
+
+
 def test_single_run_aggregate_equals_episode():
     cfg = small_cfg(runs=1)
     res = run_experiment(cfg, ("no-offload",), "deadline", (1.0,))
@@ -275,10 +322,8 @@ def test_monotone_agent_plans_from_mean_rates():
     assert tp.grid_step == spec.grid_step
     agent = make_agent("monotone", model, spec, cfg)
     other = make_agent("monotone", dataclasses.replace(model, rate=model.rate * 0.5), spec, cfg)
-    for t in range(1, spec.horizon + 1):
-        for l in range(1, model.num_locations + 1):
-            for n in range(1, spec.grid_points + 1):
-                assert agent.decide(n, l, t) == other.decide(n, l, t)
+    assert agent.frontier == other.frontier
+    assert agent.actions == other.actions
     ep = run_episode(agent, model, spec, rng=np.random.default_rng(16))
     assert ep.total_cost >= 0.0
 
@@ -449,6 +494,15 @@ WALK_CONFIGS = {
         deadline_minutes=3.0,
         wiffler_theta=0.5,
         wiffler_window=2,
+    ),
+    "wiffler-window-1": dict(
+        mu_cellular_mbps=5.0,
+        mu_wifi_mbps=8.0,
+        p_stay=0.3,
+        grid_rows=3,
+        deadline_minutes=3.0,
+        wiffler_theta=0.4,
+        wiffler_window=1,
     ),
 }
 
