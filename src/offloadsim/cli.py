@@ -125,11 +125,11 @@ def cmd_policy_map(args) -> int:
     model.check_location(l)
 
     if args.solver == "general":
-        policy, _ = dp.solve(model, spec)
+        policy, _ = dp.solve(model, spec, values=False)
         matrix = policy.actions[:, l - 1, :]
     else:
         mm = means_model(cfg, model, spec)
-        tp, _ = solve_monotone(mm, spec)
+        tp, _ = solve_monotone(mm, spec, values=False)
         matrix = np.array(
             [
                 [

@@ -184,6 +184,7 @@ def solve(
     spec: ProblemSpec,
     *,
     flat_payment: bool = False,
+    values: bool = True,
     max_cells: int = 50_000_000,
 ):
     """Compute the optimal decision table and cost table by backward induction.
@@ -191,7 +192,9 @@ def solve(
     Returns ``(Policy, ValueTable)``.  ``flat_payment`` switches the
     cellular payment to the full-slot approximation (the cost model the
     threshold planner uses), which makes the two planners comparable
-    cell by cell.
+    cell by cell.  With ``values=False`` only two epochs of costs are kept
+    (the one being filled and the one after it) and the table is returned
+    as None; the decisions are the same, computed by the same arithmetic.
     """
     L = model.num_locations
     N = spec.grid_points
@@ -204,8 +207,9 @@ def solve(
         )
 
     grid = spec.grid_values
-    v = np.empty((T + 1, L, N + 1), dtype=float)
-    v[T] = penalty_on_grid(spec.penalty, grid)[None, :]
+    m = T + 1 if values else 2  # epoch t is stored at v[t % m]
+    v = np.empty((m, L, N + 1), dtype=float)
+    v[T % m] = penalty_on_grid(spec.penalty, grid)[None, :]
     delta = np.zeros((T, L, N + 1), dtype=np.int8)
 
     # Per (location, action): next-size index row and immediate-payment row,
@@ -228,7 +232,7 @@ def solve(
 
     mobility = model.mobility
     for t in range(T - 1, -1, -1):
-        w_all = mobility @ v[t + 1]
+        w_all = mobility @ v[(t + 1) % m]
         for li in range(L):
             w = w_all[li]
             rows = plans[li]
@@ -240,10 +244,10 @@ def solve(
                 act[psi < best * (1.0 - TIE_REL_TOL)] = int(a)
                 best = np.minimum(best, psi)
             act[0] = int(Action.IDLE)
-            v[t, li] = best
+            v[t % m, li] = best
             delta[t, li] = act
 
     return (
         Policy(delta, spec.grid_step, T),
-        ValueTable(v, spec.grid_step, T),
+        ValueTable(v, spec.grid_step, T) if values else None,
     )

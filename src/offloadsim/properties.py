@@ -25,6 +25,7 @@ from .model import (
     State,
     is_convex_on_grid,
     penalty_on_grid,
+    slot_payment,
 )
 from .oracle import expectimax
 from .sim import means_model, sample_instance
@@ -190,25 +191,38 @@ def check_cross_difference(
     model: NetworkModel,
     spec: ProblemSpec,
     vt: dp.ValueTable,
-    rng,
-    samples: int = 10_000,
     name: str = "cross_difference",
 ) -> CheckResult:
-    """Sampled two-point, two-action cost comparisons have the sign that
-    forces a single switch: away from Wi-Fi the gain of transmitting grows
-    with the remaining size; on Wi-Fi the gain of paying for cellular
-    rather than using free Wi-Fi shrinks with it (simplified cost)."""
+    """Every two-size, two-action cost comparison has the sign that forces a
+    single switch: away from Wi-Fi the gain of transmitting grows with the
+    remaining size; on Wi-Fi the gain of paying for cellular rather than
+    using free Wi-Fi shrinks with it (simplified cost).
+
+    With ``D(k) = psi(k, a_hi) - psi(k, a_lo)``, the cross difference of
+    sizes ``k_lo < k_hi`` is ``D(k_hi) - D(k_lo)``, so the sign holds for
+    all pairs iff ``sign * D`` never drops below its running maximum by
+    more than the tolerance.  A counterexample is reported with ``k_lo``
+    at that maximum."""
     N = spec.grid_points
     if N < 1:
         return CheckResult(name, "skip", "size grid too small to compare")
     tol = _tol(vt.values)
-    T = spec.horizon
-    for _ in range(samples):
-        t = int(rng.integers(1, T + 1))
-        l = int(rng.integers(1, model.num_locations + 1))
-        k_hi = int(rng.integers(1, N + 1))
-        k_lo = int(rng.integers(0, k_hi))
-        v_next = vt.values[t]
+    arange = np.arange(N + 1)
+    grid = spec.grid_values
+    w_all = model.mobility @ vt.values[1:]  # [t - 1, l - 1]: expected cost-to-go after epoch t at l
+
+    def psi(l: int, a: Action) -> np.ndarray:
+        """Action value with full-slot cellular billing at every (epoch, size)."""
+        if a is Action.IDLE:
+            pay = 0.0
+        elif a is Action.CELLULAR:
+            pay = slot_payment(model, l, a)
+        else:
+            pay = np.minimum(grid, model.rate_of(l, a)) * model.price_of(l, a)
+        steps = dp._rate_steps(spec, model.rate_of(l, a))
+        return pay + w_all[:, l - 1, np.maximum(arange - steps, 0)]
+
+    for l in range(1, model.num_locations + 1):
         if model.has_wifi(l):
             if model.rate_of(l, Action.WIFI) > model.rate_of(l, Action.CELLULAR):
                 continue  # switch structure only claimed for Wi-Fi no faster
@@ -217,30 +231,16 @@ def check_cross_difference(
         else:
             a_hi, a_lo = Action.CELLULAR, Action.IDLE
             sign = -1.0  # and <= 0 here
-        psi = {
-            (n, a): dp.q_value(
-                model,
-                spec,
-                v_next,
-                State(n * spec.grid_step, l),
-                a,
-                flat_payment=True,
-            )
-            for n in (k_hi, k_lo)
-            for a in (a_hi, a_lo)
-        }
-        cross = (
-            psi[(k_hi, a_hi)]
-            + psi[(k_lo, a_lo)]
-            - psi[(k_hi, a_lo)]
-            - psi[(k_lo, a_hi)]
-        )
-        if sign * cross < -tol:
+        d = sign * (psi(l, a_hi) - psi(l, a_lo))  # (T, N+1)
+        bad = np.argwhere(d < np.maximum.accumulate(d, axis=1) - tol)
+        if bad.size:
+            t, k_hi = (int(x) for x in bad[0])
+            k_lo = int(np.argmax(d[t, :k_hi]))
             return CheckResult(
                 name,
                 "fail",
                 f"cross difference has the wrong sign at "
-                f"(t={t}, l={l}, k={k_hi * spec.grid_step} vs {k_lo * spec.grid_step})",
+                f"(t={t + 1}, l={l}, k={k_hi * spec.grid_step} vs {k_lo * spec.grid_step})",
             )
     return CheckResult(name, "pass")
 
@@ -366,7 +366,7 @@ def run_verification(cfg: ScenarioConfig, properties=None) -> list:
         mm = means_model(cfg, model, spec)
         flat_net = mm.to_network_model()
         flat_policy, flat_vt = dp.solve(flat_net, spec, flat_payment=True)
-        tp, _ = solve_monotone(mm, spec)
+        tp, _ = solve_monotone(mm, spec, values=False)
 
     results = []
     for p in names:

@@ -27,7 +27,6 @@ import math
 import os
 from bisect import bisect_right
 from dataclasses import dataclass
-from multiprocessing import Pool
 from typing import NamedTuple
 
 import numpy as np
@@ -275,14 +274,14 @@ def make_agent(scheme: str, model: NetworkModel, spec: ProblemSpec, cfg: Scenari
     """Plan (where the scheme plans) and return its decisions for one episode."""
     run = run_tables(model, spec)
     if scheme == "general":
-        return policy_decisions(run, dp.solve(model, spec)[0])
+        return policy_decisions(run, dp.solve(model, spec, values=False)[0])
     if scheme == "monotone":
-        return frontier_decisions(run, solve_monotone(means_model(cfg, model, spec), spec)[0])
+        mm = means_model(cfg, model, spec)
+        return frontier_decisions(run, solve_monotone(mm, spec, values=False)[0])
     return heuristic_decisions(scheme, run, cfg)
 
 
-@dataclass(frozen=True)
-class EpisodeResult:
+class EpisodeResult(NamedTuple):
     completed: bool
     total_payment: float
     penalty_paid: float
@@ -520,8 +519,11 @@ def _run_block(cfgs: tuple, schemes: tuple, run_indices) -> list:
         model, spec = sample_instance(top, inst_rng)
         traj = sample_trajectory(model, spec, traj_rng)
         run = run_tables(model, spec)
-        policy = dp.solve(model, spec)[0] if "general" in schemes else None
-        tp = solve_monotone(means_model(top, model, spec), spec)[0] if "monotone" in schemes else None
+        policy = tp = None
+        if "general" in schemes:
+            policy = dp.solve(model, spec, values=False)[0]
+        if "monotone" in schemes:
+            tp = solve_monotone(means_model(top, model, spec), spec, values=False)[0]
         shared = {  # the heuristics' decisions do not depend on the deadline
             s: heuristic_decisions(s, run, top, traj)
             for s in schemes
@@ -599,6 +601,8 @@ def run_experiment(
     ]
     blocks = [(tuple(points[i] for i in group), schemes, idx) for group, idx in tasks]
     if workers > 1:
+        from multiprocessing import Pool  # imported here: a serial run never needs it
+
         with Pool(processes=workers) as pool:
             results = pool.map(_run_block_star, blocks)
     else:

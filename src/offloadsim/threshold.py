@@ -260,13 +260,17 @@ def _cellular_values(w: np.ndarray, d: int, lo: int, q: float) -> np.ndarray:
     return out
 
 
-def solve_monotone(mm: MonotoneModel, spec: ProblemSpec, *, max_cells: int = 50_000_000):
+def solve_monotone(
+    mm: MonotoneModel, spec: ProblemSpec, *, values: bool = True, max_cells: int = 50_000_000
+):
     """Backward induction that only searches around the moving frontier.
 
     Returns ``(ThresholdPolicy, ValueTable)``.  The induced decision rule
     matches the exact planner's table cell for cell when that planner is
     run with ``flat_payment=True`` on the equivalent network.  The penalty
-    comes from ``spec``, as in the exact planner.
+    comes from ``spec``, as in the exact planner.  ``values=False`` keeps
+    two epochs of costs and returns None for the table, as ``dp.solve``
+    does.
 
     Each epoch shifts the idle continuation ``P @ v[t+1]`` by the cellular
     and Wi-Fi transfers, then searches each coverage class for its switch
@@ -304,8 +308,9 @@ def solve_monotone(mm: MonotoneModel, spec: ProblemSpec, *, max_cells: int = 50_
     P = mm.mobility
     omt = 1.0 - TIE_REL_TOL
 
-    v = np.empty((T + 1, L, N + 1))
-    v[T] = terminal
+    m = T + 1 if values else 2  # epoch t is stored at v[t % m]
+    v = np.empty((m, L, N + 1))
+    v[T % m] = terminal
     ks_idx = np.full((L, T), N + 1, dtype=np.int64)
     ks_next = np.zeros(L, dtype=np.int64)
     starts = [0] * len(classes)  # lowest frontier of each class one epoch later
@@ -314,8 +319,8 @@ def solve_monotone(mm: MonotoneModel, spec: ProblemSpec, *, max_cells: int = 50_
     switch = np.empty((L, N + 2), dtype=bool)
     switch[:, N + 1] = True
     for t in range(T - 1, -1, -1):
-        v_t = v[t]
-        np.matmul(P, v[t + 1], out=v_t)  # v_t holds the idle continuation
+        v_t = v[t % m]
+        np.matmul(P, v[(t + 1) % m], out=v_t)  # v_t holds the idle continuation
         lo = min(starts)  # lowest frontier one epoch later, over all locations
         if lo <= N:
             v1 = _cellular_values(v_t, d1, lo, q)
@@ -361,4 +366,4 @@ def solve_monotone(mm: MonotoneModel, spec: ProblemSpec, *, max_cells: int = 50_
         file_size=spec.file_size,
         horizon=T,
     )
-    return tp, ValueTable(v, spec.grid_step, T)
+    return tp, ValueTable(v, spec.grid_step, T) if values else None

@@ -1,6 +1,8 @@
 """Random and fixed instance builders shared by the test modules, and the
 hypothesis strategies that generate instances."""
 
+import dataclasses
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -125,9 +127,10 @@ def single_class_flatcost_instance(rng, all_wifi):
 
 
 def edge_flatcost_instances():
-    """Flat-cost instances at the edges of the size axis and of coverage."""
+    """Flat-cost instances at the edges of the size axis, of coverage and of
+    the horizon, and with a tabulated penalty."""
     rng = np.random.default_rng(7)
-    return [
+    cases = [
         # one cellular slot clears the file (d1 > N)
         flatcost_instance(random_mobility(rng, 3), {2}, 9.0, 2.0, 0.3, 6, 5, 1.0),
         # the Wi-Fi step exceeds the file as well (d2 > N)
@@ -138,7 +141,15 @@ def edge_flatcost_instances():
         flatcost_instance(random_mobility(rng, 4), {1, 2, 3, 4}, 3.0, 1.5, 0.2, 20, 8, 0.5),
         # Wi-Fi faster than cellular
         flatcost_instance(random_mobility(rng, 4), {2, 4}, 2.0, 5.0, 0.4, 20, 8, 0.5),
+        # an empty file
+        flatcost_instance(random_mobility(rng, 3), {1}, 2.0, 1.0, 0.3, 0, 4, 1.0),
+        # a single slot
+        flatcost_instance(random_mobility(rng, 3), {2}, 2.0, 1.0, 0.3, 10, 1, 1.0),
     ]
+    # a tabulated penalty with equal increments
+    model, spec = flatcost_instance(random_mobility(rng, 3), {1, 3}, 2.0, 1.0, 0.5, 6, 5, 0.0)
+    tabulated = TabulatedPenalty((0.0, 1.0, 2.0, 4.0, 6.0, 9.0, 12.0), 1.0)
+    return cases + [(model, dataclasses.replace(spec, penalty=tabulated))]
 
 
 def grid_demo_model(mu_cellular=2.0, mu_wifi=1.0, price_cellular=0.5):
@@ -249,3 +260,46 @@ def general_instances(draw, max_steps=12):
             price[l - 1, a] = draw(st.floats(0.0, 2.0))
     model = NetworkModel(L, frozenset(wifi), draw(mobilities(L)), price, rate)
     return model, ProblemSpec(float(N), T, 1.0, draw(penalties(N)))
+
+
+def _amounts(hi):
+    """Zero, a whole number (exact ties are likely between these) or a float
+    in (0.01, hi]."""
+    return st.one_of(
+        st.just(0.0), st.integers(1, max(int(hi), 1)).map(float), st.floats(0.01, hi)
+    )
+
+
+@st.composite
+def convex_penalties(draw, N):
+    """Penalties convex on a unit grid of ``N`` steps: quadratic, zero, or a
+    table whose increments never shrink (equal increments included)."""
+    kind = draw(st.sampled_from(("quadratic", "zero", "tabulated")))
+    if kind == "quadratic":
+        return QuadraticPenalty(draw(_amounts(5.0)))
+    if kind == "zero":
+        return QuadraticPenalty(0.0)
+    steps = sorted(draw(st.lists(_amounts(5.0), min_size=N, max_size=N)))
+    return TabulatedPenalty(tuple(np.concatenate([[0.0], np.cumsum(steps)])), 1.0)
+
+
+@st.composite
+def flatcost_instances(draw, max_steps=20, max_slots=8):
+    """The frontier planner's regime on a unit grid of 0 to ``max_steps``
+    steps, with 1-5 locations, 1 to ``max_slots`` slots, any Wi-Fi set and
+    Wi-Fi slower or faster than cellular.  Ties are made likely: rates,
+    price and penalty are often whole numbers or zero, and a slot's
+    transfer can exceed the file."""
+    L = draw(st.integers(1, 5))
+    N = draw(st.integers(0, max_steps))
+    model, spec = flatcost_instance(
+        draw(mobilities(L)),
+        draw(st.sets(st.integers(1, L))),
+        draw(_amounts(N + 3)),
+        draw(_amounts(N + 3)),
+        draw(_amounts(2.0)),
+        N,
+        draw(st.integers(1, max_slots)),
+        0.0,
+    )
+    return model, dataclasses.replace(spec, penalty=draw(convex_penalties(N)))

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -287,6 +291,19 @@ def test_cli_dump_config(capsys):
     assert "slot_seconds = 10.0" in text
     cfg = parse_config_text(text)
     assert cfg == ScenarioConfig()
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # Only a sweep with more than one worker starts a pool, so a serial
+    # process (dump-config included) does not pay for importing it.
+    code = (
+        "import sys, offloadsim.cli; "
+        "print([m for m in sys.modules if m.startswith('multiprocessing')])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 # `dump-config` loads and validates the scenario and samples nothing, so a

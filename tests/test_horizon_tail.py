@@ -14,26 +14,9 @@ from hypothesis import given, settings, strategies as st
 from offloadsim import dp
 from offloadsim.threshold import MonotoneModel, solve_monotone
 
-from instances import flatcost_instance, general_instances, mobilities
+from instances import flatcost_instances, general_instances
 
 TAIL = settings(derandomize=True, max_examples=60, deadline=None, database=None)
-
-
-@st.composite
-def flatcost_instances(draw):
-    """The frontier planner's regime, Wi-Fi slower or faster than cellular."""
-    L = draw(st.integers(1, 5))
-    model, spec = flatcost_instance(
-        draw(mobilities(L)),
-        draw(st.sets(st.integers(1, L))),
-        draw(st.floats(0.0, 6.0)),
-        draw(st.floats(0.0, 8.0)),
-        draw(st.floats(0.0, 1.5)),
-        draw(st.integers(0, 20)),
-        draw(st.integers(1, 8)),
-        draw(st.floats(0.0, 4.0)),
-    )
-    return MonotoneModel.from_network_model(model, spec), spec
 
 
 @TAIL
@@ -50,7 +33,8 @@ def test_exact_planner_tail_identity(instance, extra, flat_payment):
 @TAIL
 @given(flatcost_instances(), st.integers(1, 8))
 def test_frontier_planner_tail_identity(instance, extra):
-    mm, spec = instance
+    model, spec = instance
+    mm = MonotoneModel.from_network_model(model, spec)
     longer = dataclasses.replace(spec, horizon=spec.horizon + extra)
     tp, values = solve_monotone(mm, spec)
     long_tp, long_values = solve_monotone(mm, longer)

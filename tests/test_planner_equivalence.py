@@ -1,0 +1,92 @@
+"""Both planners on generated instances: the decisions-only path against the
+full solve, and the exact planner with full-slot billing against the
+frontier planner, cell for cell."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from offloadsim import dp
+from offloadsim.model import ProblemSpec, QuadraticPenalty, State
+from offloadsim.threshold import MonotoneModel, decide, solve_monotone
+
+from instances import (
+    edge_flatcost_instances,
+    flatcost_instances,
+    general_instances,
+    grid_demo_model,
+)
+
+GENERATED = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+
+
+def assert_exact_decisions_only(model, spec, flat_payment):
+    policy, values = dp.solve(model, spec, flat_payment=flat_payment)
+    lean, none = dp.solve(model, spec, flat_payment=flat_payment, values=False)
+    assert none is None and values is not None
+    assert lean.actions.dtype == policy.actions.dtype
+    assert lean.actions.shape == policy.actions.shape
+    assert lean.actions.tobytes() == policy.actions.tobytes()
+
+
+def assert_frontier_decisions_only(mm, spec):
+    tp, values = solve_monotone(mm, spec)
+    lean, none = solve_monotone(mm, spec, values=False)
+    assert none is None and values is not None
+    assert lean.modes == tp.modes
+    assert lean.k_star_idx.shape == tp.k_star_idx.shape
+    assert lean.k_star_idx.tobytes() == tp.k_star_idx.tobytes()
+
+
+@GENERATED
+@given(general_instances(), st.booleans())
+def test_exact_decisions_only_on_generated_instances(instance, flat_payment):
+    assert_exact_decisions_only(*instance, flat_payment)
+
+
+@GENERATED
+@given(flatcost_instances())
+def test_frontier_decisions_only_on_generated_instances(instance):
+    model, spec = instance
+    assert_frontier_decisions_only(MonotoneModel.from_network_model(model, spec), spec)
+    assert_exact_decisions_only(model, spec, True)
+
+
+@GENERATED
+@given(flatcost_instances())
+def test_exact_flat_planner_matches_frontier_planner(instance):
+    model, spec = instance
+    tp, frontier_values = solve_monotone(MonotoneModel.from_network_model(model, spec), spec)
+    policy, exact_values = dp.solve(model, spec, flat_payment=True)
+    np.testing.assert_allclose(frontier_values.values, exact_values.values, rtol=2e-9, atol=0)
+    for t in range(1, spec.horizon + 1):
+        for l in range(1, model.num_locations + 1):
+            for n in range(spec.grid_points + 1):
+                k = n * spec.grid_step
+                assert decide(tp, State(k, l), t) == policy.action(t, k, l), (t, l, n)
+
+
+@pytest.mark.parametrize("instance", edge_flatcost_instances())
+def test_decisions_only_on_edge_instances(instance):
+    model, spec = instance
+    assert_exact_decisions_only(model, spec, False)
+    assert_exact_decisions_only(model, spec, True)
+    assert_frontier_decisions_only(MonotoneModel.from_network_model(model, spec), spec)
+
+
+def test_decisions_only_keeps_no_value_table():
+    model = grid_demo_model(mu_cellular=900.0, mu_wifi=200.0, price_cellular=7.5e-4)
+    spec = ProblemSpec(6000.0, 60, 10.0, QuadraticPenalty(1.0), 1)
+    mm = MonotoneModel.from_network_model(model, spec)
+    table_bytes = (spec.horizon + 1) * model.num_locations * (spec.grid_points + 1) * 8
+    for solve, inputs in ((dp.solve, (model, spec)), (solve_monotone, (mm, spec))):
+        for values, low, high in ((True, table_bytes, np.inf), (False, 0, table_bytes / 2)):
+            tracemalloc.start()
+            try:
+                solve(*inputs, values=values)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert low <= peak < high, (values, peak, table_bytes)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from offloadsim.config import ScenarioConfig
-from offloadsim.dp import solve
-from offloadsim.model import State
+from offloadsim.dp import ValueTable, q_value, solve
+from offloadsim.model import Action, NetworkModel, ProblemSpec, QuadraticPenalty, State
 from offloadsim.oracle import expectimax
 from offloadsim.properties import (
     check_cross_difference,
@@ -19,6 +20,7 @@ from offloadsim.properties import (
 from offloadsim.threshold import solve_monotone
 
 from instances import (
+    flatcost_instances,
     monotone_view,
     random_flatcost_instance,
     random_general_instance,
@@ -58,7 +60,63 @@ def test_cross_difference_on_uniform_coverage():
     for i in range(12):
         model, spec = single_class_flatcost_instance(rng, all_wifi=(i % 2 == 0))
         _, vt = solve(model, spec, flat_payment=True)
-        assert check_cross_difference(model, spec, vt, rng, samples=2000).passed
+        assert check_cross_difference(model, spec, vt).passed
+
+
+def wrong_sign_pairs(model, spec, vt):
+    """Every (t, l, k_hi, k_lo) whose cross difference has the wrong sign,
+    from the action values one (state, action) at a time."""
+    tol = 1e-9 * max(1.0, float(np.abs(vt.values).max()))
+    wrong = []
+    for t in range(1, spec.horizon + 1):
+        for l in range(1, model.num_locations + 1):
+            if model.has_wifi(l):
+                if model.rate_of(l, Action.WIFI) > model.rate_of(l, Action.CELLULAR):
+                    continue
+                hi, lo, sign = Action.WIFI, Action.CELLULAR, 1.0
+            else:
+                hi, lo, sign = Action.CELLULAR, Action.IDLE, -1.0
+            psi = [
+                [q_value(model, spec, vt.values[t], s, a, flat_payment=True) for a in (hi, lo)]
+                for s in (State(n * spec.grid_step, l) for n in range(spec.grid_points + 1))
+            ]
+            for k_hi in range(1, spec.grid_points + 1):
+                for k_lo in range(k_hi):
+                    cross = psi[k_hi][0] + psi[k_lo][1] - psi[k_hi][1] - psi[k_lo][0]
+                    if sign * cross < -tol:
+                        wrong.append((t, l, k_hi, k_lo))
+    return wrong
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(flatcost_instances(max_steps=8, max_slots=4))
+def test_cross_difference_check_covers_every_pair(instance):
+    model, spec = instance
+    _, vt = solve(model, spec, flat_payment=True)
+    result = check_cross_difference(model, spec, vt)
+    if spec.grid_points < 1:
+        assert result.status == "skip"
+    else:
+        wrong = wrong_sign_pairs(model, spec, vt)
+        assert result.failed == bool(wrong), (result.detail, wrong[:3])
+
+
+def test_cross_difference_reports_the_pair_at_the_running_maximum():
+    # One location without Wi-Fi and free one-step cellular, so that
+    # sign * D(k) is the increment v(k) - v(k - 1) of the next epoch's costs.
+    # Size 4 falls more than the tolerance below size 2 but not below
+    # size 3, which is itself within the tolerance of size 2.
+    rate = np.zeros((1, 3))
+    rate[0, Action.CELLULAR] = 1.0
+    model = NetworkModel(1, frozenset(), np.ones((1, 1)), np.zeros((1, 3)), rate)
+    spec = ProblemSpec(4.0, 1, 1.0, QuadraticPenalty(1.0))
+    tol = 13e-9  # the check's 1e-9 relative tolerance at the largest cost, ~13
+    steps = [0.0, 1.0, 4.0, 4.0 - 0.4 * tol, 4.0 - 1.2 * tol]
+    values = np.zeros((2, 1, 5))
+    values[1, 0] = np.cumsum(steps)
+    r = check_cross_difference(model, spec, ValueTable(values, 1.0, 1))
+    assert r.failed
+    assert r.detail.endswith("(t=1, l=1, k=4.0 vs 2.0)"), r.detail
 
 
 def test_increment_monotone_on_uniform_coverage():
@@ -93,12 +151,14 @@ def test_cross_difference_scope_needs_uniform_coverage():
         ):
             continue
         pol, vt = solve(model, spec, flat_payment=True)
-        r = check_cross_difference(model, spec, vt, np.random.default_rng(1), samples=3000)
+        r = check_cross_difference(model, spec, vt)
         if r.failed:
             found = (model, spec, pol, vt)
             break
     assert found is not None, "expected a mixed-coverage sign reversal in the sample"
+    assert r.detail.endswith("(t=1, l=1, k=4.0 vs 3.0)"), r.detail
     model, spec, pol, vt = found
+    assert (1, 1, 4, 3) in wrong_sign_pairs(model, spec, vt)
     # certify the solved values with the independent brute-force solver
     for t in (1, 2):
         for l in range(1, model.num_locations + 1):

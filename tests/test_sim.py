@@ -248,6 +248,7 @@ def test_sweep_calls_each_layer_once_per_unit_of_work(monkeypatch):
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             solves[name] += 1
+            assert kwargs.get("values") is False  # the sweep reads only decisions
             return fn(*args, **kwargs)
 
         return wrapper
