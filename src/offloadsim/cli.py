@@ -22,9 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import dp
-from .config import SWEEP_AXES, ScenarioConfig, parse_config, serialize_config
+from .config import PROPERTY_NAMES, SWEEP_AXES, ScenarioConfig, parse_config, serialize_config
 from .errors import OffloadError
-from .properties import PROPERTY_NAMES, run_verification
 from .sim import SCHEMES, means_model, run_experiment, sample_instance
 from .model import State
 from .threshold import decide as threshold_decide, solve_monotone
@@ -156,6 +155,14 @@ def cmd_policy_map(args) -> int:
     return EXIT_OK
 
 
+def run_verification(cfg: ScenarioConfig, properties) -> list:
+    """``properties.run_verification``, imported on first use: only
+    ``verify`` needs the checks."""
+    from . import properties as checks
+
+    return checks.run_verification(cfg, properties)
+
+
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
     props = None
@@ -216,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for episodes (>= 1; capped at the CPU count)",
+        help="worker processes for episodes (>= 1; capped at the CPUs this process may use)",
     )
     p.set_defaults(func=cmd_simulate)
 

@@ -26,6 +26,9 @@ MBIT_PER_GBYTE = 8000.0
 
 SWEEP_AXES = ("deadline", "mu_wifi", "file_size", "p_stay")
 
+# Checks that ``verify`` runs (``properties.run_verification``).
+PROPERTY_NAMES = ("lemma1a", "lemma1b", "lemma2", "theorem2", "theorem3", "oracle")
+
 DEFAULT_SWEEP_VALUES = {
     "deadline": (1.0, 2.0, 3.0, 4.0, 5.0),
     "mu_wifi": (20.0, 60.0, 100.0, 140.0, 180.0),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dp
-from .config import ScenarioConfig
+from .config import PROPERTY_NAMES, ScenarioConfig
 from .errors import OffloadError
 from .model import (
     Action,
@@ -30,8 +30,6 @@ from .model import (
 from .oracle import expectimax
 from .sim import means_model, sample_instance
 from .threshold import ThresholdPolicy, solve_monotone
-
-PROPERTY_NAMES = ("lemma1a", "lemma1b", "lemma2", "theorem2", "theorem3", "oracle")
 
 _REL_TOL = 1e-9
 

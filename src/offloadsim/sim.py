@@ -237,18 +237,36 @@ def policy_decisions(run: RunTables, policy: dp.Policy, offset: int = 0) -> Deci
     return Decisions(run, table=policy.actions[offset:].item)
 
 
+class FrontierRows(NamedTuple):
+    """A frontier plan as lists, built once per plan by ``frontier_rows``:
+    per location its frontier at every epoch (never reached at Wi-Fi-faster
+    locations) and its action below the frontier."""
+
+    frontier: list
+    below: list
+
+    def decisions(self, run: RunTables, offset: int = 0) -> Decisions:
+        """``threshold.decide`` on these frontiers, with the epoch ``offset``
+        of ``policy_decisions``."""
+        frontier = [row[offset:] for row in self.frontier] if offset else self.frontier
+        return Decisions(run, frontier=frontier, actions=self.below)
+
+
+def frontier_rows(tp) -> FrontierRows:
+    never = [math.inf] * tp.horizon  # Wi-Fi-faster locations always use Wi-Fi
+    return FrontierRows(
+        [
+            never if mode is LocationMode.WIFI_FASTER else row
+            for row, mode in zip(tp.k_star_idx.tolist(), tp.modes)
+        ],
+        [int(Action.IDLE if mode is LocationMode.NO_WIFI else Action.WIFI) for mode in tp.modes],
+    )
+
+
 def frontier_decisions(run: RunTables, tp, offset: int = 0) -> Decisions:
-    """``threshold.decide`` on the frontiers, with the epoch ``offset`` of
-    ``policy_decisions``."""
-    never = [math.inf] * (tp.horizon - offset)  # Wi-Fi-faster locations always use Wi-Fi
-    frontier = [
-        never if mode is LocationMode.WIFI_FASTER else row
-        for row, mode in zip(tp.k_star_idx[:, offset:].tolist(), tp.modes)
-    ]
-    below = [
-        int(Action.IDLE if mode is LocationMode.NO_WIFI else Action.WIFI) for mode in tp.modes
-    ]
-    return Decisions(run, frontier=frontier, actions=below)
+    """``threshold.decide`` on the frontiers of ``tp``, with the epoch
+    ``offset`` of ``policy_decisions``."""
+    return frontier_rows(tp).decisions(run, offset)
 
 
 def wifi_rates(run: RunTables) -> list:
@@ -519,11 +537,12 @@ def _run_block(cfgs: tuple, schemes: tuple, run_indices) -> list:
         model, spec = sample_instance(top, inst_rng)
         traj = sample_trajectory(model, spec, traj_rng)
         run = run_tables(model, spec)
-        policy = tp = None
+        policy = frontier = None
         if "general" in schemes:
             policy = dp.solve(model, spec, values=False)[0]
         if "monotone" in schemes:
-            tp = solve_monotone(means_model(top, model, spec), spec, values=False)[0]
+            mm = means_model(top, model, spec)
+            frontier = frontier_rows(solve_monotone(mm, spec, values=False)[0])
         shared = {  # the heuristics' decisions do not depend on the deadline
             s: heuristic_decisions(s, run, top, traj)
             for s in schemes
@@ -538,7 +557,7 @@ def _run_block(cfgs: tuple, schemes: tuple, run_indices) -> list:
                 if scheme == "general":
                     x = policy_decisions(run, policy, offset)
                 elif scheme == "monotone":
-                    x = frontier_decisions(run, tp, offset)
+                    x = frontier.decisions(run, offset)
                 else:
                     x = shared[scheme]
                 ep = run_episode(x, model, spec_t, trajectory=traj)
@@ -557,6 +576,14 @@ def _run_block(cfgs: tuple, schemes: tuple, run_indices) -> list:
 
 def _run_block_star(args):
     return _run_block(*args)
+
+
+def available_cpus():
+    """CPUs this process may run on: its affinity set where the platform
+    reports one, else the machine's CPU count (None if unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
 
 
 def worker_count(jobs: int, runs: int, cpus) -> int:
@@ -594,7 +621,7 @@ def run_experiment(
         key = dataclasses.replace(p, deadline_minutes=cfg.deadline_minutes)
         groups.setdefault(key, []).append(i)
 
-    workers = worker_count(jobs, cfg.runs, os.cpu_count())
+    workers = worker_count(jobs, cfg.runs, available_cpus())
     indices = list(range(cfg.runs))
     tasks = [
         (group, indices[w::workers]) for group in groups.values() for w in range(workers)

@@ -276,7 +276,9 @@ def solve_monotone(
     and Wi-Fi transfers, then searches each coverage class for its switch
     only at or above that class's lowest frontier one epoch later
     (Theorem 3: going back in time, frontiers only rise).  A class whose
-    frontiers are all past the file size is not searched at all.
+    frontiers are all past the file size is not searched at all.  Once
+    that holds for every class, ``values=False`` stops: the earlier epochs
+    keep the sentinel and their costs are never computed.
     """
     L = mm.num_locations
     N = spec.grid_points
@@ -319,9 +321,14 @@ def solve_monotone(
     switch = np.empty((L, N + 2), dtype=bool)
     switch[:, N + 1] = True
     for t in range(T - 1, -1, -1):
+        lo = min(starts)  # lowest frontier one epoch later, over all locations
+        if lo > N and not values:
+            # Every frontier one epoch later is past the file size, so no
+            # class is searched at this epoch or an earlier one: their
+            # columns keep the sentinel and their costs would go unread.
+            break
         v_t = v[t % m]
         np.matmul(P, v[(t + 1) % m], out=v_t)  # v_t holds the idle continuation
-        lo = min(starts)  # lowest frontier one epoch later, over all locations
         if lo <= N:
             v1 = _cellular_values(v_t, d1, lo, q)
         if shift_wifi:

@@ -306,6 +306,15 @@ def test_cli_import_leaves_multiprocessing_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_properties_unloaded():
+    # Only verify runs the structural checks, so it alone imports them.
+    code = "import sys, offloadsim.cli; print('offloadsim.properties' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 # `dump-config` loads and validates the scenario and samples nothing, so a
 # missing check shows up as exit code 0 rather than as a hang in the
 # sampler or a traceback from the planner.

@@ -1,6 +1,6 @@
 """Both planners on generated instances: the decisions-only path against the
-full solve, and the exact planner with full-slot billing against the
-frontier planner, cell for cell."""
+full solve, the frontier planner's early stop, and the exact planner with
+full-slot billing against the frontier planner, cell for cell."""
 
 import tracemalloc
 
@@ -14,9 +14,11 @@ from offloadsim.threshold import MonotoneModel, decide, solve_monotone
 
 from instances import (
     edge_flatcost_instances,
+    flatcost_instance,
     flatcost_instances,
     general_instances,
     grid_demo_model,
+    random_mobility,
 )
 
 GENERATED = settings(derandomize=True, max_examples=150, deadline=None, database=None)
@@ -90,3 +92,61 @@ def test_decisions_only_keeps_no_value_table():
             finally:
                 tracemalloc.stop()
             assert low <= peak < high, (values, peak, table_bytes)
+
+
+def counted_frontier_solve(mm, spec, values):
+    """``solve_monotone`` and the number of ``np.matmul`` calls it made: one
+    per epoch whose costs it computed."""
+    calls = []
+    matmul = np.matmul
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return matmul(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "matmul", counting)
+        tp, _ = solve_monotone(mm, spec, values=values)
+    return tp, len(calls)
+
+
+def assert_frontier_stop(mm, spec):
+    """The decisions-only solve computes epochs back to the first one after
+    which no location switches, and only those; the full solve computes
+    every epoch.  Returns how many epochs the decisions-only solve skipped."""
+    T, N = spec.horizon, spec.grid_points
+    full, full_calls = counted_frontier_solve(mm, spec, True)
+    lean, lean_calls = counted_frontier_solve(mm, spec, False)
+    assert lean.k_star_idx.tobytes() == full.k_star_idx.tobytes()
+    assert full_calls == T
+    ks = full.k_star_idx
+    quiet_after = np.flatnonzero((ks[:, 1:] > N).all(axis=0))  # epoch t + 1 all sentinel
+    skipped = int(quiet_after[-1]) + 1 if quiet_after.size else 0
+    assert lean_calls == T - skipped
+    assert (ks[:, :skipped] == N + 1).all()
+    return skipped
+
+
+@GENERATED
+@given(flatcost_instances(max_steps=6, max_slots=40))
+def test_frontier_stop_on_generated_long_horizons(instance):
+    model, spec = instance
+    assert_frontier_stop(MonotoneModel.from_network_model(model, spec), spec)
+
+
+def test_frontier_stop_cases():
+    rng = np.random.default_rng(7)
+    cases = {
+        # free Wi-Fi clears a small file long before a far deadline
+        "stops": flatcost_instance(random_mobility(rng, 4), {2, 4}, 2.0, 1.0, 0.3, 6, 30, 1.0),
+        # cellular at full rate cannot clear the file: every epoch switches
+        "never stops": flatcost_instance(random_mobility(rng, 4), (), 2.0, 1.0, 0.3, 20, 5, 10.0),
+        # no penalty: cellular is never worth its price
+        "never switches": flatcost_instance(random_mobility(rng, 4), {1}, 2.0, 1.0, 0.3, 10, 12, 0.0),
+    }
+    skipped = {}
+    for name, (model, spec) in cases.items():
+        skipped[name] = assert_frontier_stop(MonotoneModel.from_network_model(model, spec), spec)
+    assert 0 < skipped["stops"] < 30 - 1
+    assert skipped["never stops"] == 0
+    assert skipped["never switches"] == 12 - 1  # only the last epoch is searched

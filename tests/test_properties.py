@@ -17,7 +17,7 @@ from offloadsim.properties import (
     check_wifi_preference,
     run_verification,
 )
-from offloadsim.threshold import solve_monotone
+from offloadsim.threshold import MonotoneModel, solve_monotone
 
 from instances import (
     flatcost_instances,
@@ -53,6 +53,31 @@ def test_threshold_monotone_property():
         model, spec = random_flatcost_instance(rng)
         tp, _ = solve_monotone(monotone_view(model, spec), spec)
         assert check_threshold_monotone(tp).passed
+
+
+# Lemma 1b and Theorem 3 on the planners that run_verification pairs them
+# with: the exact planner with full-slot billing on the frontier planner's
+# network, and the decisions-only frontier solve.
+GENERATED = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+
+
+@GENERATED
+@given(flatcost_instances())
+def test_value_monotone_in_time_on_generated_instances(instance):
+    model, spec = instance
+    mm = MonotoneModel.from_network_model(model, spec)
+    _, vt = solve(mm.to_network_model(), spec, flat_payment=True)
+    result = check_value_monotone_in_time(vt)
+    assert result.passed, result.detail
+
+
+@GENERATED
+@given(flatcost_instances(max_steps=12, max_slots=40))
+def test_threshold_monotone_on_generated_instances(instance):
+    model, spec = instance
+    tp, _ = solve_monotone(MonotoneModel.from_network_model(model, spec), spec, values=False)
+    result = check_threshold_monotone(tp)
+    assert result.passed, result.detail
 
 
 def test_cross_difference_on_uniform_coverage():

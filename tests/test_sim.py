@@ -35,7 +35,7 @@ from offloadsim.sim import (
     truncated_normal,
     worker_count,
 )
-from offloadsim.threshold import decide as threshold_decide, solve_monotone
+from offloadsim.threshold import LocationMode, decide as threshold_decide, solve_monotone
 
 
 def small_cfg(**over):
@@ -329,6 +329,20 @@ def test_monotone_agent_plans_from_mean_rates():
     assert ep.total_cost >= 0.0
 
 
+def test_frontier_rows_serve_every_deadline_from_one_plan():
+    # Wi-Fi faster than cellular, so the rows that never switch are sliced too
+    cfg = small_cfg(mu_cellular_mbps=10.0, mu_wifi_mbps=12.0, deadline_minutes=3.0)
+    model, spec = sample_instance(cfg, _run_rngs(cfg, 1)[0])
+    mm = means_model(cfg, model, spec)
+    assert {mm.mode_of(l) for l in range(1, 5)} == {LocationMode.NO_WIFI, LocationMode.WIFI_FASTER}
+    run = sim.run_tables(model, spec)
+    rows = sim.frontier_rows(solve_monotone(mm, spec, values=False)[0])
+    for offset in range(spec.horizon):
+        tail = dataclasses.replace(spec, horizon=spec.horizon - offset)
+        want = sim.frontier_decisions(run, solve_monotone(mm, tail, values=False)[0])
+        assert rows.decisions(run, offset) == want, offset
+
+
 def test_worker_count_caps_at_runs_and_cpus():
     assert worker_count(10**12, 1000, 2) == 2
     assert worker_count(10**12, 3, 64) == 3
@@ -337,6 +351,27 @@ def test_worker_count_caps_at_runs_and_cpus():
     for bad in (0, -3):
         with pytest.raises(ConfigError, match="jobs"):
             worker_count(bad, 1000, 2)
+
+
+def test_workers_capped_at_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert sim.available_cpus() == 1
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started for one CPU")
+
+    import multiprocessing
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    cfg = small_cfg(runs=4)
+    serial = run_experiment(cfg, ("otso",), "deadline", (1.0,))
+    assert run_experiment(cfg, ("otso",), "deadline", (1.0,), jobs=2).to_csv_text() == (
+        serial.to_csv_text()
+    )
+    # without an affinity call the machine's CPU count is the cap
+    monkeypatch.delattr(sim.os, "sched_getaffinity")
+    assert sim.available_cpus() == 64
 
 
 def test_experiment_rejects_zero_jobs():
