@@ -8,16 +8,8 @@ heuristics to compare against, a brute-force oracle for certification,
 and a seeded Monte-Carlo experiment harness with a CLI.
 """
 
-from .baselines import (
-    WifflerState,
-    no_offload_decide,
-    otso_decide,
-    wiffler_decide,
-    wiffler_observe,
-    wiffler_predict,
-)
 from .config import ScenarioConfig, parse_config, serialize_config
-from .dp import Policy, ValueTable, q_value, solve, tie_break
+from .dp import Policy, ValueTable, solve
 from .errors import (
     ConfigError,
     DomainError,
@@ -89,18 +81,14 @@ __all__ = [
     "TabulatedPenalty",
     "ThresholdPolicy",
     "ValueTable",
-    "WifflerState",
     "admissible_actions",
     "build_grid_mobility",
     "decide",
     "expectimax",
     "next_file_size",
-    "no_offload_decide",
-    "otso_decide",
     "parse_config",
     "payment",
     "penalty",
-    "q_value",
     "run_episode",
     "run_experiment",
     "sample_instance",
@@ -108,11 +96,7 @@ __all__ = [
     "solve",
     "solve_monotone",
     "t_star_view",
-    "tie_break",
     "transition_dist",
-    "wiffler_decide",
-    "wiffler_observe",
-    "wiffler_predict",
 ]
 
 __version__ = "0.1.0"

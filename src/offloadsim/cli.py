@@ -24,9 +24,9 @@ import numpy as np
 from . import dp
 from .config import PROPERTY_NAMES, SWEEP_AXES, ScenarioConfig, parse_config, serialize_config
 from .errors import OffloadError
-from .sim import SCHEMES, means_model, run_experiment, sample_instance
-from .model import State
-from .threshold import decide as threshold_decide, solve_monotone
+from .model import Action
+from .sim import SCHEMES, frontier_rows, means_model, run_experiment, sample_instance
+from .threshold import solve_monotone
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -127,18 +127,14 @@ def cmd_policy_map(args) -> int:
         policy, _ = dp.solve(model, spec, values=False)
         matrix = policy.actions[:, l - 1, :]
     else:
-        mm = means_model(cfg, model, spec)
-        tp, _ = solve_monotone(mm, spec, values=False)
-        matrix = np.array(
-            [
-                [
-                    int(threshold_decide(tp, State(n * spec.grid_step, l), t))
-                    for n in range(spec.grid_points + 1)
-                ]
-                for t in range(1, spec.horizon + 1)
-            ],
-            dtype=np.int8,
-        )
+        # threshold.decide on every cell, from the data the walk reads:
+        # cellular at or above the frontier, else the location's action
+        # below it, and idle when nothing is left
+        rows = frontier_rows(solve_monotone(means_model(cfg, model, spec), spec, values=False)[0])
+        frontier = np.array(rows.frontier[l - 1])[:, None]
+        sizes = np.arange(spec.grid_points + 1)
+        matrix = np.where(sizes >= frontier, Action.CELLULAR, rows.below[l - 1]).astype(np.int8)
+        matrix[:, 0] = Action.IDLE
 
     lines = [",".join(str(int(a)) for a in row) for row in matrix]
     text = "\n".join(lines) + "\n"

@@ -10,7 +10,6 @@ row per (location, action), so the total cost grows with
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,11 +20,9 @@ from .model import (
     GRID_EPS,
     NetworkModel,
     ProblemSpec,
-    State,
     admissible_actions,
-    payment,
     penalty_on_grid,
-    slot_payment,
+    transfer_steps,
 )
 
 # Equally cheap actions resolve to free progress first, then paid progress,
@@ -45,15 +42,8 @@ _TIE_RANK = {Action.WIFI: 0, Action.CELLULAR: 1, Action.IDLE: 2}
 TIE_REL_TOL = 1e-9
 
 
-def tie_break(candidates) -> Action:
-    """Pick one action from a set of equally cheap candidates."""
-    cands = [Action(a) for a in candidates]
-    if not cands:
-        raise DomainError("tie_break requires a non-empty candidate set")
-    return min(cands, key=_TIE_RANK.__getitem__)
-
-
 def preference_order(actions) -> list:
+    """``actions`` from the most to the least preferred under a tie."""
     return sorted((Action(a) for a in actions), key=_TIE_RANK.__getitem__)
 
 
@@ -149,36 +139,6 @@ class Policy:
                         )
 
 
-def q_value(
-    model: NetworkModel,
-    spec: ProblemSpec,
-    v_next: np.ndarray,
-    s: State,
-    a: Action,
-    *,
-    flat_payment: bool = False,
-) -> float:
-    """Action value: immediate payment plus expected cost-to-go.
-
-    ``v_next`` is the next epoch's slice of a ValueTable, indexed
-    ``[location-1, k/step]``.  With ``flat_payment`` the cellular send is
-    billed for the full slot even when the remainder is smaller.
-    """
-    a = Action(a)
-    if a is Action.CELLULAR and flat_payment:
-        pay = slot_payment(model, s.l, a)
-    else:
-        pay = payment(model, spec, s, a)
-    n = spec.index_of(s.k)
-    steps = _rate_steps(spec, model.rate_of(s.l, a))
-    n_next = max(0, n - steps)
-    return pay + float(model.mobility[s.l - 1] @ v_next[:, n_next])
-
-
-def _rate_steps(spec: ProblemSpec, rate: float) -> int:
-    return int(math.floor(rate / spec.grid_step + GRID_EPS)) if rate > 0 else 0
-
-
 def solve(
     model: NetworkModel,
     spec: ProblemSpec,
@@ -219,7 +179,7 @@ def solve(
         order = preference_order(admissible_actions(model, li + 1))
         rows = []
         for a in order:
-            steps = _rate_steps(spec, model.rate[li, a])
+            steps = transfer_steps(spec, model.rate[li, a])
             idx = np.maximum(np.arange(N + 1) - steps, 0)
             if a is Action.IDLE:
                 cost = np.zeros(N + 1)

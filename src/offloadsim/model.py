@@ -261,9 +261,6 @@ class ProblemSpec:
             raise DomainError(f"size {k!r} outside [0, {self.file_size!r}]")
         return n
 
-    def size_at(self, n: int) -> float:
-        return n * self.grid_step
-
 
 @dataclass(frozen=True)
 class State:

@@ -11,12 +11,13 @@ test suite both run them.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dp
-from .config import PROPERTY_NAMES, ScenarioConfig
+from .config import MBIT_PER_MBYTE, PROPERTY_NAMES, ScenarioConfig
 from .errors import OffloadError
 from .model import (
     Action,
@@ -26,6 +27,7 @@ from .model import (
     is_convex_on_grid,
     penalty_on_grid,
     slot_payment,
+    transfer_steps,
 )
 from .oracle import expectimax
 from .sim import means_model, sample_instance
@@ -97,7 +99,7 @@ def check_wifi_preference(
     arange = np.arange(N + 1)
     tol = _tol(vt.values)
     for l in sorted(model.wifi_locations):
-        steps = dp._rate_steps(spec, model.rate_of(l, Action.WIFI))
+        steps = transfer_steps(spec, model.rate_of(l, Action.WIFI))
         idx2 = np.maximum(arange - steps, 0)
         for t in range(1, spec.horizon + 1):
             w = model.mobility[l - 1] @ vt.values[t]
@@ -217,7 +219,7 @@ def check_cross_difference(
             pay = slot_payment(model, l, a)
         else:
             pay = np.minimum(grid, model.rate_of(l, a)) * model.price_of(l, a)
-        steps = dp._rate_steps(spec, model.rate_of(l, a))
+        steps = transfer_steps(spec, model.rate_of(l, a))
         return pay + w_all[:, l - 1, np.maximum(arange - steps, 0)]
 
     for l in range(1, model.num_locations + 1):
@@ -255,9 +257,9 @@ def check_increment_monotone(
     arange = np.arange(N + 1)
     tol = _tol(vt.values)
     for l in range(1, model.num_locations + 1):
-        d1 = dp._rate_steps(spec, model.rate_of(l, Action.CELLULAR))
+        d1 = transfer_steps(spec, model.rate_of(l, Action.CELLULAR))
         dj = (
-            dp._rate_steps(spec, model.rate_of(l, Action.WIFI))
+            transfer_steps(spec, model.rate_of(l, Action.WIFI))
             if model.has_wifi(l)
             else 0
         )
@@ -308,38 +310,17 @@ def check_oracle(
     return CheckResult(name, "pass")
 
 
-def _tiny_instance(cfg: ScenarioConfig, rng):
-    """Shrunken variant of the configured scenario, inside the oracle guard."""
-    from .sim import build_grid_mobility, truncated_normal
-
-    L = 4
-    wifi = frozenset(l + 1 for l in range(L) if rng.random() < cfg.wifi_prob)
-    mu_c = cfg.rate_mbit_per_slot(cfg.mu_cellular_mbps)
-    mu_w = cfg.rate_mbit_per_slot(cfg.mu_wifi_mbps)
-    std = cfg.rate_mbit_per_slot(cfg.rate_std_mbps)
-    rate = np.zeros((L, 3))
-    price = np.zeros((L, 3))
-    rate[:, Action.CELLULAR] = [truncated_normal(rng, mu_c, std) for _ in range(L)]
-    for l in wifi:
-        rate[l - 1, Action.WIFI] = truncated_normal(rng, mu_w, std)
-    price[:, Action.CELLULAR] = cfg.price_per_mbit
-    model = NetworkModel(
-        num_locations=L,
-        wifi_locations=wifi,
-        mobility=build_grid_mobility(2, 2, cfg.p_stay),
-        price=price,
-        rate=rate,
+def oracle_config(cfg: ScenarioConfig) -> ScenarioConfig:
+    """The scenario shrunk inside the oracle guard: a 2x2 grid, at most 4
+    slots and 1-4 grid steps, everything else as configured."""
+    steps = max(1, min(int(round(cfg.file_mbit / cfg.grid_step_mbit)), 4))
+    return dataclasses.replace(
+        cfg,
+        grid_rows=2,
+        grid_cols=2,
+        deadline_minutes=min(cfg.horizon, 4) * cfg.slot_seconds / 60.0,
+        file_mbytes=steps * cfg.grid_step_mbit / MBIT_PER_MBYTE,
     )
-    n = min(cfg.horizon, 4)
-    grid_points = min(int(round(cfg.file_mbit / cfg.grid_step_mbit)), 4)
-    spec = ProblemSpec(
-        file_size=max(grid_points, 1) * cfg.grid_step_mbit,
-        horizon=n,
-        grid_step=cfg.grid_step_mbit,
-        penalty=cfg.make_penalty(),
-        initial_location=int(rng.integers(1, L + 1)),
-    )
-    return model, spec
 
 
 def run_verification(cfg: ScenarioConfig, properties=None) -> list:
@@ -387,6 +368,6 @@ def run_verification(cfg: ScenarioConfig, properties=None) -> list:
             else:
                 results.append(check_threshold_monotone(tp, name=p))
         elif p == "oracle":
-            tiny_model, tiny_spec = _tiny_instance(cfg, rng)
+            tiny_model, tiny_spec = sample_instance(oracle_config(cfg), rng)
             results.append(check_oracle(tiny_model, tiny_spec, name=p))
     return results

@@ -17,6 +17,17 @@ model is time-homogeneous with the penalty charged only at the horizon.
 The exact planner is given the sampled per-location rates; the threshold
 planner is given only the configured mean rates, planning from summary
 information the way a device without per-location measurements would.
+
+The three heuristics plan nothing.  No-offload sends over cellular
+whenever anything is left; OTSO uses Wi-Fi where covered and cellular
+elsewhere.  Wiffler uses Wi-Fi where covered; elsewhere it waits only
+when the Wi-Fi capacity it expects before the deadline covers the
+remaining size scaled by a conservatism factor ``theta``.  It predicts
+that capacity from a sliding window of completed Wi-Fi encounters:
+encounters arrive once per mean gap between encounter starts and each
+moves the mean amount per encounter, and with no encounter yet it
+predicts nothing.  The history depends only on the path, so the means
+are computed once per run (``wiffler_means``).
 """
 
 from __future__ import annotations
@@ -26,13 +37,13 @@ import functools
 import math
 import os
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import dp
-from .baselines import no_offload_actions, otso_actions, wiffler_means
 from .config import DEFAULT_SWEEP_VALUES, ScenarioConfig
 from .errors import ConfigError, SchemeError
 from .model import Action, NetworkModel, ProblemSpec, admissible_actions, transfer_steps
@@ -84,19 +95,10 @@ def _shared_grid_mobility(rows: int, cols: int, p_stay: float) -> np.ndarray:
     return P
 
 
-def truncated_normal(rng, mean: float, std: float) -> float:
-    """Normal draw rejected until non-negative (exact at these scales)."""
-    if std <= 0:
-        return max(mean, 0.0)
-    while True:
-        x = rng.normal(mean, std)
-        if x >= 0:
-            return float(x)
-
-
 def truncated_normals(rng, mean: float, std: float, size: int) -> np.ndarray:
-    """The ``size`` values that ``size`` successive ``truncated_normal``
-    calls return, drawn in batches (the rejection stream is the same)."""
+    """The first ``size`` non-negative draws of ``rng.normal(mean, std)``,
+    drawn in batches: the values that drawing one at a time and rejecting
+    negatives returns.  ``std <= 0`` gives ``max(mean, 0)``."""
     if std <= 0:
         return np.full(size, max(mean, 0.0))
     kept = np.empty(0)
@@ -200,9 +202,44 @@ def run_tables(model: NetworkModel, spec: ProblemSpec) -> RunTables:
     )
 
 
+def wiffler_means(path, wifi_rate, window: int) -> list:
+    """Wiffler's encounter means along ``path``: entry ``t - 1`` is ``(mean
+    gap, mean amount)`` over the last ``window`` encounters completed by
+    slot ``t``, or None before the first one ends.
+
+    ``wifi_rate[l - 1]`` is location ``l``'s Wi-Fi amount per slot, or None
+    off coverage.  An encounter runs from entering coverage to leaving it;
+    its gap is the slots since the previous encounter's start (the first
+    counts from slot 0, so gaps are >= 1) and its amount is its slot count
+    times its mean rate.
+    """
+    history = deque(maxlen=window)  # (gap, amount) per completed encounter
+    means = None
+    out = []
+    in_wifi = False
+    prev_start = start = slots = 0
+    rate_sum = 0.0
+    for t, l in enumerate(path, 1):
+        r = wifi_rate[l - 1]
+        if r is not None:
+            if not in_wifi:
+                in_wifi = True
+                start, slots, rate_sum = t, 0, 0.0
+            slots += 1
+            rate_sum += r
+        elif in_wifi:
+            in_wifi = False
+            history.append((start - prev_start, slots * (rate_sum / slots)))
+            prev_start = start
+            n = len(history)
+            means = (sum(g for g, _ in history) / n, sum(a for _, a in history) / n)
+        out.append(means)
+    return out
+
+
 class WifflerPlan(NamedTuple):
     """Wiffler's parameters and its encounter means along ``path``
-    (``baselines.wiffler_means``); a walk on another path computes its own."""
+    (``wiffler_means``); a walk on another path computes its own."""
 
     theta: float
     window: int
@@ -263,24 +300,21 @@ def frontier_rows(tp) -> FrontierRows:
     )
 
 
-def frontier_decisions(run: RunTables, tp, offset: int = 0) -> Decisions:
-    """``threshold.decide`` on the frontiers of ``tp``, with the epoch
-    ``offset`` of ``policy_decisions``."""
-    return frontier_rows(tp).decisions(run, offset)
-
-
 def wifi_rates(run: RunTables) -> list:
     """Each location's Wi-Fi amount per slot, or None off coverage."""
     return [w if c else None for (_, _, w), c in zip(run.rate, run.covered)]
 
 
+_CELLULAR, _WIFI = int(Action.CELLULAR), int(Action.WIFI)
+
+
 def heuristic_decisions(scheme: str, run: RunTables, cfg: ScenarioConfig, path=()) -> Decisions:
     """No-offload, OTSO or Wiffler.  Wiffler's encounter means are computed
     along ``path`` when one is given, else by the walk for its own path."""
-    if scheme == "no-offload":
-        return Decisions(run, actions=no_offload_actions(run.covered))
-    if scheme == "otso":
-        return Decisions(run, actions=otso_actions(run.covered))
+    if scheme == "no-offload":  # cellular everywhere while something is left
+        return Decisions(run, actions=[_CELLULAR] * len(run.covered))
+    if scheme == "otso":  # Wi-Fi where covered, else cellular
+        return Decisions(run, actions=[_WIFI if c else _CELLULAR for c in run.covered])
     if scheme == "wiffler":
         window = cfg.wiffler_window
         means = wiffler_means(path, wifi_rates(run), window) if path else ()
@@ -295,7 +329,7 @@ def make_agent(scheme: str, model: NetworkModel, spec: ProblemSpec, cfg: Scenari
         return policy_decisions(run, dp.solve(model, spec, values=False)[0])
     if scheme == "monotone":
         mm = means_model(cfg, model, spec)
-        return frontier_decisions(run, solve_monotone(mm, spec, values=False)[0])
+        return frontier_rows(solve_monotone(mm, spec, values=False)[0]).decisions(run)
     return heuristic_decisions(scheme, run, cfg)
 
 
@@ -368,7 +402,7 @@ def run_episode(
         else:
             m = means[t - 1]
             left = horizon - t
-            # wiffler_predict on the means, then the waiting rule
+            # the predicted Wi-Fi capacity, then the waiting rule
             predicted = (left / m[0]) * m[1] if m is not None and left > 0 else 0.0
             a = 0 if predicted >= theta * k else 1
         if a not in (_ACTIONS_WITH_WIFI if covered[i] else _ACTIONS_WITHOUT_WIFI):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dp import TIE_REL_TOL, ValueTable, _rate_steps
+from .dp import TIE_REL_TOL, ValueTable
 from .errors import DomainError, PreconditionError, ResourceLimitError
 from .model import (
     Action,
@@ -27,6 +27,7 @@ from .model import (
     State,
     is_convex_on_grid,
     penalty_on_grid,
+    transfer_steps,
 )
 
 # Max relative spread tolerated when checking location-independence.
@@ -67,11 +68,12 @@ class MonotoneModel:
                 "cellular slot cost must be 0 when the cellular rate is 0"
             )
         # Reuse the network validation for mobility and the wifi set.
-        net = self._build_network()
+        net = self.to_network_model()
         object.__setattr__(self, "mobility", net.mobility)
         object.__setattr__(self, "wifi_locations", net.wifi_locations)
 
-    def _build_network(self) -> NetworkModel:
+    def to_network_model(self) -> NetworkModel:
+        """Equivalent generic network (free Wi-Fi, uniform cellular price)."""
         L = self.num_locations
         price_cell = self.cellular_cost / self.mu_cellular if self.mu_cellular > 0 else 0.0
         price = np.zeros((L, 3))
@@ -88,25 +90,12 @@ class MonotoneModel:
             rate=rate,
         )
 
-    def to_network_model(self) -> NetworkModel:
-        """Equivalent generic network (free Wi-Fi, uniform cellular price)."""
-        return self._build_network()
-
     @classmethod
-    def from_network_model(
-        cls,
-        model: NetworkModel,
-        spec: ProblemSpec,
-        *,
-        approximate: bool = False,
-    ) -> "MonotoneModel":
+    def from_network_model(cls, model: NetworkModel, spec: ProblemSpec) -> "MonotoneModel":
         """Derive the restricted description from a generic network.
 
-        Strict mode checks every requirement and raises
-        :class:`PreconditionError` naming the first violated one.  With
-        ``approximate=True`` the per-location rates and cellular prices are
-        averaged instead (the planner then works from summary information
-        and its output is a heuristic for the original network).
+        Every requirement is checked; a :class:`PreconditionError` names
+        the first one violated.
         """
         L = model.num_locations
         wifi = sorted(model.wifi_locations)
@@ -115,30 +104,25 @@ class MonotoneModel:
         wifi_rates = np.array([model.rate[l - 1, Action.WIFI] for l in wifi])
         wifi_prices = np.array([model.price[l - 1, Action.WIFI] for l in wifi])
 
-        if approximate:
-            mu1 = float(cell_rates.mean())
-            mu2 = float(wifi_rates.mean()) if wifi else 0.0
-            p1 = float(cell_prices.mean())
-        else:
-            if wifi and wifi_prices.max(initial=0.0) > 0:
-                raise PreconditionError(
-                    "Wi-Fi must be free at every covered location"
-                )
-            if _spread(cell_prices) > _SPREAD_TOL:
-                raise PreconditionError(
-                    "cellular price must be location-independent"
-                )
-            if _spread(cell_rates) > _SPREAD_TOL:
-                raise PreconditionError(
-                    "cellular rate must be location-independent"
-                )
-            if wifi and _spread(wifi_rates) > _SPREAD_TOL:
-                raise PreconditionError(
-                    "Wi-Fi rate must be the same at every covered location"
-                )
-            mu1 = float(cell_rates[0])
-            mu2 = float(wifi_rates[0]) if wifi else 0.0
-            p1 = float(cell_prices[0])
+        if wifi and wifi_prices.max(initial=0.0) > 0:
+            raise PreconditionError(
+                "Wi-Fi must be free at every covered location"
+            )
+        if _spread(cell_prices) > _SPREAD_TOL:
+            raise PreconditionError(
+                "cellular price must be location-independent"
+            )
+        if _spread(cell_rates) > _SPREAD_TOL:
+            raise PreconditionError(
+                "cellular rate must be location-independent"
+            )
+        if wifi and _spread(wifi_rates) > _SPREAD_TOL:
+            raise PreconditionError(
+                "Wi-Fi rate must be the same at every covered location"
+            )
+        mu1 = float(cell_rates[0])
+        mu2 = float(wifi_rates[0]) if wifi else 0.0
+        p1 = float(cell_prices[0])
 
         if not is_convex_on_grid(penalty_on_grid(spec.penalty, spec.grid_values)):
             raise PreconditionError("penalty must be convex on the size grid")
@@ -293,8 +277,8 @@ def solve_monotone(
     if not is_convex_on_grid(terminal):
         raise PreconditionError("penalty must be convex on the size grid")
 
-    d1 = _rate_steps(spec, mm.mu_cellular)
-    d2 = _rate_steps(spec, mm.mu_wifi)
+    d1 = transfer_steps(spec, mm.mu_cellular)
+    d2 = transfer_steps(spec, mm.mu_wifi)
     covered = np.zeros(L, dtype=bool)
     covered[[l - 1 for l in mm.wifi_locations]] = True
     wifi_rows = np.flatnonzero(covered)

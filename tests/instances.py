@@ -290,6 +290,10 @@ def flatcost_instances(draw, max_steps=20, max_slots=8):
     Wi-Fi slower or faster than cellular.  Ties are made likely: rates,
     price and penalty are often whole numbers or zero, and a slot's
     transfer can exceed the file."""
+    # The horizon is drawn first and evenly over the slot counts: hypothesis
+    # often gives the last draws of an example their minimum, which would
+    # make many instances a single slot.
+    T = draw(st.sampled_from(range(1, max_slots + 1)))
     L = draw(st.integers(1, 5))
     N = draw(st.integers(0, max_steps))
     model, spec = flatcost_instance(
@@ -299,7 +303,7 @@ def flatcost_instances(draw, max_steps=20, max_slots=8):
         draw(_amounts(N + 3)),
         draw(_amounts(2.0)),
         N,
-        draw(st.integers(1, max_slots)),
+        T,
         0.0,
     )
     return model, dataclasses.replace(spec, penalty=draw(convex_penalties(N)))

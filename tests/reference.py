@@ -1,24 +1,24 @@
-"""Comparison heuristics: always-cellular, Wi-Fi-whenever-available (OTSO),
-and the prediction-based Wiffler rule.
+"""Scalar reference implementations that the tests compare the package to.
 
-Wiffler waits for Wi-Fi only when the capacity it expects to encounter
-before the deadline covers the remaining size scaled by a conservatism
-factor.  Its predictor averages the inter-encounter period and the
-per-encounter transferable amount over a sliding window of completed
-Wi-Fi encounters; the exact estimator is pluggable because published
-descriptions of the rule leave it open.
-
-The Monte-Carlo walk reads each rule as data: no-offload and OTSO as one
-action per location, Wiffler as its encounter means after each slot of
-the path (``wiffler_means``), which depend on the path alone.
+The package reads every scheme as per-run data and samples, plans and
+walks in batches.  The functions here are the same rules written one
+state or one draw at a time, on the public model primitives: the three
+heuristics' decision rules with Wiffler's encounter history, the exact
+planner's action value, and the rejection sampler for the rates.
 """
-
-from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
 
-from .model import Action, NetworkModel, State
+from offloadsim.model import (
+    Action,
+    NetworkModel,
+    ProblemSpec,
+    State,
+    payment,
+    slot_payment,
+    transfer_steps,
+)
 
 
 def no_offload_decide(s: State) -> Action:
@@ -31,20 +31,6 @@ def otso_decide(model: NetworkModel, s: State) -> Action:
     if s.k <= 0:
         return Action.IDLE
     return Action.WIFI if model.has_wifi(s.l) else Action.CELLULAR
-
-
-_CELLULAR, _WIFI = int(Action.CELLULAR), int(Action.WIFI)
-
-
-def no_offload_actions(covered) -> list:
-    """``no_offload_decide`` per location while something is left, as int
-    action codes; ``covered`` flags each location's Wi-Fi coverage."""
-    return [_CELLULAR] * len(covered)
-
-
-def otso_actions(covered) -> list:
-    """``otso_decide`` per location while something is left."""
-    return [_WIFI if c else _CELLULAR for c in covered]
 
 
 @dataclass(frozen=True)
@@ -80,12 +66,10 @@ class WifflerState:
         if self.window < 1:
             raise ValueError("window must be >= 1")
 
-    def observe(self, t: int, wifi_rate) -> bool:
+    def observe(self, t: int, wifi_rate) -> None:
         """``wiffler_observe`` for a location already looked up: ``wifi_rate``
-        is its Wi-Fi amount per slot, or None off coverage.  Returns whether
-        an encounter ended, which is the only time the history changes."""
+        is its Wi-Fi amount per slot, or None off coverage."""
         in_wifi = wifi_rate is not None
-        ended = self._in_wifi and not in_wifi
         if in_wifi:
             if not self._in_wifi:
                 self._enc_start = t
@@ -93,7 +77,7 @@ class WifflerState:
                 self._enc_rate_sum = 0.0
             self._enc_slots += 1
             self._enc_rate_sum += wifi_rate
-        elif ended:
+        elif self._in_wifi:
             self.history.append(
                 Encounter(
                     inter_meeting_time=self._enc_start - self._prev_start,
@@ -105,7 +89,6 @@ class WifflerState:
             while len(self.history) > self.window:
                 self.history.popleft()
         self._in_wifi = in_wifi
-        return ended
 
 
 def wiffler_observe(ws: WifflerState, model: NetworkModel, l: int, t: int) -> None:
@@ -117,19 +100,6 @@ def wiffler_observe(ws: WifflerState, model: NetworkModel, l: int, t: int) -> No
     ws.observe(t, model.rate_of(l, Action.WIFI) if model.has_wifi(l) else None)
 
 
-def encounter_means(history):
-    """``(mean inter-meeting period, mean per-encounter amount)`` of the
-    encounters in ``history``, or None when there are none or the mean
-    period is not positive (nothing to predict from)."""
-    if not history:
-        return None
-    mean_gap = sum(e.inter_meeting_time for e in history) / len(history)
-    if mean_gap <= 0:
-        return None
-    mean_transfer = sum(e.transferred for e in history) / len(history)
-    return mean_gap, mean_transfer
-
-
 def wiffler_predict(ws: WifflerState, remaining_time: int) -> float:
     """Expected Wi-Fi capacity before the deadline.
 
@@ -137,29 +107,14 @@ def wiffler_predict(ws: WifflerState, remaining_time: int) -> float:
     the mean per-encounter amount; with no history the estimate is zero
     (nothing known, assume nothing).
     """
-    means = encounter_means(ws.history)
-    if remaining_time <= 0 or means is None:
+    history = ws.history
+    if remaining_time <= 0 or not history:
         return 0.0
-    mean_gap, mean_transfer = means
+    mean_gap = sum(e.inter_meeting_time for e in history) / len(history)
+    if mean_gap <= 0:
+        return 0.0
+    mean_transfer = sum(e.transferred for e in history) / len(history)
     return (remaining_time / mean_gap) * mean_transfer
-
-
-def wiffler_means(path, wifi_rate, window: int) -> list:
-    """Wiffler's encounter means along ``path``: entry ``t - 1`` is
-    ``encounter_means`` of the history once slots ``1..t`` are observed.
-
-    ``wifi_rate[l - 1]`` is location ``l``'s Wi-Fi amount per slot, or None
-    off coverage.  The history depends only on the path, not on the
-    actions or the deadline, so one list serves every deadline of a run.
-    """
-    ws = WifflerState(window=window)
-    means = None
-    out = []
-    for t, l in enumerate(path, 1):
-        if ws.observe(t, wifi_rate[l - 1]):
-            means = encounter_means(ws.history)
-        out.append(means)
-    return out
 
 
 def wiffler_decide(
@@ -174,3 +129,38 @@ def wiffler_decide(
     if wiffler_predict(ws, horizon - t) >= ws.theta * s.k:
         return Action.IDLE
     return Action.CELLULAR
+
+
+def q_value(
+    model: NetworkModel,
+    spec: ProblemSpec,
+    v_next,
+    s: State,
+    a: Action,
+    *,
+    flat_payment: bool = False,
+) -> float:
+    """Action value: immediate payment plus expected cost-to-go.
+
+    ``v_next`` is the next epoch's slice of a ValueTable, indexed
+    ``[location-1, k/step]``.  With ``flat_payment`` the cellular send is
+    billed for the full slot even when the remainder is smaller.
+    """
+    a = Action(a)
+    if a is Action.CELLULAR and flat_payment:
+        pay = slot_payment(model, s.l, a)
+    else:
+        pay = payment(model, spec, s, a)
+    n = spec.index_of(s.k)
+    n_next = max(0, n - transfer_steps(spec, model.rate_of(s.l, a)))
+    return pay + float(model.mobility[s.l - 1] @ v_next[:, n_next])
+
+
+def truncated_normal(rng, mean: float, std: float) -> float:
+    """Normal draw rejected until non-negative (exact at these scales)."""
+    if std <= 0:
+        return max(mean, 0.0)
+    while True:
+        x = rng.normal(mean, std)
+        if x >= 0:
+            return float(x)

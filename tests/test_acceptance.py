@@ -14,7 +14,7 @@ import pytest
 
 import offloadsim as osim
 from offloadsim.config import ScenarioConfig
-from offloadsim.dp import q_value, solve
+from offloadsim.dp import solve
 from offloadsim.model import Action, State
 from offloadsim.oracle import expectimax
 from offloadsim.properties import (
@@ -38,6 +38,7 @@ from instances import (
     single_class_flatcost_instance,
     threshold_demo,
 )
+from reference import q_value
 
 SEED = 20260808
 

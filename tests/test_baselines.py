@@ -1,19 +1,23 @@
+"""The heuristics' scalar reference rules, and ``sim.wiffler_means``
+against Wiffler's per-slot stepping."""
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from offloadsim.baselines import (
+from offloadsim.model import Action, State
+from offloadsim.sim import wiffler_means
+
+from instances import grid_demo_model
+from reference import (
+    Encounter,
     WifflerState,
     no_offload_decide,
     otso_decide,
     wiffler_decide,
-    wiffler_means,
     wiffler_observe,
     wiffler_predict,
 )
-from offloadsim.model import Action, State
-
-from instances import grid_demo_model
 
 
 def test_no_offload():
@@ -41,8 +45,6 @@ def test_wiffler_predict_zero_remaining():
 
 
 def test_wiffler_predict_mean_formula():
-    from offloadsim.baselines import Encounter
-
     ws = WifflerState(theta=1.0, window=4)
     # four encounters: 5-slot period, one-slot dwell, 20 units/slot
     for _ in range(4):
@@ -67,8 +69,6 @@ def test_wiffler_observe_builds_encounters():
 
 
 def test_wiffler_window_truncates():
-    from offloadsim.baselines import Encounter
-
     ws = WifflerState(theta=1.0, window=2)
     model = grid_demo_model()
     seq = [4, 1, 4, 1, 4, 1, 4, 1]
@@ -79,8 +79,6 @@ def test_wiffler_window_truncates():
 
 
 def test_wiffler_decide_rules():
-    from offloadsim.baselines import Encounter
-
     model = grid_demo_model()
     ws = WifflerState(theta=1.0, window=4)
     assert wiffler_decide(ws, model, State(10.0, 4), 1, 10) is Action.WIFI

@@ -17,6 +17,9 @@ from offloadsim.config import (
     serialize_config,
 )
 from offloadsim.errors import ConfigError
+from offloadsim.model import State
+from offloadsim.sim import means_model
+from offloadsim.threshold import decide, solve_monotone
 
 
 def test_empty_config_gives_baseline_defaults():
@@ -234,6 +237,42 @@ def test_cli_policy_map_monotone_matches_general_for_flat_cost(tmp_path):
     ) == 0
     rows = out.read_text().splitlines()
     assert len(rows) == 6
+
+
+# Scenario keys over a 2x3 grid and a 125 MB file; the slow links put the
+# frontiers inside the file.
+POLICY_MAP_CASES = {
+    "default": {},
+    "slow-links": dict(mu_cellular_mbps=10, mu_wifi_mbps=4, deadline_minutes=2),
+    "wifi-faster": dict(mu_wifi_mbps=120, wifi_prob=0.6),
+    "all-wifi": dict(wifi_prob=1, mu_cellular_mbps=12, mu_wifi_mbps=4, deadline_minutes=2),
+    "no-wifi": dict(wifi_prob=0, mu_cellular_mbps=12, deadline_minutes=2),
+    "empty-file": dict(file_mbytes=0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POLICY_MAP_CASES))
+def test_cli_policy_map_monotone_matches_decide_per_cell(tmp_path, name):
+    keys = dict(grid_rows=2, grid_cols=3, file_mbytes=125, seed=11)
+    keys.update(POLICY_MAP_CASES[name])
+    text = "".join(f"{k} = {v}\n" for k, v in keys.items())
+    cfg_path = write_cfg(tmp_path, text)
+    cfg = parse_config(cfg_path)
+    model, spec = cli._instance_for(cfg)
+    tp, _ = solve_monotone(means_model(cfg, model, spec), spec)
+    for l in range(1, model.num_locations + 1):
+        out = tmp_path / f"map{l}.csv"
+        args = ["policy-map", "--config", cfg_path, "--solver", "monotone", "--location", str(l)]
+        assert run_cli(args + ["--out", str(out)]) == 0
+        want = "".join(
+            ",".join(
+                str(int(decide(tp, State(n * spec.grid_step, l), t)))
+                for n in range(spec.grid_points + 1)
+            )
+            + "\n"
+            for t in range(1, spec.horizon + 1)
+        )
+        assert out.read_text() == want, (name, l)
 
 
 def test_cli_verify_passes(tmp_path, capsys):

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from offloadsim.dp import q_value, solve, tie_break
+from offloadsim.dp import solve
 from offloadsim.errors import DomainError, ResourceLimitError
 from offloadsim.model import (
     Action,
@@ -17,6 +17,7 @@ from offloadsim.oracle import expectimax
 from offloadsim.threshold import MonotoneModel, solve_monotone
 
 from instances import random_general_instance
+from reference import q_value
 
 
 def one_location_model(rate_cell=1.0, price_cell=2.5):
@@ -63,15 +64,6 @@ def test_solve_two_location_two_slot_matches_brute_force():
     _, vt = solve(model, spec)
     res = expectimax(model, spec, State(2.0, 1), 1)
     assert vt.value(1, 2.0, 1) == pytest.approx(res.optimal_value, rel=1e-12)
-
-
-def test_tie_break_order():
-    assert tie_break({Action.IDLE, Action.WIFI}) is Action.WIFI
-    assert tie_break({Action.CELLULAR}) is Action.CELLULAR
-    assert tie_break({Action.IDLE, Action.CELLULAR}) is Action.CELLULAR
-    assert tie_break({Action.IDLE, Action.CELLULAR, Action.WIFI}) is Action.WIFI
-    with pytest.raises(DomainError):
-        tie_break(set())
 
 
 def test_solve_empty_file_idles_at_zero_cost():

@@ -1,11 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from offloadsim.config import ScenarioConfig
-from offloadsim.dp import ValueTable, q_value, solve
+from offloadsim.dp import ValueTable, solve
 from offloadsim.model import Action, NetworkModel, ProblemSpec, QuadraticPenalty, State
 from offloadsim.oracle import expectimax
+from offloadsim.sim import sample_instance
 from offloadsim.properties import (
     check_cross_difference,
     check_increment_monotone,
@@ -15,17 +18,20 @@ from offloadsim.properties import (
     check_value_monotone_in_size,
     check_value_monotone_in_time,
     check_wifi_preference,
+    oracle_config,
     run_verification,
 )
 from offloadsim.threshold import MonotoneModel, solve_monotone
 
 from instances import (
     flatcost_instances,
+    general_instances,
     monotone_view,
     random_flatcost_instance,
     random_general_instance,
     single_class_flatcost_instance,
 )
+from reference import q_value
 
 
 def test_value_monotone_in_size_universal():
@@ -55,19 +61,48 @@ def test_threshold_monotone_property():
         assert check_threshold_monotone(tp).passed
 
 
-# Lemma 1b and Theorem 3 on the planners that run_verification pairs them
-# with: the exact planner with full-slot billing on the frontier planner's
-# network, and the decisions-only frontier solve.
 GENERATED = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+
+
+@GENERATED
+@given(general_instances())
+def test_value_monotone_in_size_on_generated_instances(instance):
+    # Lemma 1a holds for any prices, rates and non-decreasing penalty
+    model, spec = instance
+    _, vt = solve(model, spec)
+    result = check_value_monotone_in_size(vt)
+    assert result.passed, result.detail
+
+
+# Lemmas 1b and 2 and Theorems 2 and 3 on the planners that run_verification
+# pairs them with: the exact planner with full-slot billing on the frontier
+# planner's network, and the decisions-only frontier solve.
+def flat_solve(model, spec):
+    net = MonotoneModel.from_network_model(model, spec).to_network_model()
+    return (net,) + solve(net, spec, flat_payment=True)
 
 
 @GENERATED
 @given(flatcost_instances())
 def test_value_monotone_in_time_on_generated_instances(instance):
-    model, spec = instance
-    mm = MonotoneModel.from_network_model(model, spec)
-    _, vt = solve(mm.to_network_model(), spec, flat_payment=True)
+    _, _, vt = flat_solve(*instance)
     result = check_value_monotone_in_time(vt)
+    assert result.passed, result.detail
+
+
+@GENERATED
+@given(flatcost_instances())
+def test_wifi_preference_on_generated_instances(instance):
+    net, policy, vt = flat_solve(*instance)
+    result = check_wifi_preference(net, instance[1], policy, vt)
+    assert result.passed, result.detail
+
+
+@GENERATED
+@given(flatcost_instances())
+def test_single_switch_on_generated_instances(instance):
+    net, policy, _ = flat_solve(*instance)
+    result = check_single_switch(policy, net)
     assert result.passed, result.detail
 
 
@@ -78,6 +113,21 @@ def test_threshold_monotone_on_generated_instances(instance):
     tp, _ = solve_monotone(MonotoneModel.from_network_model(model, spec), spec, values=False)
     result = check_threshold_monotone(tp)
     assert result.passed, result.detail
+
+
+def test_long_horizon_instances_rarely_have_one_slot():
+    # the strategy of the test above exercises epoch steps and early stops
+    horizons = []
+
+    @GENERATED
+    @given(flatcost_instances(max_steps=6, max_slots=40))
+    def record(instance):
+        horizons.append(instance[1].horizon)
+
+    record()
+    assert len(horizons) >= 100
+    assert horizons.count(1) <= 0.1 * len(horizons), horizons
+    assert sum(h >= 20 for h in horizons) >= 0.25 * len(horizons), horizons
 
 
 def test_cross_difference_on_uniform_coverage():
@@ -202,6 +252,33 @@ def test_check_oracle_small_instance():
     for _ in range(5):
         model, spec = random_general_instance(rng)
         assert check_oracle(model, spec).passed
+
+
+# Scenario keys for verify's oracle instance: a deadline under 4 slots, an
+# empty file, a file off its grid, and slots and grid steps that are not
+# whole numbers of seconds or Mbit.
+ORACLE_CASES = [
+    {},
+    dict(deadline_minutes=0.5),
+    dict(file_mbytes=0.0),
+    dict(file_mbytes=1.3, grid_step_mbit=3.0),
+    dict(slot_seconds=7.0, deadline_minutes=2.1, grid_step_mbit=0.3),
+    dict(grid_rows=1, grid_cols=3, wifi_prob=1.0, penalty="step"),
+]
+
+
+@pytest.mark.filterwarnings("ignore:file size")  # the full-size file of one case
+@pytest.mark.parametrize("over", ORACLE_CASES)
+def test_oracle_instance_is_the_scenario_shrunk(over):
+    cfg = ScenarioConfig(**over)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the shrunk file is on its grid
+        model, spec = sample_instance(oracle_config(cfg), np.random.default_rng(3))
+    assert model.num_locations == 4
+    assert spec.horizon == min(cfg.horizon, 4)
+    assert spec.grid_points == max(1, min(round(cfg.file_mbit / cfg.grid_step_mbit), 4))
+    (result,) = run_verification(cfg, ("oracle",))
+    assert result.passed, result.detail
 
 
 def test_run_verification_all_pass_on_baseline():

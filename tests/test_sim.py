@@ -4,13 +4,6 @@ import numpy as np
 import pytest
 
 from offloadsim import dp, sim
-from offloadsim.baselines import (
-    WifflerState,
-    no_offload_decide,
-    otso_decide,
-    wiffler_decide,
-    wiffler_observe,
-)
 from offloadsim.config import ScenarioConfig
 from offloadsim.errors import ConfigError, SchemeError
 from offloadsim.model import (
@@ -32,10 +25,18 @@ from offloadsim.sim import (
     run_experiment,
     sample_instance,
     sample_trajectory,
-    truncated_normal,
     worker_count,
 )
 from offloadsim.threshold import LocationMode, decide as threshold_decide, solve_monotone
+
+from reference import (
+    WifflerState,
+    no_offload_decide,
+    otso_decide,
+    truncated_normal,
+    wiffler_decide,
+    wiffler_observe,
+)
 
 
 def small_cfg(**over):
@@ -339,7 +340,7 @@ def test_frontier_rows_serve_every_deadline_from_one_plan():
     rows = sim.frontier_rows(solve_monotone(mm, spec, values=False)[0])
     for offset in range(spec.horizon):
         tail = dataclasses.replace(spec, horizon=spec.horizon - offset)
-        want = sim.frontier_decisions(run, solve_monotone(mm, tail, values=False)[0])
+        want = sim.frontier_rows(solve_monotone(mm, tail, values=False)[0]).decisions(run)
         assert rows.decisions(run, offset) == want, offset
 
 

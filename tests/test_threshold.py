@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from offloadsim.dp import TIE_REL_TOL, _rate_steps, solve
+from offloadsim.dp import TIE_REL_TOL, solve
 from offloadsim.errors import PreconditionError
 from offloadsim.model import (
     Action,
@@ -13,6 +13,7 @@ from offloadsim.model import (
     QuadraticPenalty,
     State,
     StepPenalty,
+    transfer_steps,
 )
 from offloadsim.threshold import (
     LocationMode,
@@ -63,17 +64,6 @@ def test_from_network_model_strict_errors():
         MonotoneModel.from_network_model(model, step_spec)
 
 
-def test_from_network_model_approximate_averages():
-    model, spec = threshold_demo()
-    varied_rate = np.array(model.rate)
-    varied_rate[0, Action.CELLULAR] = 4.0  # others stay at 2.0
-    mixed = NetworkModel(16, model.wifi_locations, model.mobility, model.price, varied_rate)
-    mm = MonotoneModel.from_network_model(mixed, spec, approximate=True)
-    assert mm.mu_cellular == pytest.approx((4.0 + 15 * 2.0) / 16)
-    assert mm.mu_wifi == pytest.approx(1.0)
-    assert mm.cellular_cost == pytest.approx(mm.mu_cellular * 0.5)
-
-
 def test_solve_monotone_rejects_nonconvex_penalty():
     model, _ = threshold_demo()
     mm = monotone_view(model, ProblemSpec(20.0, 20, 1.0, QuadraticPenalty(10.0)))
@@ -96,8 +86,8 @@ def threshold_pass(mm, spec, l, v_next, k_star_next):
     N = spec.grid_points
     sigma = spec.grid_step
     wifi = l in mm.wifi_locations
-    dj = _rate_steps(spec, mm.mu_wifi) if wifi else 0
-    d1 = _rate_steps(spec, mm.mu_cellular)
+    dj = transfer_steps(spec, mm.mu_wifi) if wifi else 0
+    d1 = transfer_steps(spec, mm.mu_cellular)
     q = mm.cellular_cost
     w = mm.mobility[l - 1] @ v_next
 
