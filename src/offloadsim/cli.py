@@ -23,7 +23,7 @@ import numpy as np
 
 from . import dp
 from .config import PROPERTY_NAMES, SWEEP_AXES, ScenarioConfig, parse_config, serialize_config
-from .errors import OffloadError
+from .errors import ConfigError, OffloadError
 from .model import Action
 from .sim import SCHEMES, frontier_rows, means_model, run_experiment, sample_instance
 from .threshold import solve_monotone
@@ -46,8 +46,10 @@ def _load_config(args) -> ScenarioConfig:
 def _instance_for(cfg: ScenarioConfig):
     # Same substream as the experiment's first run, so `solve` shows the
     # environment the first simulated episode runs in.
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0, 0)))
-    return sample_instance(cfg, rng)
+    from .streams import run_streams
+
+    inst_rng, _ = next(run_streams(cfg.seed, (0,)))
+    return sample_instance(cfg, inst_rng)
 
 
 def cmd_solve(args) -> int:
@@ -93,10 +95,14 @@ def _parse_sweep(arg: str):
     axis = axis.strip()
     if axis not in SWEEP_AXES:
         raise OffloadError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
-    values = None
-    if rest.strip():
-        values = tuple(float(v) for v in rest.split(",") if v.strip())
-    return axis, values
+    values = []
+    for v in rest.split(","):
+        if v.strip():
+            try:
+                values.append(float(v))
+            except ValueError:
+                raise ConfigError(f"sweep value {v.strip()!r} is not a number") from None
+    return axis, tuple(values) or None
 
 
 def cmd_simulate(args) -> int:

@@ -558,16 +558,12 @@ def _run_block(cfgs: tuple, schemes: tuple, run_indices) -> list:
     """Walk runs ``run_indices`` at the sweep points ``cfgs``, which differ
     only in their deadline, sampling and planning each run once at the
     longest horizon.  Returns per run one ``{scheme: record}`` per point."""
+    from .streams import run_streams  # imported here: a process that samples nothing never needs it
+
     horizons = [c.horizon for c in cfgs]
     top = cfgs[horizons.index(max(horizons))]
     out = []
-    for j in run_indices:
-        inst_rng = np.random.default_rng(
-            np.random.SeedSequence(top.seed, spawn_key=(j, 0))
-        )
-        traj_rng = np.random.default_rng(
-            np.random.SeedSequence(top.seed, spawn_key=(j, 1))
-        )
+    for inst_rng, traj_rng in run_streams(top.seed, run_indices):
         model, spec = sample_instance(top, inst_rng)
         traj = sample_trajectory(model, spec, traj_rng)
         run = run_tables(model, spec)
@@ -640,13 +636,19 @@ def run_experiment(
     scheme, and aggregate.  ``jobs > 1`` splits runs across processes
     (see ``worker_count``); output is identical regardless of the split."""
     schemes = tuple(schemes)
+    if not schemes:
+        raise ConfigError(f"no scheme given; expected some of {SCHEMES}")
     for s in schemes:
         if s not in SCHEMES:
             raise ConfigError(f"unknown scheme {s!r}; expected one of {SCHEMES}")
+    if len(set(schemes)) < len(schemes):
+        raise ConfigError(f"scheme repeated in {schemes}")
     axis = sweep_axis or cfg.sweep_axis
     values = tuple(sweep_values if sweep_values is not None else ())
     if not values:
         values = tuple(cfg.sweep_values) or DEFAULT_SWEEP_VALUES[axis]
+    if len(set(values)) < len(values):
+        raise ConfigError(f"sweep value repeated in {values}")
 
     # Every point is validated before any episode is walked.
     points = [cfg.with_sweep_value(axis, value) for value in values]

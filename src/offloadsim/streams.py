@@ -1,0 +1,161 @@
+"""Per-run random streams of the Monte-Carlo harness.
+
+Run ``j`` of a sweep with seed ``seed`` draws its environment from
+``default_rng(SeedSequence(seed, spawn_key=(j, 0)))``, which
+``sim.sample_instance`` splits into four children (keys ``(j, 0, i)``), and
+its trajectory from the stream keyed ``(j, 1)``.  Building those six
+numpy generators one ``SeedSequence`` at a time costs most of a heuristic
+run, so ``seed_states`` computes the six PCG64 states of a whole block of
+runs in one vectorized pass of numpy's own hash, and ``run_streams`` hands
+them to PCG64 through a seed sequence that only carries them.  The streams
+are numpy's, bit for bit; ``tests/test_sim.py`` checks them against
+``SeedSequence``.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+
+# numpy's SeedSequence hash on uint32 words (pool size 4): entropy is mixed
+# into the pool with the A constants and the state read out with the B ones.
+_MASK32 = 0xFFFFFFFF
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(n: int) -> list:
+    """The uint32 words numpy reads from a non-negative int, least
+    significant first ([0] for 0)."""
+    if n < 0:
+        raise ValueError(f"seeds and run indices must be >= 0, got {n!r}")
+    words = [n & _MASK32]
+    while n >> 32 * len(words):
+        words.append(n >> 32 * len(words) & _MASK32)
+    return words
+
+
+def _const(k: int, init: int = _INIT_A, mult: int = _MULT_A) -> int:
+    """Constant ``k`` of one of numpy's hash-constant sequences."""
+    return init * pow(mult, k, 1 << 32) & _MASK32
+
+
+def _consts(start: int, n: int, init: int = _INIT_A, mult: int = _MULT_A) -> np.ndarray:
+    """Constants ``start`` to ``start + n`` as uint32: hash steps ``start``
+    to ``start + n - 1`` read ``c[:-1]`` and ``c[1:]``."""
+    return np.array([_const(k, init, mult) for k in range(start, start + n + 1)], np.uint32)
+
+
+def _hash(value, c, c_next):
+    """numpy's ``hashmix`` step on ints below 2**32 or uint32 arrays: xor
+    with one hash constant, multiply by the next."""
+    value = (value ^ c) * c_next & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ (r >> 16)
+
+
+def _absorb(pool: np.ndarray, words: np.ndarray, call: int) -> np.ndarray:
+    """Mix entropy words past the pool size into every pool word (the last
+    axis), as ``SeedSequence.mix_entropy`` does with its hashmix calls
+    ``call`` to ``call + 3``; ``words`` broadcasts against the other axes."""
+    c = _consts(call, _POOL)
+    return _mix(pool, _hash(words[..., None], c[:-1], c[1:]))
+
+
+def _seed_pool(seed: int):
+    """The pool of ``SeedSequence(seed, spawn_key=key)`` before the key's
+    words, as a (4,) uint32 array, and the hashmix calls made so far."""
+    words = _words(seed)
+    words += [0] * (_POOL - len(words))  # with a spawn key, zero-pad to the pool size
+    pool = [_hash(w, _const(k), _const(k + 1)) for k, w in enumerate(words[:_POOL])]
+    call = _POOL
+    for src in range(_POOL):  # mix every pool word into every other, in place
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], _const(call), _const(call + 1)))
+                call += 1
+    pool = np.array(pool, np.uint32)
+    for w in words[_POOL:]:
+        pool = _absorb(pool, np.array(w, np.uint32), call)
+        call += _POOL
+    return pool, call
+
+
+def _run_key_states(pool: np.ndarray, call: int, run_words: np.ndarray) -> np.ndarray:
+    """States for runs whose indices have the words ``run_words`` (one row
+    per word): the keys (j, 0), (j, 0, i) for i < 4 and (j, 1) extend a
+    shared prefix, so each word is hashed once."""
+    for w in run_words:
+        pool = _absorb(pool, w, call)
+        call += _POOL
+    ends = _absorb(pool[:, None], np.arange(2, dtype=np.uint32), call)  # (j, 0) and (j, 1)
+    children = _absorb(ends[:, :1], np.arange(4, dtype=np.uint32), call + _POOL)
+    pool = np.concatenate((ends[:, :1], children, ends[:, 1:]), axis=1)
+    # generate_state(4, np.uint64): eight words cycling over the pool, read
+    # in pairs as little-endian uint64
+    c = _consts(0, 2 * _POOL, _INIT_B, _MULT_B)
+    state = _hash(np.tile(pool, 2), c[:-1], c[1:])
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+def seed_states(seed: int, run_indices) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)`` for
+    every stream key of the runs ``run_indices``, in one vectorized pass of
+    numpy's hash.  Shape (runs, 6, 4); per run the keys are (j, 0),
+    (j, 0, 0) to (j, 0, 3) and (j, 1), in that order."""
+    pool, call = _seed_pool(seed)
+    words = [_words(j) for j in run_indices]
+    out = np.empty((len(words), 6, 4), np.uint64)
+    # a run index of more words shifts the hash steps of its key's tail
+    for width in set(map(len, words)):
+        rows = [r for r, w in enumerate(words) if len(w) == width]
+        run_words = np.array([words[r] for r in rows], np.uint32).T
+        out[rows] = _run_key_states(pool, call, run_words)
+    return out
+
+
+@functools.cache
+def _stream_seed_type():
+    """A seed sequence holding a precomputed PCG64 state and its spawned
+    children's states.  Defined on first use, because importing
+    ``numpy.random`` costs every process that samples nothing."""
+    from numpy.random.bit_generator import ISpawnableSeedSequence
+
+    class StreamSeed(ISpawnableSeedSequence):
+        def __init__(self, state, children=()):
+            self.state = state
+            self.children = list(children)
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("only the 4-word uint64 state of PCG64 is precomputed")
+            return self.state
+
+        def spawn(self, n_children):
+            # numpy's key order: children 0, 1, ... across successive calls
+            if n_children > len(self.children):
+                raise ValueError("no more precomputed children to spawn")
+            taken = self.children[:n_children]
+            del self.children[:n_children]
+            return [StreamSeed(s) for s in taken]
+
+    return StreamSeed
+
+
+def run_streams(seed: int, run_indices):
+    """Per run, in order, its instance and trajectory generators: the
+    streams of ``default_rng(SeedSequence(seed, spawn_key=(j, 0)))`` and
+    ``(j, 1)``, with the instance generator's first four spawned children,
+    built from one ``seed_states`` pass."""
+    from numpy.random import PCG64, Generator
+
+    seq = _stream_seed_type()
+    for s in seed_states(seed, run_indices):
+        yield Generator(PCG64(seq(s[0], s[1:5]))), Generator(PCG64(seq(s[5])))

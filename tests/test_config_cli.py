@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from offloadsim import cli
+from offloadsim import cli, sim
 from offloadsim.config import (
     SWEEP_AXES,
     ScenarioConfig,
@@ -332,26 +332,34 @@ def test_cli_dump_config(capsys):
     assert cfg == ScenarioConfig()
 
 
-def test_cli_import_leaves_multiprocessing_unloaded():
-    # Only a sweep with more than one worker starts a pool, so a serial
-    # process (dump-config included) does not pay for importing it.
+def modules_loaded_by_cli_import(prefixes):
+    """Modules under ``prefixes`` that importing the CLI loads, in a fresh
+    interpreter."""
     code = (
         "import sys, offloadsim.cli; "
-        "print([m for m in sys.modules if m.startswith('multiprocessing')])"
+        f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+# The first sampled run loads numpy.random and the per-run stream seeding,
+# so dump-config, which validates a scenario and samples nothing, does not
+# pay for importing them.
+SAMPLING_MODULES = ("numpy.random", "offloadsim.streams")
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # Only a sweep with more than one worker starts a pool, so a serial
+    # process (dump-config included) does not pay for importing it.
+    assert modules_loaded_by_cli_import(("multiprocessing",) + SAMPLING_MODULES) == "[]"
 
 
 def test_cli_import_leaves_properties_unloaded():
     # Only verify runs the structural checks, so it alone imports them.
-    code = "import sys, offloadsim.cli; print('offloadsim.properties' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert modules_loaded_by_cli_import(("offloadsim.properties",) + SAMPLING_MODULES) == "[]"
 
 
 # `dump-config` loads and validates the scenario and samples nothing, so a
@@ -391,6 +399,27 @@ def test_cli_rejects_zero_jobs(tmp_path, capsys):
         assert run_cli(["simulate", "--config", cfg, "--jobs", jobs, "--out", str(out)]) == 2
         assert "jobs must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "exp.csv").exists()
+
+
+# Each used to exit 0 after sampling every run (a header-only CSV, or
+# duplicate rows), or, for the non-numeric value, end in a traceback.
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--sweep", "deadline=1,abc"], "sweep value 'abc' is not a number"),
+        (["--schemes", ","], "no scheme given"),
+        (["--schemes", "otso,otso"], "scheme repeated"),
+        (["--schemes", "otso", "--sweep", "deadline=1,1"], "sweep value repeated"),
+    ],
+)
+def test_cli_rejects_bad_scheme_or_sweep_lists(tmp_path, capsys, monkeypatch, args, message):
+    sampled = []
+    monkeypatch.setattr(sim, "sample_instance", lambda *a: sampled.append(a))
+    cfg = write_cfg(tmp_path, SMALL)
+    out = tmp_path / "exp"
+    assert run_cli(["simulate", "--config", cfg, *args, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert sampled == [] and not (tmp_path / "exp.csv").exists()
 
 
 # Finite values whose derived quantities overflow: at 1e308 the per-slot

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from offloadsim import dp, sim
 from offloadsim.config import ScenarioConfig
@@ -27,6 +28,7 @@ from offloadsim.sim import (
     sample_trajectory,
     worker_count,
 )
+from offloadsim.streams import run_streams, seed_states
 from offloadsim.threshold import LocationMode, decide as threshold_decide, solve_monotone
 
 from reference import (
@@ -378,6 +380,79 @@ def test_workers_capped_at_the_cpus_this_process_may_use(monkeypatch):
 def test_experiment_rejects_zero_jobs():
     with pytest.raises(ConfigError, match="jobs"):
         run_experiment(small_cfg(runs=2), ("otso",), "deadline", (1.0,), jobs=0)
+
+
+@pytest.mark.parametrize(
+    "schemes, values, match",
+    [
+        ((), (1.0,), "no scheme"),
+        (("otso", "wiffler", "otso"), (1.0,), "scheme repeated"),
+        (("otso",), (1.0, 2.0, 1.0), "sweep value repeated"),
+    ],
+)
+def test_experiment_rejects_empty_or_repeated_schemes_and_values(
+    monkeypatch, schemes, values, match
+):
+    sampled = []
+    monkeypatch.setattr(sim, "sample_instance", lambda *a: sampled.append(a))
+    with pytest.raises(ConfigError, match=match):
+        run_experiment(small_cfg(runs=2), schemes, "deadline", values)
+    assert sampled == []
+
+
+# ---------------------------------------------------------------------------
+# Per-run streams: numpy's SeedSequence is the reference for the hash that
+# ``seed_states`` vectorizes and for the generators ``run_streams`` builds.
+# ---------------------------------------------------------------------------
+
+
+def stream_keys(j):
+    return [(j, 0)] + [(j, 0, i) for i in range(4)] + [(j, 1)]
+
+
+seeds = st.integers(0, 2**63 - 1)
+# run indices of one and of two uint32 words, mixed in one block
+run_index_lists = st.lists(
+    st.integers(0, 2**32 - 1) | st.integers(2**32, 2**64 - 1), min_size=1, max_size=6
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(seeds, run_index_lists)
+@example(0, [0])
+@example(2**32, [2**32 - 1, 2**32, 7])
+@example(2**64 + 1, [2**64 - 1, 0, 2**40 + 3])
+@example(2**130 + 7, [3, 2**70])  # seed words past the pool size
+def test_seed_states_match_numpy_seed_sequence(seed, runs):
+    states = seed_states(seed, runs)
+    assert states.shape == (len(runs), 6, 4) and states.dtype == np.uint64
+    for j, row in zip(runs, states):
+        for key, state in zip(stream_keys(j), row):
+            ref = np.random.SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)
+            assert state.tolist() == ref.tolist(), key
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(seeds, st.integers(0, 2**40), st.sampled_from([1, 4]))
+@example(0, 0, 1)
+@example(2**32, 2**32 - 2, 4)
+@example(2**64 + 1, 12, 4)
+def test_run_streams_match_numpy_generators(seed, first, size):
+    runs = list(range(first, first + size))
+    streams = list(run_streams(seed, runs))
+    assert len(streams) == size
+    for j, (inst, traj) in zip(runs, streams):
+        ref_inst, ref_traj = (
+            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(j, k))) for k in (0, 1)
+        )
+        assert inst.bit_generator.state == ref_inst.bit_generator.state
+        assert traj.bit_generator.state == ref_traj.bit_generator.state
+        # sample_instance spawns once; a second spawn continues numpy's key order
+        children = inst.spawn(3) + inst.spawn(1)
+        ref_children = ref_inst.spawn(4)
+        assert [g.bit_generator.state for g in children] == [
+            g.bit_generator.state for g in ref_children
+        ]
 
 
 # ---------------------------------------------------------------------------
