@@ -29,6 +29,13 @@ SWEEP_AXES = ("deadline", "mu_wifi", "file_size", "p_stay")
 # Checks that ``verify`` runs (``properties.run_verification``).
 PROPERTY_NAMES = ("lemma1a", "lemma1b", "lemma2", "theorem2", "theorem3", "oracle")
 
+# Size bounds: the dense L x L mobility matrix stays within the planners'
+# default lattice budget (``max_cells`` of ``dp.solve`` and
+# ``threshold.solve_monotone``), and the horizon keeps one run's path and
+# one episode's trace (about 150 bytes per slot) allocatable.
+MAX_MOBILITY_CELLS = 50_000_000
+MAX_HORIZON_SLOTS = 1_000_000
+
 DEFAULT_SWEEP_VALUES = {
     "deadline": (1.0, 2.0, 3.0, 4.0, 5.0),
     "mu_wifi": (20.0, 60.0, 100.0, 140.0, 180.0),
@@ -99,7 +106,14 @@ class ScenarioConfig:
             raise ConfigError(f"penalty must be 'quadratic' or 'step', got {self.penalty!r}")
         if self.sweep_axis not in SWEEP_AXES:
             raise ConfigError(f"sweep_axis must be one of {SWEEP_AXES}, got {self.sweep_axis!r}")
+        if len(set(self.sweep_values)) < len(self.sweep_values):
+            raise ConfigError(f"sweep value repeated in sweep_values {self.sweep_values}")
         slots = 60.0 * self.deadline_minutes / self.slot_seconds
+        if not slots < MAX_HORIZON_SLOTS + 0.5:  # the rounded horizon, or an inf count
+            raise ConfigError(
+                f"deadline_minutes too large for slot_seconds={self.slot_seconds!r}: "
+                f"the horizon is {slots!r} slots, above {MAX_HORIZON_SLOTS}"
+            )
         if abs(slots - round(slots)) > 1e-9 or round(slots) < 1:
             raise ConfigError(
                 f"deadline_minutes={self.deadline_minutes!r} and "
@@ -112,7 +126,14 @@ class ScenarioConfig:
         """Reject finite inputs whose derived quantities overflow.  Per-slot
         rates stay below 2**53 grid steps, so the planners' step counts are
         exact integers, and a bound on one run's cost is squared and summed
-        over the runs, as the confidence intervals do."""
+        over the runs, as the confidence intervals do.  The mobility matrix
+        must fit ``MAX_MOBILITY_CELLS``."""
+        cells = self.num_locations**2
+        if cells > MAX_MOBILITY_CELLS:
+            raise ConfigError(
+                f"grid_rows and grid_cols too large: the mobility matrix of "
+                f"{self.num_locations} locations has {cells} cells, above {MAX_MOBILITY_CELLS}"
+            )
         step = self.grid_step_mbit
         mu_c, mu_w, std = (
             self.rate_mbit_per_slot(v)

@@ -213,7 +213,9 @@ def wiffler_means(path, wifi_rate, window: int) -> list:
     counts from slot 0, so gaps are >= 1) and its amount is its slot count
     times its mean rate.
     """
-    history = deque(maxlen=window)  # (gap, amount) per completed encounter
+    # (gap, amount) per completed encounter; a window longer than the path
+    # keeps every encounter, and a deque's length must fit a C ssize_t
+    history = deque(maxlen=min(window, len(path)))
     means = None
     out = []
     in_wifi = False
@@ -554,16 +556,18 @@ class ExperimentResult:
             fh.write("\n")
 
 
-def _run_block(cfgs: tuple, schemes: tuple, run_indices) -> list:
+def _run_block(cfgs: tuple, schemes: tuple, run_indices) -> np.ndarray:
     """Walk runs ``run_indices`` at the sweep points ``cfgs``, which differ
     only in their deadline, sampling and planning each run once at the
-    longest horizon.  Returns per run one ``{scheme: record}`` per point."""
+    longest horizon.  Returns shape (points, schemes, runs, 6): per episode
+    its total cost, payment, completion (1.0 or 0.0) and cellular, Wi-Fi
+    and waiting slots, the columns ``SchemeSamples`` reads."""
     from .streams import run_streams  # imported here: a process that samples nothing never needs it
 
     horizons = [c.horizon for c in cfgs]
     top = cfgs[horizons.index(max(horizons))]
-    out = []
-    for inst_rng, traj_rng in run_streams(top.seed, run_indices):
+    out = np.empty((len(cfgs), len(schemes), len(run_indices), 6))
+    for r, (inst_rng, traj_rng) in enumerate(run_streams(top.seed, run_indices)):
         model, spec = sample_instance(top, inst_rng)
         traj = sample_trajectory(model, spec, traj_rng)
         run = run_tables(model, spec)
@@ -578,12 +582,10 @@ def _run_block(cfgs: tuple, schemes: tuple, run_indices) -> list:
             for s in schemes
             if s not in ("general", "monotone")
         }
-        recs = []
-        for horizon in horizons:
+        for p, horizon in enumerate(horizons):
             offset = spec.horizon - horizon
             spec_t = dataclasses.replace(spec, horizon=horizon) if offset else spec
-            rec = {}
-            for scheme in schemes:
+            for s, scheme in enumerate(schemes):
                 if scheme == "general":
                     x = policy_decisions(run, policy, offset)
                 elif scheme == "monotone":
@@ -591,7 +593,7 @@ def _run_block(cfgs: tuple, schemes: tuple, run_indices) -> list:
                 else:
                     x = shared[scheme]
                 ep = run_episode(x, model, spec_t, trajectory=traj)
-                rec[scheme] = (
+                out[p, s, r] = (
                     ep.total_cost,
                     ep.total_payment,
                     1.0 if ep.completed else 0.0,
@@ -599,13 +601,24 @@ def _run_block(cfgs: tuple, schemes: tuple, run_indices) -> list:
                     ep.slots_wifi,
                     ep.slots_waiting,
                 )
-            recs.append(rec)
-        out.append(recs)
     return out
 
 
 def _run_block_star(args):
     return _run_block(*args)
+
+
+def _place(tasks, blocks, shape) -> np.ndarray:
+    """The sweep's records, shape ``shape``, from the ``_run_block`` output
+    of each ``(points, runs)`` task in ``tasks``.  Each block is placed as
+    it arrives and then dropped, so every episode's totals are held about
+    once; a single block is the result."""
+    if len(tasks) == 1:
+        return next(blocks)
+    records = np.empty(shape)
+    for (group, runs), block in zip(tasks, blocks):
+        records[group, :, runs] = block
+    return records
 
 
 def available_cpus():
@@ -658,37 +671,24 @@ def run_experiment(
         groups.setdefault(key, []).append(i)
 
     workers = worker_count(jobs, cfg.runs, available_cpus())
-    indices = list(range(cfg.runs))
-    tasks = [
-        (group, indices[w::workers]) for group in groups.values() for w in range(workers)
+    tasks = [(group, slice(w, None, workers)) for group in groups.values() for w in range(workers)]
+    blocks = [
+        (tuple(points[i] for i in group), schemes, range(cfg.runs)[runs]) for group, runs in tasks
     ]
-    blocks = [(tuple(points[i] for i in group), schemes, idx) for group, idx in tasks]
+    shape = (len(points), len(schemes), cfg.runs, 6)
     if workers > 1:
         from multiprocessing import Pool  # imported here: a serial run never needs it
 
         with Pool(processes=workers) as pool:
-            results = pool.map(_run_block_star, blocks)
+            records = _place(tasks, pool.imap(_run_block_star, blocks), shape)
     else:
-        results = [_run_block(*block) for block in blocks]
-    records = [[None] * cfg.runs for _ in points]  # [point][run] -> {scheme: record}
-    for (group, idx), block in zip(tasks, results):
-        for j, recs in zip(idx, block):
-            for i, rec in zip(group, recs):
-                records[i][j] = rec
+        records = _place(tasks, map(_run_block_star, blocks), shape)
 
     metrics = {}
     samples = {}
-    for value, recs in zip(values, records):
-        for scheme in schemes:
-            arr = np.array([rec[scheme] for rec in recs], dtype=float)
-            ss = SchemeSamples(
-                total_cost=arr[:, 0],
-                payment=arr[:, 1],
-                completed=arr[:, 2],
-                slots_cellular=arr[:, 3],
-                slots_wifi=arr[:, 4],
-                slots_waiting=arr[:, 5],
-            )
+    for p, value in enumerate(values):
+        for s, scheme in enumerate(schemes):
+            ss = SchemeSamples(*records[p, s].T)  # column views of a (runs, 6) block
             samples[(value, scheme)] = ss
             metrics[(value, scheme)] = aggregate_metrics(ss)
 

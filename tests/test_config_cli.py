@@ -1,6 +1,8 @@
 import dataclasses
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +10,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from offloadsim import cli, sim
+from offloadsim import cli, dp, sim
 from offloadsim.config import (
+    MAX_HORIZON_SLOTS,
+    MAX_MOBILITY_CELLS,
     SWEEP_AXES,
     ScenarioConfig,
     parse_config,
@@ -110,7 +114,7 @@ def valid_configs(draw):
         runs=draw(st.integers(1, 10**6)),
         seed=draw(st.integers(0, 2**64)),
         sweep_axis=draw(st.sampled_from(SWEEP_AXES)),
-        sweep_values=tuple(draw(st.lists(st.floats(-1e6, 1e6), max_size=4))),
+        sweep_values=tuple(draw(st.lists(st.floats(-1e6, 1e6), max_size=4, unique=True))),
     )
 
 
@@ -438,6 +442,52 @@ def test_cli_rejects_overflowing_value(tmp_path, capsys, key):
     err = capsys.readouterr().err
     assert "too large" in err and key in err
     assert not (tmp_path / "exp.csv").exists()
+
+
+# Each used to pass validation: the grid and the deadline then failed to
+# allocate in the first sampled run (tens of GiB), a 1e-320 s slot ended
+# in an OverflowError traceback and a 1e-300 s slot was blamed on the cost
+# bound.  Only configs are built here, so nothing is sampled.
+@pytest.mark.parametrize(
+    "over, message",
+    [
+        (dict(grid_rows=100_000, grid_cols=100_000), "grid_rows and grid_cols too large"),
+        (dict(grid_rows=1, grid_cols=7072), "grid_rows and grid_cols too large"),
+        (dict(deadline_minutes=1e9), "deadline_minutes too large"),
+        (dict(slot_seconds=1e-300), "the horizon is 3e+302 slots"),
+        (dict(slot_seconds=1e-320), "the horizon is inf slots"),
+        (dict(deadline_minutes=(MAX_HORIZON_SLOTS + 1) / 6), "the horizon is"),
+    ],
+)
+def test_oversized_grid_or_horizon_rejected(over, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        ScenarioConfig(**over)
+
+
+def test_size_bounds_admit_their_limits():
+    # the mobility bound is the planners' default lattice budget
+    assert MAX_MOBILITY_CELLS == inspect.signature(dp.solve).parameters["max_cells"].default
+    assert MAX_MOBILITY_CELLS == inspect.signature(solve_monotone).parameters["max_cells"].default
+    assert ScenarioConfig(grid_rows=1, grid_cols=7071).num_locations ** 2 <= MAX_MOBILITY_CELLS
+    assert ScenarioConfig(deadline_minutes=MAX_HORIZON_SLOTS / 6).horizon == MAX_HORIZON_SLOTS
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("grid_rows = 100000\ngrid_cols = 100000\n", "grid_rows and grid_cols too large"),
+        ("deadline_minutes = 1e9\n", "deadline_minutes too large"),
+        ("slot_seconds = 1e-320\n", "deadline_minutes too large"),
+        ("sweep_values = 1, 1\n", "sweep value repeated"),
+    ],
+)
+def test_dump_config_rejects_oversized_or_repeated_values(tmp_path, text, message):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    args = [sys.executable, "-m", "offloadsim.cli", "dump-config", "--config", write_cfg(tmp_path, text)]
+    out = subprocess.run(args, env=env, capture_output=True, text=True)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+    assert message in out.stderr and "Traceback" not in out.stderr
 
 
 def test_rate_step_count_must_fit_the_planners_indices():

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -398,6 +399,36 @@ def test_experiment_rejects_empty_or_repeated_schemes_and_values(
     with pytest.raises(ConfigError, match=match):
         run_experiment(small_cfg(runs=2), schemes, "deadline", values)
     assert sampled == []
+
+
+def test_wiffler_window_beyond_the_path_keeps_every_encounter():
+    # a window past C's ssize_t used to end the walk in an OverflowError
+    cfg = small_cfg(runs=6, mu_cellular_mbps=10.0, mu_wifi_mbps=4.0)
+    values = (1.0, 3.0)  # 18 slots at the longest
+    csv = [
+        run_experiment(dataclasses.replace(cfg, wiffler_window=w), ("wiffler",), "deadline", values)
+        .to_csv_text()
+        for w in (10**20, 18)
+    ]
+    assert csv[0] == csv[1]
+
+
+def test_sweep_holds_each_episodes_totals_about_once():
+    # Six float64 totals are 48 bytes per episode.  A tuple per episode in a
+    # dict per (run, point), packed again per (point, scheme), peaked at
+    # about 270 bytes per episode on this sweep.
+    schemes = ("no-offload", "otso", "wiffler")
+    run_experiment(ScenarioConfig(runs=2), schemes)  # first-use imports and caches
+    cfg = ScenarioConfig(runs=500)
+    tracemalloc.start()
+    try:
+        res = run_experiment(cfg, schemes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    episodes = cfg.runs * len(res.sweep_values) * len(schemes)
+    assert episodes == 7500
+    assert peak < 160 * episodes
 
 
 # ---------------------------------------------------------------------------
