@@ -52,11 +52,20 @@ def _instance_for(cfg: ScenarioConfig):
     return sample_instance(cfg, inst_rng)
 
 
+def _out_dir(path: Path) -> Path:
+    """Create directory ``path`` and its parents; called before any planning,
+    so that an output location that cannot be written fails first."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OffloadError(f"cannot create output directory {str(path)!r}: {exc}") from exc
+    return path
+
+
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
+    outdir = _out_dir(Path(args.out))
     model, spec = _instance_for(cfg)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
 
     if args.solver == "general":
         policy, vt = dp.solve(model, spec)
@@ -109,9 +118,9 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
     axis, values = _parse_sweep(args.sweep)
-    result = run_experiment(cfg, schemes, sweep_axis=axis, sweep_values=values, jobs=args.jobs)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    _out_dir(out.parent)
+    result = run_experiment(cfg, schemes, sweep_axis=axis, sweep_values=values, jobs=args.jobs)
     csv_path = out.with_suffix(".csv") if out.suffix != ".csv" else out
     json_path = csv_path.with_suffix(".json")
     result.write_csv(csv_path)
@@ -128,6 +137,8 @@ def cmd_policy_map(args) -> int:
     model, spec = _instance_for(cfg)
     l = args.location
     model.check_location(l)
+    if args.out != "-":
+        _out_dir(Path(args.out).parent)
 
     if args.solver == "general":
         policy, _ = dp.solve(model, spec, values=False)
@@ -147,7 +158,6 @@ def cmd_policy_map(args) -> int:
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
         print(

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .model import PenaltyFn, QuadraticPenalty, StepPenalty
+from .model import MAX_LATTICE_CELLS, PenaltyFn, QuadraticPenalty, StepPenalty
 
 MBIT_PER_MBYTE = 8.0
 MBIT_PER_GBYTE = 8000.0
@@ -30,11 +30,12 @@ SWEEP_AXES = ("deadline", "mu_wifi", "file_size", "p_stay")
 PROPERTY_NAMES = ("lemma1a", "lemma1b", "lemma2", "theorem2", "theorem3", "oracle")
 
 # Size bounds: the dense L x L mobility matrix stays within the planners'
-# default lattice budget (``max_cells`` of ``dp.solve`` and
-# ``threshold.solve_monotone``), and the horizon keeps one run's path and
-# one episode's trace (about 150 bytes per slot) allocatable.
-MAX_MOBILITY_CELLS = 50_000_000
+# lattice budget ``MAX_LATTICE_CELLS``, the horizon keeps one run's path and
+# one episode's trace (about 150 bytes per slot) allocatable, and the run
+# count keeps a sweep's per-episode records (48 bytes per run, point and
+# scheme: 1.2 GB for 5 points and 5 schemes at the bound) allocatable.
 MAX_HORIZON_SLOTS = 1_000_000
+MAX_RUNS = 1_000_000
 
 DEFAULT_SWEEP_VALUES = {
     "deadline": (1.0, 2.0, 3.0, 4.0, 5.0),
@@ -72,7 +73,7 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self) -> None:
-        for key in sorted(_FLOAT_KEYS):
+        for key in sorted(f.name for f in dataclasses.fields(self) if f.type == "float"):
             v = getattr(self, key)
             if not math.isfinite(v):
                 raise ConfigError(f"{key} must be a finite number, got {v!r}")
@@ -127,13 +128,15 @@ class ScenarioConfig:
         rates stay below 2**53 grid steps, so the planners' step counts are
         exact integers, and a bound on one run's cost is squared and summed
         over the runs, as the confidence intervals do.  The mobility matrix
-        must fit ``MAX_MOBILITY_CELLS``."""
+        must fit ``MAX_LATTICE_CELLS`` and the run count ``MAX_RUNS``."""
         cells = self.num_locations**2
-        if cells > MAX_MOBILITY_CELLS:
+        if cells > MAX_LATTICE_CELLS:
             raise ConfigError(
                 f"grid_rows and grid_cols too large: the mobility matrix of "
-                f"{self.num_locations} locations has {cells} cells, above {MAX_MOBILITY_CELLS}"
+                f"{self.num_locations} locations has {cells} cells, above {MAX_LATTICE_CELLS}"
             )
+        if self.runs > MAX_RUNS:
+            raise ConfigError(f"runs too large: {self.runs} is above {MAX_RUNS}")
         step = self.grid_step_mbit
         mu_c, mu_w, std = (
             self.rate_mbit_per_slot(v)
@@ -195,39 +198,24 @@ class ScenarioConfig:
         return d
 
 
-_INT_KEYS = {"grid_rows", "grid_cols", "wiffler_window", "runs", "seed"}
-_FLOAT_KEYS = {
-    "p_stay",
-    "wifi_prob",
-    "mu_cellular_mbps",
-    "mu_wifi_mbps",
-    "rate_std_mbps",
-    "price_per_gbyte",
-    "file_mbytes",
-    "deadline_minutes",
-    "slot_seconds",
-    "grid_step_mbit",
-    "penalty_quadratic_coeff",
-    "penalty_step_amount",
-    "wiffler_theta",
-}
-_STR_KEYS = {"penalty", "sweep_axis"}
+def _float_list(raw: str) -> tuple:
+    return tuple(float(v) for v in raw.split(",") if v.strip())
+
+
+# The parser of each key, by its field's annotation (a string, since the
+# module defers annotations).
+_PARSE_AS = {"int": int, "float": float, "str": str, "tuple": _float_list}
+_PARSERS = {f.name: _PARSE_AS[f.type] for f in dataclasses.fields(ScenarioConfig)}
 
 
 def _parse_value(key: str, raw: str):
+    if key not in _PARSERS:
+        raise ConfigError(f"unknown configuration key '{key}'")
     raw = raw.strip()
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _STR_KEYS:
-            return raw
-        if key == "sweep_values":
-            return tuple(float(v) for v in raw.split(",") if v.strip())
+        return _PARSERS[key](raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for key '{key}': {raw!r}") from exc
-    raise ConfigError(f"unknown configuration key '{key}'")
 
 
 def parse_config_text(text: str) -> ScenarioConfig:

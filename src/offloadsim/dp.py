@@ -10,17 +10,19 @@ row per (location, action), so the total cost grows with
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
 from .model import (
+    MAX_LATTICE_CELLS,
     Action,
-    GRID_EPS,
     NetworkModel,
     ProblemSpec,
     admissible_actions,
+    grid_index,
     penalty_on_grid,
     transfer_steps,
 )
@@ -47,6 +49,33 @@ def preference_order(actions) -> list:
     return sorted((Action(a) for a in actions), key=_TIE_RANK.__getitem__)
 
 
+def write_table(path, header, shape, row) -> None:
+    """Write a table as CSV: ``header``, then ``row(*i)`` for every index
+    ``i`` of an array of ``shape``, in C order."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(itertools.starmap(row, itertools.product(*map(range, shape))))
+
+
+def cost_lattice(spec: ProblemSpec, num_locations: int, values: bool) -> np.ndarray:
+    """Both planners' cost buffer ``v``, epoch ``t`` at ``v[t % len(v)]``:
+    every epoch's costs, or with ``values=False`` only the two being used,
+    with the terminal penalty filled in.  The whole lattice must fit
+    ``MAX_LATTICE_CELLS`` either way, checked before any allocation."""
+    T, N = spec.horizon, spec.grid_points
+    cells = (T + 1) * (N + 1) * num_locations
+    if cells > MAX_LATTICE_CELLS:
+        raise ResourceLimitError(
+            f"value lattice needs {cells} cells ({cells * 8} bytes), "
+            f"budget is {MAX_LATTICE_CELLS} cells"
+        )
+    m = T + 1 if values else 2
+    v = np.empty((m, num_locations, N + 1))
+    v[T % m] = penalty_on_grid(spec.penalty, spec.grid_values)
+    return v
+
+
 @dataclass(frozen=True)
 class ValueTable:
     """Expected cost-to-go ``value(t, k, l)`` for epochs 1..T+1.
@@ -70,29 +99,16 @@ class ValueTable:
     def grid_points(self) -> int:
         return self.values.shape[2] - 1
 
-    def _kindex(self, k: float) -> int:
-        n = int(round(k / self.grid_step))
-        if abs(k - n * self.grid_step) > GRID_EPS * max(1.0, abs(k)):
-            raise DomainError(f"size {k!r} not on the {self.grid_step!r} grid")
-        if not 0 <= n <= self.grid_points:
-            raise DomainError(f"size {k!r} outside the table")
-        return n
-
     def value(self, t: int, k: float, l: int) -> float:
         if not 1 <= t <= self.horizon + 1:
             raise DomainError(f"epoch {t} outside 1..{self.horizon + 1}")
-        return float(self.values[t - 1, l - 1, self._kindex(k)])
+        return float(self.values[t - 1, l - 1, grid_index(k, self.grid_step, self.grid_points)])
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "k", "l", "value"])
-            for t in range(self.values.shape[0]):
-                for l in range(self.num_locations):
-                    for n in range(self.grid_points + 1):
-                        w.writerow(
-                            [t + 1, n * self.grid_step, l + 1, repr(float(self.values[t, l, n]))]
-                        )
+        def row(t, l, n):
+            return t + 1, n * self.grid_step, l + 1, repr(float(self.values[t, l, n]))
+
+        write_table(path, ("t", "k", "l", "value"), self.values.shape, row)
 
 
 @dataclass(frozen=True)
@@ -120,23 +136,14 @@ class Policy:
     def action(self, t: int, k: float, l: int) -> Action:
         if not 1 <= t <= self.horizon:
             raise DomainError(f"epoch {t} outside 1..{self.horizon}")
-        n = int(round(k / self.grid_step))
-        if abs(k - n * self.grid_step) > GRID_EPS * max(1.0, abs(k)) or not (
-            0 <= n <= self.grid_points
-        ):
-            raise DomainError(f"size {k!r} not on the policy grid")
+        n = grid_index(k, self.grid_step, self.grid_points)
         return Action(int(self.actions[t - 1, l - 1, n]))
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "k", "l", "action"])
-            for t in range(self.horizon):
-                for l in range(self.num_locations):
-                    for n in range(self.grid_points + 1):
-                        w.writerow(
-                            [t + 1, n * self.grid_step, l + 1, int(self.actions[t, l, n])]
-                        )
+        def row(t, l, n):
+            return t + 1, n * self.grid_step, l + 1, int(self.actions[t, l, n])
+
+        write_table(path, ("t", "k", "l", "action"), self.actions.shape, row)
 
 
 def solve(
@@ -145,7 +152,6 @@ def solve(
     *,
     flat_payment: bool = False,
     values: bool = True,
-    max_cells: int = 50_000_000,
 ):
     """Compute the optimal decision table and cost table by backward induction.
 
@@ -159,17 +165,9 @@ def solve(
     L = model.num_locations
     N = spec.grid_points
     T = spec.horizon
-    cells = (T + 1) * (N + 1) * L
-    if cells > max_cells:
-        raise ResourceLimitError(
-            f"value lattice needs {cells} cells ({cells * 8} bytes), "
-            f"budget is {max_cells} cells"
-        )
-
+    v = cost_lattice(spec, L, values)
+    m = len(v)  # epoch t is stored at v[t % m]
     grid = spec.grid_values
-    m = T + 1 if values else 2  # epoch t is stored at v[t % m]
-    v = np.empty((m, L, N + 1), dtype=float)
-    v[T % m] = penalty_on_grid(spec.penalty, grid)[None, :]
     delta = np.zeros((T, L, N + 1), dtype=np.int8)
 
     # Per (location, action): next-size index row and immediate-payment row,

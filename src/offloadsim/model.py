@@ -28,6 +28,10 @@ from .errors import DomainError
 PROB_TOL = 1e-9
 # Relative slack when snapping a size to the grid.
 GRID_EPS = 1e-9
+# Most cells either planner's (epoch x location x size) cost lattice may
+# span, kept or not: 400 MB of float64.  It also bounds the L x L mobility
+# matrix a scenario may configure.
+MAX_LATTICE_CELLS = 50_000_000
 
 
 class Action(enum.IntEnum):
@@ -109,6 +113,23 @@ class NetworkModel:
         return float(self.price[self.check_location(l) - 1, a])
 
 
+def grid_index(k: float, step: float, points: int) -> int:
+    """Index ``n`` of size ``k`` on the grid ``0, step, ..., points * step``.
+
+    ``k`` may differ from ``n * step`` by ``GRID_EPS`` relative slack; a
+    size off the grid or outside it raises :class:`DomainError`.
+    """
+    x = k / step
+    if not math.isfinite(x):
+        raise DomainError(f"size {k!r} outside [0, {points * step!r}]")
+    n = int(round(x))
+    if abs(k - n * step) > GRID_EPS * max(1.0, abs(k)):
+        raise DomainError(f"size {k!r} is not on the {step!r} grid")
+    if not 0 <= n <= points:
+        raise DomainError(f"size {k!r} outside [0, {points * step!r}]")
+    return n
+
+
 class PenaltyFn:
     """Deadline penalty charged on the size still untransferred when the
     horizon ends.  Implementations are non-decreasing with ``h(0) = 0``."""
@@ -175,12 +196,7 @@ class TabulatedPenalty(PenaltyFn):
         object.__setattr__(self, "values", vals)
 
     def __call__(self, k: float) -> float:
-        n = int(round(k / self.grid_step))
-        if abs(k - n * self.grid_step) > GRID_EPS * max(1.0, abs(k)) or not (
-            0 <= n < len(self.values)
-        ):
-            raise DomainError(f"size {k!r} not on the tabulated grid")
-        return self.values[n]
+        return self.values[grid_index(k, self.grid_step, len(self.values) - 1)]
 
     def on_grid(self, grid: np.ndarray) -> np.ndarray:
         n = np.rint(grid / self.grid_step).astype(np.int64)
@@ -254,12 +270,7 @@ class ProblemSpec:
         return np.arange(self.grid_points + 1) * self.grid_step
 
     def index_of(self, k: float) -> int:
-        n = int(round(k / self.grid_step))
-        if abs(k - n * self.grid_step) > GRID_EPS * max(1.0, abs(k)):
-            raise DomainError(f"size {k!r} is not on the {self.grid_step!r} grid")
-        if not 0 <= n <= self.grid_points:
-            raise DomainError(f"size {k!r} outside [0, {self.file_size!r}]")
-        return n
+        return grid_index(k, self.grid_step, self.grid_points)
 
 
 @dataclass(frozen=True)
@@ -312,8 +323,7 @@ def transfer_steps(spec: ProblemSpec, transfer: float) -> int:
 
 def next_file_size(spec: ProblemSpec, k: float, transfer: float) -> float:
     """Remaining size after one slot: grid-quantized transfer, clamped at zero."""
-    n = int(round(k / spec.grid_step))
-    return max(0, n - transfer_steps(spec, transfer)) * spec.grid_step
+    return max(0, spec.index_of(k) - transfer_steps(spec, transfer)) * spec.grid_step
 
 
 def transition_dist(model: NetworkModel, spec: ProblemSpec, s: State, a: Action):

@@ -169,8 +169,7 @@ def check_threshold_monotone(tp: ThresholdPolicy, name: str = "theorem3") -> Che
             "fail",
             f"frontier at (l={l + 1}, t={t + 1}) is below the one at t={t + 2}",
         )
-    N = int(round(tp.file_size / tp.grid_step))
-    sizes = np.arange(N + 1)
+    sizes = np.arange(tp.grid_points + 1)
     for l in range(tp.num_locations):
         hit = ks[l][None, :] <= sizes[:, None]  # (N+1, T)
         any_hit = hit.any(axis=1)

@@ -351,7 +351,7 @@ _ACTIONS_WITHOUT_WIFI = (0, 1)
 
 
 def run_episode(
-    decisions: Decisions, model: NetworkModel, spec: ProblemSpec, *, rng=None, trajectory=None
+    decisions: Decisions, model: NetworkModel, spec: ProblemSpec, *, trajectory
 ) -> EpisodeResult:
     """Walk one transfer: location from the trajectory, action from the
     ``decisions``, size and payment from the model's rates and prices,
@@ -362,10 +362,6 @@ def run_episode(
     does, and is billed for at most what was left, as ``payment`` is.
     Decisions are read only while ``n > 0``, and every action is checked
     against the location's coverage."""
-    if trajectory is None:
-        if rng is None:
-            raise ValueError("run_episode needs either a trajectory or an rng")
-        trajectory = sample_trajectory(model, spec, rng)
     if len(trajectory) < spec.horizon:
         raise ValueError("trajectory shorter than the horizon")
     path = trajectory[: spec.horizon]

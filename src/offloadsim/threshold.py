@@ -11,20 +11,20 @@ action set at every lattice point.
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dp import TIE_REL_TOL, ValueTable
-from .errors import DomainError, PreconditionError, ResourceLimitError
+from .dp import TIE_REL_TOL, ValueTable, cost_lattice, write_table
+from .errors import DomainError, PreconditionError
 from .model import (
     Action,
     NetworkModel,
     PenaltyFn,
     ProblemSpec,
     State,
+    grid_index,
     is_convex_on_grid,
     penalty_on_grid,
     transfer_steps,
@@ -176,6 +176,11 @@ class ThresholdPolicy:
         return self.k_star_idx.shape[0]
 
     @property
+    def grid_points(self) -> int:
+        """Number of grid steps in the full file (grid has this + 1 values)."""
+        return int(round(self.file_size / self.grid_step))
+
+    @property
     def sentinel(self) -> float:
         return self.file_size + self.grid_step
 
@@ -192,14 +197,10 @@ class ThresholdPolicy:
         return self.modes[l - 1]
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["l", "t", "k_star"])
-            for l in range(self.num_locations):
-                for t in range(self.horizon):
-                    w.writerow(
-                        [l + 1, t + 1, repr(float(self.k_star_idx[l, t] * self.grid_step))]
-                    )
+        def row(l, t):
+            return l + 1, t + 1, repr(float(self.k_star_idx[l, t] * self.grid_step))
+
+        write_table(path, ("l", "t", "k_star"), self.k_star_idx.shape, row)
 
 
 def decide(tp: ThresholdPolicy, s: State, t: int) -> Action:
@@ -210,8 +211,8 @@ def decide(tp: ThresholdPolicy, s: State, t: int) -> Action:
     """
     if not 1 <= t <= tp.horizon:
         raise DomainError(f"epoch {t} outside 1..{tp.horizon}")
-    n = int(round(s.k / tp.grid_step))
-    if n <= 0:
+    n = grid_index(s.k, tp.grid_step, tp.grid_points)
+    if n == 0:
         return Action.IDLE
     mode = tp.mode_of(s.l)
     if mode is LocationMode.WIFI_FASTER:
@@ -226,7 +227,7 @@ def t_star_view(tp: ThresholdPolicy, k: float, l: int) -> int:
 
     Returns ``horizon + 1`` when no epoch qualifies (including ``k = 0``).
     """
-    n = int(round(k / tp.grid_step))
+    n = grid_index(k, tp.grid_step, tp.grid_points)
     row = tp.k_star_idx[l - 1]
     hits = np.where(row <= n)[0]
     return int(hits[0]) + 1 if hits.size else tp.horizon + 1
@@ -244,9 +245,7 @@ def _cellular_values(w: np.ndarray, d: int, lo: int, q: float) -> np.ndarray:
     return out
 
 
-def solve_monotone(
-    mm: MonotoneModel, spec: ProblemSpec, *, values: bool = True, max_cells: int = 50_000_000
-):
+def solve_monotone(mm: MonotoneModel, spec: ProblemSpec, *, values: bool = True):
     """Backward induction that only searches around the moving frontier.
 
     Returns ``(ThresholdPolicy, ValueTable)``.  The induced decision rule
@@ -267,14 +266,9 @@ def solve_monotone(
     L = mm.num_locations
     N = spec.grid_points
     T = spec.horizon
-    cells = (T + 1) * (N + 1) * L
-    if cells > max_cells:
-        raise ResourceLimitError(
-            f"value lattice needs {cells} cells ({cells * 8} bytes), "
-            f"budget is {max_cells} cells"
-        )
-    terminal = penalty_on_grid(spec.penalty, spec.grid_values)
-    if not is_convex_on_grid(terminal):
+    v = cost_lattice(spec, L, values)
+    m = len(v)  # epoch t is stored at v[t % m]
+    if not is_convex_on_grid(v[T % m, 0]):
         raise PreconditionError("penalty must be convex on the size grid")
 
     d1 = transfer_steps(spec, mm.mu_cellular)
@@ -294,9 +288,6 @@ def solve_monotone(
     P = mm.mobility
     omt = 1.0 - TIE_REL_TOL
 
-    m = T + 1 if values else 2  # epoch t is stored at v[t % m]
-    v = np.empty((m, L, N + 1))
-    v[T % m] = terminal
     ks_idx = np.full((L, T), N + 1, dtype=np.int64)
     ks_next = np.zeros(L, dtype=np.int64)
     starts = [0] * len(classes)  # lowest frontier of each class one epoch later

@@ -1,5 +1,4 @@
 import dataclasses
-import inspect
 import json
 import os
 import re
@@ -10,10 +9,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from offloadsim import cli, dp, sim
+from offloadsim import cli, sim
 from offloadsim.config import (
     MAX_HORIZON_SLOTS,
-    MAX_MOBILITY_CELLS,
+    MAX_RUNS,
     SWEEP_AXES,
     ScenarioConfig,
     parse_config,
@@ -21,7 +20,7 @@ from offloadsim.config import (
     serialize_config,
 )
 from offloadsim.errors import ConfigError
-from offloadsim.model import State
+from offloadsim.model import MAX_LATTICE_CELLS, State
 from offloadsim.sim import means_model
 from offloadsim.threshold import decide, solve_monotone
 
@@ -396,6 +395,33 @@ def test_cli_rejects_negative_seed(tmp_path, capsys):
     assert run_cli(["dump-config", "--seed", "-1"]) == 2
 
 
+# Each used to end in a FileExistsError or NotADirectoryError traceback,
+# and simulate and policy-map only after the work was done.
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--schemes", "otso"],
+        ["policy-map", "--location", "1"],
+        ["policy-map", "--location", "1", "--solver", "monotone"],
+        ["solve"],
+        ["solve", "--solver", "monotone"],
+    ],
+)
+def test_cli_rejects_unwritable_out_before_any_work(tmp_path, capsys, monkeypatch, args):
+    def fail(*a, **k):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    monkeypatch.setattr(cli.dp, "solve", fail)
+    monkeypatch.setattr(cli, "solve_monotone", fail)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = write_cfg(tmp_path, SMALL)
+    assert run_cli([*args, "--config", cfg, "--out", str(blocker / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot create output directory") and err.count("\n") == 1
+
+
 def test_cli_rejects_zero_jobs(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SMALL)
     out = tmp_path / "exp"
@@ -457,6 +483,8 @@ def test_cli_rejects_overflowing_value(tmp_path, capsys, key):
         (dict(slot_seconds=1e-300), "the horizon is 3e+302 slots"),
         (dict(slot_seconds=1e-320), "the horizon is inf slots"),
         (dict(deadline_minutes=(MAX_HORIZON_SLOTS + 1) / 6), "the horizon is"),
+        (dict(runs=MAX_RUNS + 1), "runs too large"),
+        (dict(runs=10**23), "runs too large"),
     ],
 )
 def test_oversized_grid_or_horizon_rejected(over, message):
@@ -465,11 +493,9 @@ def test_oversized_grid_or_horizon_rejected(over, message):
 
 
 def test_size_bounds_admit_their_limits():
-    # the mobility bound is the planners' default lattice budget
-    assert MAX_MOBILITY_CELLS == inspect.signature(dp.solve).parameters["max_cells"].default
-    assert MAX_MOBILITY_CELLS == inspect.signature(solve_monotone).parameters["max_cells"].default
-    assert ScenarioConfig(grid_rows=1, grid_cols=7071).num_locations ** 2 <= MAX_MOBILITY_CELLS
+    assert ScenarioConfig(grid_rows=1, grid_cols=7071).num_locations ** 2 <= MAX_LATTICE_CELLS
     assert ScenarioConfig(deadline_minutes=MAX_HORIZON_SLOTS / 6).horizon == MAX_HORIZON_SLOTS
+    assert ScenarioConfig(runs=MAX_RUNS).runs == MAX_RUNS
 
 
 @pytest.mark.parametrize(
@@ -478,6 +504,7 @@ def test_size_bounds_admit_their_limits():
         ("grid_rows = 100000\ngrid_cols = 100000\n", "grid_rows and grid_cols too large"),
         ("deadline_minutes = 1e9\n", "deadline_minutes too large"),
         ("slot_seconds = 1e-320\n", "deadline_minutes too large"),
+        ("runs = 1000000000000\n", "runs too large"),
         ("sweep_values = 1, 1\n", "sweep value repeated"),
     ],
 )

@@ -155,15 +155,19 @@ def test_csv_round_trip(tmp_path):
         )
 
 
+# A 1e8-point grid over two epochs is 2e8 lattice cells, four times the
+# budget; the check runs before anything is allocated, kept values or not.
 def test_lattice_budget():
     model = one_location_model()
-    spec = ProblemSpec(1000.0, 100, 1.0, QuadraticPenalty(1.0))
-    with pytest.raises(ResourceLimitError, match="cells"):
-        solve(model, spec, max_cells=1000)
+    spec = ProblemSpec(1e8, 1, 1.0, QuadraticPenalty(1.0))
+    for values in (True, False):
+        with pytest.raises(ResourceLimitError, match="200000002 cells"):
+            solve(model, spec, values=values)
 
 
 def test_frontier_planner_lattice_budget():
-    spec = ProblemSpec(1000.0, 100, 1.0, QuadraticPenalty(1.0))
+    spec = ProblemSpec(1e8, 1, 1.0, QuadraticPenalty(1.0))
     mm = MonotoneModel(1, frozenset(), np.array([[1.0]]), 1.0, 0.0, 2.5, spec.penalty)
-    with pytest.raises(ResourceLimitError, match="cells"):
-        solve_monotone(mm, spec, max_cells=1000)
+    for values in (True, False):
+        with pytest.raises(ResourceLimitError, match="200000002 cells"):
+            solve_monotone(mm, spec, values=values)

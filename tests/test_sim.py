@@ -119,7 +119,8 @@ def test_run_episode_empty_file():
     cfg = small_cfg(file_mbytes=0.0)
     model, spec = sample_instance(cfg, np.random.default_rng(5))
     agent = make_agent("no-offload", model, spec, cfg)
-    ep = run_episode(agent, model, spec, rng=np.random.default_rng(6))
+    traj = sample_trajectory(model, spec, np.random.default_rng(6))
+    ep = run_episode(agent, model, spec, trajectory=traj)
     assert ep.completed
     assert ep.total_cost == 0.0
     assert ep.trajectory == ()
@@ -130,7 +131,8 @@ def test_no_offload_closed_form_payment():
     cfg = small_cfg(grid_rows=1, grid_cols=1, rate_std_mbps=0.0, file_mbytes=625.0)
     model, spec = sample_instance(cfg, np.random.default_rng(8))
     agent = make_agent("no-offload", model, spec, cfg)
-    ep = run_episode(agent, model, spec, rng=np.random.default_rng(9))
+    traj = sample_trajectory(model, spec, np.random.default_rng(9))
+    ep = run_episode(agent, model, spec, trajectory=traj)
     assert ep.completed
     assert ep.total_payment == pytest.approx(5000.0 * 6.0 / 8000.0, rel=1e-12)
     assert ep.penalty_paid == 0.0
@@ -157,8 +159,9 @@ def test_episode_rejects_inadmissible_scheme():
     model, spec = sample_instance(cfg, np.random.default_rng(13))
     otso = make_agent("otso", model, spec, cfg)
     bad = otso._replace(actions=[int(Action.WIFI)] * model.num_locations)
+    traj = sample_trajectory(model, spec, np.random.default_rng(14))
     with pytest.raises(SchemeError):
-        run_episode(bad, model, spec, rng=np.random.default_rng(14))
+        run_episode(bad, model, spec, trajectory=traj)
 
 
 def test_episode_rejects_decisions_for_another_instance():
@@ -166,11 +169,13 @@ def test_episode_rejects_decisions_for_another_instance():
     model, spec = sample_instance(cfg, np.random.default_rng(13))
     otso = make_agent("otso", model, spec, cfg)
     other_model = dataclasses.replace(model, rate=model.rate * 0.5)
+    traj = sample_trajectory(other_model, spec, np.random.default_rng(14))
     with pytest.raises(ValueError, match="another model"):
-        run_episode(otso, other_model, spec, rng=np.random.default_rng(14))
+        run_episode(otso, other_model, spec, trajectory=traj)
     coarser = dataclasses.replace(spec, grid_step=20.0)
+    traj = sample_trajectory(model, coarser, np.random.default_rng(14))
     with pytest.raises(ValueError, match="size grid"):
-        run_episode(otso, model, coarser, rng=np.random.default_rng(14))
+        run_episode(otso, model, coarser, trajectory=traj)
 
 
 def test_common_random_numbers_across_schemes():
@@ -329,7 +334,8 @@ def test_monotone_agent_plans_from_mean_rates():
     other = make_agent("monotone", dataclasses.replace(model, rate=model.rate * 0.5), spec, cfg)
     assert agent.frontier == other.frontier
     assert agent.actions == other.actions
-    ep = run_episode(agent, model, spec, rng=np.random.default_rng(16))
+    traj = sample_trajectory(model, spec, np.random.default_rng(16))
+    ep = run_episode(agent, model, spec, trajectory=traj)
     assert ep.total_cost >= 0.0
 
 

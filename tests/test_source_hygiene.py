@@ -1,6 +1,7 @@
 """Static checks on the package source, with the standard-library ``ast``:
-no unused imports, an ``__all__`` that resolves, and no module-level
-function or class that nothing names."""
+no unused imports, an ``__all__`` that resolves, no module-level
+function or class that nothing names, and one home for the grid
+tolerance and the lattice budget."""
 
 import ast
 import re
@@ -8,6 +9,7 @@ from collections import Counter
 from pathlib import Path
 
 import offloadsim
+from offloadsim.model import MAX_LATTICE_CELLS
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "offloadsim"
@@ -100,3 +102,21 @@ def unnamed_definitions():
 
 def test_every_module_level_definition_is_named_elsewhere():
     assert unnamed_definitions() == []
+
+
+def single_home_breaches():
+    """``file: word`` wherever a Python file other than ``model.py`` (and
+    this one) names the grid tolerance or writes the lattice budget as a
+    literal, rather than importing the one constant."""
+    homed = {"GRID_EPS", str(MAX_LATTICE_CELLS), f"{MAX_LATTICE_CELLS:_}"}
+    breaches = []
+    for path in _corpus_files():
+        if path.suffix != ".py" or path in (PACKAGE / "model.py", Path(__file__).resolve()):
+            continue
+        for word in sorted(homed & set(WORD.findall(path.read_text(encoding="utf-8")))):
+            breaches.append(f"{path.relative_to(ROOT)}: {word}")
+    return breaches
+
+
+def test_grid_tolerance_and_lattice_budget_live_only_in_model():
+    assert single_home_breaches() == []

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from offloadsim.dp import TIE_REL_TOL, solve
-from offloadsim.errors import PreconditionError
+from offloadsim.errors import DomainError, PreconditionError
 from offloadsim.model import (
     Action,
     NetworkModel,
@@ -224,6 +224,17 @@ def test_t_star_view():
     for l in range(1, 17):
         stars = [t_star_view(tp, float(n), l) for n in range(21)]
         assert all(a >= b for a, b in zip(stars, stars[1:]))
+
+
+def test_decide_and_t_star_view_reject_sizes_off_or_above_the_grid():
+    model, spec = threshold_demo()
+    tp, _ = solve_monotone(monotone_view(model, spec), spec)
+    assert tp.grid_points == spec.grid_points
+    for k in (0.5 * spec.grid_step, spec.file_size + spec.grid_step, -spec.grid_step):
+        with pytest.raises(DomainError, match="size"):
+            decide(tp, State(k, 1), 1)
+        with pytest.raises(DomainError, match="size"):
+            t_star_view(tp, k, 1)
 
 
 def test_policy_equivalence_with_exact_planner():
