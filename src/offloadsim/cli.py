@@ -62,6 +62,19 @@ def _out_dir(path: Path) -> Path:
     return path
 
 
+def _save(path, write) -> None:
+    """``write(path)``, with an output file that cannot be opened or written
+    reported as an :class:`OffloadError` (exit 2), not a traceback."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise OffloadError(f"cannot write {str(path)!r}: {exc}") from exc
+
+
+def _text_writer(text: str):
+    return lambda path: Path(path).write_text(text, encoding="utf-8")
+
+
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
     outdir = _out_dir(Path(args.out))
@@ -69,15 +82,14 @@ def cmd_solve(args) -> int:
 
     if args.solver == "general":
         policy, vt = dp.solve(model, spec)
-        policy.write_csv(outdir / "policy.csv")
-        vt.write_csv(outdir / "value.csv")
+        _save(outdir / "policy.csv", policy.write_csv)
         written = ["policy.csv", "value.csv"]
     else:
         mm = means_model(cfg, model, spec)
         tp, vt = solve_monotone(mm, spec)
-        tp.write_csv(outdir / "thresholds.csv")
-        vt.write_csv(outdir / "value.csv")
+        _save(outdir / "thresholds.csv", tp.write_csv)
         written = ["thresholds.csv", "value.csv"]
+    _save(outdir / "value.csv", vt.write_csv)
 
     meta = {
         "solver": args.solver,
@@ -90,9 +102,7 @@ def cmd_solve(args) -> int:
         },
         "files": written,
     }
-    with open(outdir / "meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _save(outdir / "meta.json", _text_writer(json.dumps(meta, indent=2, sort_keys=True) + "\n"))
     print(f"wrote {', '.join(written)} and meta.json to {outdir}")
     return EXIT_OK
 
@@ -123,8 +133,8 @@ def cmd_simulate(args) -> int:
     result = run_experiment(cfg, schemes, sweep_axis=axis, sweep_values=values, jobs=args.jobs)
     csv_path = out.with_suffix(".csv") if out.suffix != ".csv" else out
     json_path = csv_path.with_suffix(".json")
-    result.write_csv(csv_path)
-    result.write_json(json_path)
+    _save(csv_path, result.write_csv)
+    _save(json_path, result.write_json)
     print(
         f"swept {result.sweep_axis} over {list(result.sweep_values)} with "
         f"{len(schemes)} scheme(s), {cfg.runs} run(s) each; wrote {csv_path} and {json_path}"
@@ -158,8 +168,7 @@ def cmd_policy_map(args) -> int:
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _save(args.out, _text_writer(text))
         print(
             f"wrote {matrix.shape[0]}x{matrix.shape[1]} action matrix for "
             f"location {l} to {args.out}"

@@ -22,6 +22,7 @@ from .model import (
     NetworkModel,
     ProblemSpec,
     admissible_actions,
+    check_location,
     grid_index,
     penalty_on_grid,
     transfer_steps,
@@ -102,7 +103,8 @@ class ValueTable:
     def value(self, t: int, k: float, l: int) -> float:
         if not 1 <= t <= self.horizon + 1:
             raise DomainError(f"epoch {t} outside 1..{self.horizon + 1}")
-        return float(self.values[t - 1, l - 1, grid_index(k, self.grid_step, self.grid_points)])
+        i = check_location(l, self.num_locations) - 1
+        return float(self.values[t - 1, i, grid_index(k, self.grid_step, self.grid_points)])
 
     def write_csv(self, path) -> None:
         def row(t, l, n):
@@ -136,8 +138,9 @@ class Policy:
     def action(self, t: int, k: float, l: int) -> Action:
         if not 1 <= t <= self.horizon:
             raise DomainError(f"epoch {t} outside 1..{self.horizon}")
+        i = check_location(l, self.num_locations) - 1
         n = grid_index(k, self.grid_step, self.grid_points)
-        return Action(int(self.actions[t - 1, l - 1, n]))
+        return Action(int(self.actions[t - 1, i, n]))
 
     def write_csv(self, path) -> None:
         def row(t, l, n):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,26 +70,15 @@ class NetworkModel:
         mob = np.asarray(self.mobility, dtype=float)
         if mob.shape != (L, L):
             raise DomainError(f"mobility must be {L}x{L}, got {mob.shape}")
-        if not np.isfinite(mob).all():
-            raise DomainError("mobility entries must be finite")
-        if (mob < 0).any():
-            raise DomainError("mobility entries must be non-negative")
-        rowsum = mob.sum(axis=1)
-        bad = np.where(np.abs(rowsum - 1.0) > PROB_TOL)[0]
-        if bad.size:
-            raise DomainError(
-                f"mobility row {bad[0] + 1} sums to {rowsum[bad[0]]!r}, expected 1"
-            )
+        if _shared_walk(mob) is None:  # a shared matrix was checked once, when shared
+            _check_mobility(mob)
 
         price = np.asarray(self.price, dtype=float)
         rate = np.asarray(self.rate, dtype=float)
         for name, arr in (("price", price), ("rate", rate)):
             if arr.shape != (L, 3):
                 raise DomainError(f"{name} must have shape ({L}, 3), got {arr.shape}")
-            if not np.isfinite(arr).all():
-                raise DomainError(f"{name} entries must be finite")
-            if (arr < 0).any():
-                raise DomainError(f"{name} entries must be non-negative")
+            _check_entries(name, arr)
             if arr[:, Action.IDLE].any():
                 raise DomainError(f"{name} of the idle action must be zero")
 
@@ -99,9 +89,7 @@ class NetworkModel:
         object.__setattr__(self, "rate", rate)
 
     def check_location(self, l: int) -> int:
-        if not 1 <= l <= self.num_locations:
-            raise DomainError(f"location {l} out of range 1..{self.num_locations}")
-        return int(l)
+        return check_location(l, self.num_locations)
 
     def has_wifi(self, l: int) -> bool:
         return self.check_location(l) in self.wifi_locations
@@ -111,6 +99,97 @@ class NetworkModel:
 
     def price_of(self, l: int, a: Action) -> float:
         return float(self.price[self.check_location(l) - 1, a])
+
+
+def check_location(l: int, num_locations: int) -> int:
+    """``l`` as an int if it is one of the locations ``1..num_locations``,
+    else :class:`DomainError`."""
+    if not 1 <= l <= num_locations:
+        raise DomainError(f"location {l} out of range 1..{num_locations}")
+    return int(l)
+
+
+def _check_entries(name: str, arr: np.ndarray) -> None:
+    """The entries of a non-empty array are finite and non-negative.  Two
+    reductions, not elementwise masks, so that checking an L x L mobility
+    matrix allocates nothing of its size; a NaN anywhere makes the minimum NaN."""
+    lo, hi = float(arr.min()), float(arr.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"{name} entries must be finite")
+    if lo < 0:
+        raise DomainError(f"{name} entries must be non-negative")
+
+
+def _check_mobility(mob: np.ndarray) -> None:
+    """Mobility entries are finite and non-negative, and each row sums to 1
+    within ``PROB_TOL``."""
+    _check_entries("mobility", mob)
+    rowsum = mob.sum(axis=1)
+    bad = np.where(np.abs(rowsum - 1.0) > PROB_TOL)[0]
+    if bad.size:
+        raise DomainError(
+            f"mobility row {bad[0] + 1} sums to {rowsum[bad[0]]!r}, expected 1"
+        )
+
+
+def _walk_rows(mob: np.ndarray) -> list:
+    L = mob.shape[0]
+    rows = []
+    for row in mob:
+        cols = np.flatnonzero(row)
+        rows.append((np.cumsum(row)[cols].tolist(), (cols + 1).tolist() + [L]))
+    return rows
+
+
+# Mobility matrices checked once by ``share_mobility``, by identity: the
+# array's weak reference and its walk rows.  An entry leaves when its array
+# is freed, so an id is never matched to a later array.
+_SHARED = {}
+
+
+def _shared_walk(mob: np.ndarray):
+    """The walk rows of a matrix that ``share_mobility`` checked, else None."""
+    entry = _SHARED.get(id(mob))
+    return entry[1] if entry is not None and entry[0]() is mob else None
+
+
+def share_mobility(mobility) -> np.ndarray:
+    """Check a mobility matrix once for all the models built on it.
+
+    Returns ``mobility`` as a read-only float array, checked as
+    ``NetworkModel`` checks it and kept, with its ``walk_rows``, for as long
+    as the array lives.  A ``NetworkModel`` built on that very array checks
+    only its shape, and ``walk_rows`` returns the rows built here.  The
+    caller hands the array over: a float array that owns its data is not
+    copied, and must not be written to afterwards.
+    """
+    mob = np.asarray(mobility, dtype=float)
+    if mob.base is not None:  # a view: its base could still be written
+        mob = mob.copy()
+    if mob.ndim != 2 or mob.shape[0] != mob.shape[1] or not mob.size:
+        raise DomainError(f"mobility must be a square matrix of at least 1x1, got {mob.shape}")
+    _check_mobility(mob)
+    mob.setflags(write=False)
+    key = id(mob)
+    _SHARED[key] = (weakref.ref(mob, lambda _, key=key: _SHARED.pop(key, None)), _walk_rows(mob))
+    return mob
+
+
+def walk_rows(mobility: np.ndarray) -> list:
+    """Per location (index ``l - 1``), ``(sums, locations)`` for sampling one
+    move of the chain ``mobility``: ``sums`` is the row's ``np.cumsum`` read
+    at its nonzero columns, and ``locations`` their 1-based locations
+    followed by the last location.  A uniform ``u`` moves to
+    ``locations[bisect_right(sums, u)]``, the location that bisecting the
+    whole cumulative row gives: its zero columns only repeat a sum, and a
+    ``u`` at or above the row's total maps to the last location.
+
+    The rows of a matrix from ``share_mobility`` were built once, when it
+    was shared; any other matrix gets its rows built for this call.
+    """
+    mob = np.asarray(mobility, dtype=float)
+    rows = _shared_walk(mob)
+    return _walk_rows(mob) if rows is None else rows
 
 
 def grid_index(k: float, step: float, points: int) -> int:
@@ -316,8 +395,17 @@ def penalty(spec: ProblemSpec, k: float) -> float:
     return float(spec.penalty(k))
 
 
-def transfer_steps(spec: ProblemSpec, transfer: float) -> int:
-    """Whole grid steps one slot's transfer covers (progress is never overstated)."""
+def transfer_steps(spec: ProblemSpec, transfer):
+    """Whole grid steps one slot's transfer covers (progress is never
+    overstated): an int for one transfer, an int64 array of the same shape
+    for an array of them."""
+    if isinstance(transfer, np.ndarray):
+        # fmax sends NaN and negatives to 0 steps, and on the counts left,
+        # all non-negative, truncation is floor
+        x = np.fmax(transfer, 0.0) / spec.grid_step + GRID_EPS
+        if not x.max(initial=0.0) < 2.0**63:
+            raise DomainError("a slot's transfer spans too many grid steps for an int64 count")
+        return x.astype(np.int64)
     return int(math.floor(transfer / spec.grid_step + GRID_EPS)) if transfer > 0 else 0
 
 

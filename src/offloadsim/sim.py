@@ -36,6 +36,7 @@ import dataclasses
 import functools
 import math
 import os
+import struct
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
@@ -46,7 +47,16 @@ import numpy as np
 from . import dp
 from .config import DEFAULT_SWEEP_VALUES, ScenarioConfig
 from .errors import ConfigError, SchemeError
-from .model import Action, NetworkModel, ProblemSpec, admissible_actions, transfer_steps
+from .model import (
+    Action,
+    NetworkModel,
+    ProblemSpec,
+    admissible_actions,
+    check_location,
+    share_mobility,
+    transfer_steps,
+    walk_rows,
+)
 from .threshold import LocationMode, MonotoneModel, solve_monotone
 
 SCHEMES = ("general", "monotone", "no-offload", "otso", "wiffler")
@@ -89,10 +99,9 @@ def build_grid_mobility(rows: int, cols: int, p_stay: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _shared_grid_mobility(rows: int, cols: int, p_stay: float) -> np.ndarray:
-    """``build_grid_mobility``, built once per grid and shared read-only."""
-    P = build_grid_mobility(rows, cols, p_stay)
-    P.setflags(write=False)
-    return P
+    """``build_grid_mobility``, built, checked and given its walk rows once
+    per grid (``share_mobility``), and shared read-only."""
+    return share_mobility(build_grid_mobility(rows, cols, p_stay))
 
 
 def truncated_normals(rng, mean: float, std: float, size: int) -> np.ndarray:
@@ -146,15 +155,16 @@ def sample_instance(cfg: ScenarioConfig, rng):
 
 
 def sample_trajectory(model: NetworkModel, spec: ProblemSpec, rng) -> list:
-    """Location per slot, starting from the problem's initial location."""
+    """Location per slot, starting from the problem's initial location; each
+    move bisects the current location's ``walk_rows`` with one uniform draw."""
     T = spec.horizon
     l = spec.initial_location
     locs = [l]
     if T > 1:
-        cum = np.cumsum(model.mobility, axis=1).tolist()
-        L = model.num_locations
+        rows = walk_rows(model.mobility)
         for u in rng.random(T - 1).tolist():
-            l = min(bisect_right(cum[l - 1], u) + 1, L)
+            sums, dest = rows[l - 1]
+            l = dest[bisect_right(sums, u)]
             locs.append(l)
     return locs
 
@@ -189,15 +199,14 @@ class RunTables(NamedTuple):
 
 
 def run_tables(model: NetworkModel, spec: ProblemSpec) -> RunTables:
-    rate = model.rate.tolist()
     wifi = model.wifi_locations
     return RunTables(
         model,
         spec.grid_step,
-        rate,
+        model.rate.tolist(),
         model.price.tolist(),
-        # idle, cellular and Wi-Fi; idle and Wi-Fi off coverage never move
-        [[0, transfer_steps(spec, c), transfer_steps(spec, w) if w else 0] for _, c, w in rate],
+        # idle, cellular and Wi-Fi; idle and Wi-Fi off coverage have rate 0
+        transfer_steps(spec, model.rate).tolist(),
         [l in wifi for l in range(1, model.num_locations + 1)],
     )
 
@@ -365,8 +374,8 @@ def run_episode(
     if len(trajectory) < spec.horizon:
         raise ValueError("trajectory shorter than the horizon")
     path = trajectory[: spec.horizon]
-    model.check_location(min(path))
-    model.check_location(max(path))
+    check_location(min(path), model.num_locations)
+    check_location(max(path), model.num_locations)
     run = decisions.run
     if run.model is not model or run.grid_step != spec.grid_step:
         raise ValueError("decisions were built for another model or size grid")
@@ -552,6 +561,9 @@ class ExperimentResult:
             fh.write("\n")
 
 
+_TOTALS = struct.Struct("6d")  # one episode's row of ``_run_block``'s array
+
+
 def _run_block(cfgs: tuple, schemes: tuple, run_indices) -> np.ndarray:
     """Walk runs ``run_indices`` at the sweep points ``cfgs``, which differ
     only in their deadline, sampling and planning each run once at the
@@ -562,7 +574,10 @@ def _run_block(cfgs: tuple, schemes: tuple, run_indices) -> np.ndarray:
 
     horizons = [c.horizon for c in cfgs]
     top = cfgs[horizons.index(max(horizons))]
-    out = np.empty((len(cfgs), len(schemes), len(run_indices), 6))
+    runs = len(run_indices)
+    out = np.empty((len(cfgs), len(schemes), runs, 6))
+    pack, buf = _TOTALS.pack_into, memoryview(out).cast("B")
+    specs = {}  # (horizon, initial location) -> the shorter point's spec
     for r, (inst_rng, traj_rng) in enumerate(run_streams(top.seed, run_indices)):
         model, spec = sample_instance(top, inst_rng)
         traj = sample_trajectory(model, spec, traj_rng)
@@ -580,7 +595,12 @@ def _run_block(cfgs: tuple, schemes: tuple, run_indices) -> np.ndarray:
         }
         for p, horizon in enumerate(horizons):
             offset = spec.horizon - horizon
-            spec_t = dataclasses.replace(spec, horizon=horizon) if offset else spec
+            spec_t = spec
+            if offset:  # runs differ only in the initial location
+                key = (horizon, spec.initial_location)
+                spec_t = specs.get(key)
+                if spec_t is None:
+                    spec_t = specs[key] = dataclasses.replace(spec, horizon=horizon)
             for s, scheme in enumerate(schemes):
                 if scheme == "general":
                     x = policy_decisions(run, policy, offset)
@@ -589,10 +609,12 @@ def _run_block(cfgs: tuple, schemes: tuple, run_indices) -> np.ndarray:
                 else:
                     x = shared[scheme]
                 ep = run_episode(x, model, spec_t, trajectory=traj)
-                out[p, s, r] = (
+                pack(  # out[p, s, r]; the bool and int counts pack as doubles
+                    buf,
+                    ((p * len(schemes) + s) * runs + r) * _TOTALS.size,
                     ep.total_cost,
                     ep.total_payment,
-                    1.0 if ep.completed else 0.0,
+                    ep.completed,
                     ep.slots_cellular,
                     ep.slots_wifi,
                     ep.slots_waiting,

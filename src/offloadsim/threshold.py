@@ -24,6 +24,7 @@ from .model import (
     PenaltyFn,
     ProblemSpec,
     State,
+    check_location,
     grid_index,
     is_convex_on_grid,
     penalty_on_grid,
@@ -185,16 +186,13 @@ class ThresholdPolicy:
         return self.file_size + self.grid_step
 
     def threshold(self, l: int, t: int) -> float:
-        if not 1 <= l <= self.num_locations:
-            raise DomainError(f"location {l} out of range")
+        check_location(l, self.num_locations)
         if not 1 <= t <= self.horizon:
             raise DomainError(f"epoch {t} outside 1..{self.horizon}")
         return float(self.k_star_idx[l - 1, t - 1] * self.grid_step)
 
     def mode_of(self, l: int) -> LocationMode:
-        if not 1 <= l <= self.num_locations:
-            raise DomainError(f"location {l} out of range")
-        return self.modes[l - 1]
+        return self.modes[check_location(l, self.num_locations) - 1]
 
     def write_csv(self, path) -> None:
         def row(l, t):
@@ -228,7 +226,7 @@ def t_star_view(tp: ThresholdPolicy, k: float, l: int) -> int:
     Returns ``horizon + 1`` when no epoch qualifies (including ``k = 0``).
     """
     n = grid_index(k, tp.grid_step, tp.grid_points)
-    row = tp.k_star_idx[l - 1]
+    row = tp.k_star_idx[check_location(l, tp.num_locations) - 1]
     hits = np.where(row <= n)[0]
     return int(hits[0]) + 1 if hits.size else tp.horizon + 1
 

@@ -4,11 +4,15 @@ The package reads every scheme as per-run data and samples, plans and
 walks in batches.  The functions here are the same rules written one
 state or one draw at a time, on the public model primitives: the three
 heuristics' decision rules with Wiffler's encounter history, the exact
-planner's action value, and the rejection sampler for the rates.
+planner's action value, the rejection sampler for the rates, and the
+trajectory walk on whole cumulative mobility rows.
 """
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from offloadsim.model import (
     Action,
@@ -164,3 +168,19 @@ def truncated_normal(rng, mean: float, std: float) -> float:
         x = rng.normal(mean, std)
         if x >= 0:
             return float(x)
+
+
+def sample_trajectory_full_rows(model: NetworkModel, spec: ProblemSpec, rng) -> list:
+    """``sim.sample_trajectory`` on the whole cumulative mobility rows: each
+    move bisects the current location's row of ``np.cumsum(mobility, axis=1)``
+    with one uniform draw, clamped to the last location."""
+    T = spec.horizon
+    l = spec.initial_location
+    locs = [l]
+    if T > 1:
+        cum = np.cumsum(model.mobility, axis=1).tolist()
+        L = model.num_locations
+        for u in rng.random(T - 1).tolist():
+            l = min(bisect_right(cum[l - 1], u) + 1, L)
+            locs.append(l)
+    return locs

@@ -422,6 +422,27 @@ def test_cli_rejects_unwritable_out_before_any_work(tmp_path, capsys, monkeypatc
     assert err.startswith("error: cannot create output directory") and err.count("\n") == 1
 
 
+# Each used to end in an IsADirectoryError traceback after the work was done.
+@pytest.mark.parametrize(
+    "args, out, blocked",
+    [
+        (["simulate", "--schemes", "otso"], "exp", "exp.csv"),
+        (["simulate", "--schemes", "otso"], "exp", "exp.json"),
+        (["solve"], "tables", "tables/value.csv"),
+        (["solve", "--solver", "monotone"], "tables", "tables/thresholds.csv"),
+        (["solve"], "tables", "tables/meta.json"),
+        (["policy-map", "--location", "1"], "map.csv", "map.csv"),
+    ],
+)
+def test_cli_reports_an_unwritable_output_file(tmp_path, capsys, args, out, blocked):
+    (tmp_path / blocked).mkdir(parents=True)
+    cfg = write_cfg(tmp_path, SMALL)
+    assert run_cli([*args, "--config", cfg, "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {str(tmp_path / blocked)!r}")
+    assert err.count("\n") == 1
+
+
 def test_cli_rejects_zero_jobs(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SMALL)
     out = tmp_path / "exp"

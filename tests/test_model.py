@@ -21,10 +21,13 @@ from offloadsim.model import (
     payment,
     penalty,
     penalty_on_grid,
+    share_mobility,
     slot_payment,
+    transfer_steps,
     transition_dist,
 )
-from offloadsim.sim import build_grid_mobility
+from offloadsim.sim import _shared_grid_mobility, build_grid_mobility
+from offloadsim.threshold import MonotoneModel
 
 from instances import grid_demo_model, random_general_instance
 
@@ -241,6 +244,64 @@ def test_network_model_rejects_non_finite(bad):
         arrays[name][1, Action.CELLULAR] = bad
         with pytest.raises(DomainError, match=f"{name} entries must be finite"):
             NetworkModel(L, frozenset(), np.eye(L), arrays["price"], arrays["rate"])
+
+
+@pytest.mark.parametrize(
+    "defect, message",
+    [("nan", "must be finite"), ("negative", "must be non-negative"), ("row sum", "row 2 sums to")],
+)
+def test_caller_mobility_is_checked_after_a_shared_grid_of_its_shape(defect, message):
+    shared = _shared_grid_mobility(2, 2, 0.5)
+    L = 4
+    rate = np.zeros((L, 3))
+    rate[:, Action.CELLULAR] = 1.0
+    # the shared grid, checked once when shared, in use by both models
+    NetworkModel(L, frozenset({1}), shared, np.zeros((L, 3)), rate)
+    MonotoneModel(L, frozenset({1}), shared, 1.0, 0.5, 1.0, QuadraticPenalty(1.0))
+    bad = np.array(shared)  # a caller's writable copy, then broken
+    if defect == "nan":
+        bad[0, 1] = math.nan
+    elif defect == "negative":
+        bad[0, 0] = -0.25
+    else:
+        bad[1, 1] += 0.01
+    with pytest.raises(DomainError, match=message):
+        NetworkModel(L, frozenset({1}), bad, np.zeros((L, 3)), rate)
+    with pytest.raises(DomainError, match=message):
+        MonotoneModel(L, frozenset({1}), bad, 1.0, 0.5, 1.0, QuadraticPenalty(1.0))
+    with pytest.raises(DomainError, match=message):
+        share_mobility(bad)
+    # a shared matrix is still checked against the model's location count
+    with pytest.raises(DomainError, match="mobility must be 9x9"):
+        NetworkModel(9, frozenset(), shared, np.zeros((9, 3)), np.zeros((9, 3)))
+
+
+def test_shared_mobility_is_read_only_and_never_a_callers_view():
+    base = build_grid_mobility(2, 3, 0.4)
+    view = share_mobility(base[:])
+    assert view is not base and not view.flags.writeable
+    assert base.flags.writeable  # the caller's array is left alone
+    owned = build_grid_mobility(2, 3, 0.4)
+    assert share_mobility(owned) is owned and not owned.flags.writeable
+
+
+def test_transfer_steps_on_an_array_matches_each_transfer():
+    spec = ProblemSpec(100.0, 3, 0.1, QuadraticPenalty(1.0))
+    on_grid = np.arange(0, 5000) * spec.grid_step
+    transfers = np.concatenate(
+        [
+            np.random.default_rng(3).uniform(-5.0, 500.0, 2000),
+            on_grid,
+            on_grid * (1 - 1e-10),  # within the grid slack: rounds up
+            on_grid * (1 - 1e-8),  # outside it: one step fewer
+            [0.0, -0.0, -1.0, 5e-324, math.nan, -math.inf],
+        ]
+    ).reshape(-1, 2)
+    steps = transfer_steps(spec, transfers)
+    assert steps.dtype == np.int64 and steps.shape == transfers.shape
+    assert steps.ravel().tolist() == [transfer_steps(spec, float(x)) for x in transfers.ravel()]
+    with pytest.raises(DomainError, match="too many grid steps"):
+        transfer_steps(spec, np.array([1e30]))
 
 
 def test_problem_spec_rejects_non_finite():

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from offloadsim import dp, sim
+from offloadsim import dp, model as model_module, sim
 from offloadsim.config import ScenarioConfig
 from offloadsim.errors import ConfigError, SchemeError
 from offloadsim.model import (
     Action,
     NetworkModel,
     ProblemSpec,
+    QuadraticPenalty,
     State,
     admissible_actions,
     next_file_size,
@@ -36,6 +37,7 @@ from reference import (
     WifflerState,
     no_offload_decide,
     otso_decide,
+    sample_trajectory_full_rows,
     truncated_normal,
     wiffler_decide,
     wiffler_observe,
@@ -438,6 +440,113 @@ def test_sweep_holds_each_episodes_totals_about_once():
 
 
 # ---------------------------------------------------------------------------
+# Walk rows: the compact rows ``sample_trajectory`` bisects must give the
+# paths that bisecting whole cumulative rows gives.
+# ---------------------------------------------------------------------------
+
+
+class _Draws:
+    """A generator stand-in whose ``random`` returns the given draws."""
+
+    def __init__(self, draws):
+        self.draws = draws
+
+    def random(self, size):
+        assert size == len(self.draws)
+        return np.array(self.draws)
+
+
+def _edge_draws(cum_row):
+    """0, every cumulative sum and the float just below it, the largest
+    uniform draw and 1: where bisecting the row changes its answer."""
+    draws = {0.0, 1.0 - 2.0**-53, 1.0}
+    for c in set(cum_row.tolist()):
+        draws |= {c, float(np.nextafter(c, 0.0))}
+    return sorted(draws)
+
+
+def _assert_walks_match(model):
+    L = model.num_locations
+    pen = QuadraticPenalty(1.0)
+    for seed in range(3):
+        spec = ProblemSpec(0.0, 150, 1.0, pen, initial_location=seed % L + 1)
+        got = sample_trajectory(model, spec, np.random.default_rng(seed))
+        assert got == sample_trajectory_full_rows(model, spec, np.random.default_rng(seed))
+    cum = np.cumsum(model.mobility, axis=1)
+    for l in range(1, L + 1):
+        spec = ProblemSpec(0.0, 2, 1.0, pen, initial_location=l)
+        for u in _edge_draws(cum[l - 1]):
+            got = sample_trajectory(model, spec, _Draws([u]))
+            assert got == sample_trajectory_full_rows(model, spec, _Draws([u])), (l, u)
+
+
+def _model_on(mobility):
+    L = mobility.shape[0]
+    return NetworkModel(L, frozenset(), mobility, np.zeros((L, 3)), np.zeros((L, 3)))
+
+
+@pytest.mark.parametrize("p_stay", [0.0, 0.3, 0.6, 1.0])
+@pytest.mark.parametrize("rows, cols", [(1, 1), (1, 2), (2, 1), (1, 5), (3, 3), (2, 7), (10, 10)])
+def test_walk_rows_give_the_full_row_paths(rows, cols, p_stay):
+    shared = sim._shared_grid_mobility(rows, cols, p_stay)
+    _assert_walks_match(_model_on(shared))
+    # built once per shared grid; a caller's own copy gets the same rows per call
+    assert model_module.walk_rows(shared) is model_module.walk_rows(shared)
+    own = build_grid_mobility(rows, cols, p_stay)
+    assert model_module.walk_rows(own) == model_module.walk_rows(shared)
+
+
+def test_walk_rows_send_a_draw_past_the_row_total_to_the_last_location():
+    # rows summing to 1 - 4e-10, within the model's tolerance: a draw at or
+    # above that total maps to location L, not to the last nonzero column
+    short = 1.0 - 4e-10
+    P = np.array([[0.5, short - 0.5, 0.0], [short, 0.0, 0.0], [0.25, 0.25, 0.5]])
+    model = _model_on(P)
+    _assert_walks_match(model)
+    spec = ProblemSpec(0.0, 2, 1.0, QuadraticPenalty(1.0), initial_location=2)
+    assert sample_trajectory(model, spec, _Draws([short])) == [2, 3]
+
+
+def test_sampling_a_run_on_a_30x30_grid_allocates_little():
+    # Rebuilding the L x L cumulative rows as lists for every run peaked at
+    # 32.5 MB per run on this grid.
+    cfg = ScenarioConfig(grid_rows=30, grid_cols=30, runs=4)
+    streams = list(run_streams(cfg.seed, range(cfg.runs)))
+    inst_rng, traj_rng = streams[0]
+    sample_trajectory(*sample_instance(cfg, inst_rng), traj_rng)  # the grid's shared tables
+    for inst_rng, traj_rng in streams[1:]:
+        tracemalloc.start()
+        try:
+            model, spec = sample_instance(cfg, inst_rng)
+            sample_trajectory(model, spec, traj_rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000
+
+
+def test_sweep_builds_and_checks_each_grid_once(monkeypatch):
+    calls = {"build": 0, "check": 0, "walk": 0}
+
+    def counted(name, module, attr):
+        fn = getattr(module, attr)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, attr, wrapper)
+
+    counted("build", sim, "build_grid_mobility")
+    counted("check", model_module, "_check_mobility")
+    counted("walk", model_module, "_walk_rows")
+    sim._shared_grid_mobility.cache_clear()
+    # two grids; every run builds a NetworkModel, and a MonotoneModel builds another
+    run_experiment(small_cfg(runs=3), SCHEMES, "p_stay", (0.3, 0.6))
+    assert calls == {"build": 2, "check": 2, "walk": 2}
+
+
+# ---------------------------------------------------------------------------
 # Per-run streams: numpy's SeedSequence is the reference for the hash that
 # ``seed_states`` vectorizes and for the generators ``run_streams`` builds.
 # ---------------------------------------------------------------------------
@@ -530,18 +639,6 @@ def reference_sample_instance(cfg, rng):
         initial_location=int(g_init.integers(1, L + 1)),
     )
     return model, spec
-
-
-def reference_sample_trajectory(model, spec, rng):
-    locs = [spec.initial_location]
-    if spec.horizon > 1:
-        cum = np.cumsum(model.mobility, axis=1)
-        l = spec.initial_location
-        for u in rng.random(spec.horizon - 1):
-            l = int(np.searchsorted(cum[l - 1], u, side="right")) + 1
-            l = min(l, model.num_locations)
-            locs.append(l)
-    return locs
 
 
 class _RefPolicyAgent:
@@ -707,7 +804,7 @@ def test_samplers_match_scalar_reference(name):
             assert getattr(model, field).tobytes() == getattr(ref_model, field).tobytes()
         assert spec == ref_spec
         _, ref_traj_rng = _run_rngs(cfg, j)
-        assert sample_trajectory(model, spec, traj_rng) == reference_sample_trajectory(
+        assert sample_trajectory(model, spec, traj_rng) == sample_trajectory_full_rows(
             model, spec, ref_traj_rng
         )
 

@@ -237,6 +237,26 @@ def test_decide_and_t_star_view_reject_sizes_off_or_above_the_grid():
             t_star_view(tp, k, 1)
 
 
+@pytest.mark.parametrize("l", [0, 17])
+def test_table_readers_reject_locations_outside_the_grid(l):
+    # l = 0 used to read location 16's row through index -1
+    model, spec = threshold_demo()
+    policy, values = solve(model, spec)
+    tp, _ = solve_monotone(monotone_view(model, spec), spec)
+    k = spec.grid_step
+    readers = [
+        lambda: policy.action(1, k, l),
+        lambda: values.value(1, k, l),
+        lambda: t_star_view(tp, k, l),
+        lambda: tp.threshold(l, 1),
+        lambda: tp.mode_of(l),
+        lambda: decide(tp, State(k, l), 1),
+    ]
+    for read in readers:
+        with pytest.raises(DomainError, match=f"location {l} out of range 1..16"):
+            read()
+
+
 def test_policy_equivalence_with_exact_planner():
     for model, spec in flatcost_cases(24, 8, lambda i: i % 4 != 0):
         mm = monotone_view(model, spec)
