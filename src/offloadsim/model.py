@@ -397,16 +397,14 @@ def penalty(spec: ProblemSpec, k: float) -> float:
 
 def transfer_steps(spec: ProblemSpec, transfer):
     """Whole grid steps one slot's transfer covers (progress is never
-    overstated): an int for one transfer, an int64 array of the same shape
-    for an array of them."""
-    if isinstance(transfer, np.ndarray):
-        # fmax sends NaN and negatives to 0 steps, and on the counts left,
-        # all non-negative, truncation is floor
-        x = np.fmax(transfer, 0.0) / spec.grid_step + GRID_EPS
-        if not x.max(initial=0.0) < 2.0**63:
-            raise DomainError("a slot's transfer spans too many grid steps for an int64 count")
-        return x.astype(np.int64)
-    return int(math.floor(transfer / spec.grid_step + GRID_EPS)) if transfer > 0 else 0
+    overstated; NaN and negative transfers cover none): an int for one
+    transfer, an int64 array of the same shape for an array of them."""
+    # fmax sends NaN and negatives to 0, and on what is left, all
+    # non-negative, truncation is floor
+    x = np.fmax(transfer, 0.0) / spec.grid_step + GRID_EPS
+    if not x.max(initial=0.0) < 2.0**63:
+        raise DomainError("a slot's transfer spans too many grid steps for an int64 count")
+    return x.astype(np.int64) if isinstance(transfer, np.ndarray) else int(x)
 
 
 def next_file_size(spec: ProblemSpec, k: float, transfer: float) -> float:

@@ -36,7 +36,6 @@ import dataclasses
 import functools
 import math
 import os
-import struct
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
@@ -561,9 +560,6 @@ class ExperimentResult:
             fh.write("\n")
 
 
-_TOTALS = struct.Struct("6d")  # one episode's row of ``_run_block``'s array
-
-
 def _run_block(cfgs: tuple, schemes: tuple, run_indices) -> np.ndarray:
     """Walk runs ``run_indices`` at the sweep points ``cfgs``, which differ
     only in their deadline, sampling and planning each run once at the
@@ -574,10 +570,11 @@ def _run_block(cfgs: tuple, schemes: tuple, run_indices) -> np.ndarray:
 
     horizons = [c.horizon for c in cfgs]
     top = cfgs[horizons.index(max(horizons))]
-    runs = len(run_indices)
-    out = np.empty((len(cfgs), len(schemes), runs, 6))
-    pack, buf = _TOTALS.pack_into, memoryview(out).cast("B")
-    specs = {}  # (horizon, initial location) -> the shorter point's spec
+    out = np.empty((len(cfgs), len(schemes), len(run_indices), 6))
+    # (horizon, initial location) -> a shorter point's spec: the specs
+    # ``sample_instance`` draws differ only in their initial location
+    # (``test_sampled_specs_differ_only_in_the_initial_location``)
+    specs = {}
     for r, (inst_rng, traj_rng) in enumerate(run_streams(top.seed, run_indices)):
         model, spec = sample_instance(top, inst_rng)
         traj = sample_trajectory(model, spec, traj_rng)
@@ -596,7 +593,7 @@ def _run_block(cfgs: tuple, schemes: tuple, run_indices) -> np.ndarray:
         for p, horizon in enumerate(horizons):
             offset = spec.horizon - horizon
             spec_t = spec
-            if offset:  # runs differ only in the initial location
+            if offset:
                 key = (horizon, spec.initial_location)
                 spec_t = specs.get(key)
                 if spec_t is None:
@@ -609,12 +606,10 @@ def _run_block(cfgs: tuple, schemes: tuple, run_indices) -> np.ndarray:
                 else:
                     x = shared[scheme]
                 ep = run_episode(x, model, spec_t, trajectory=traj)
-                pack(  # out[p, s, r]; the bool and int counts pack as doubles
-                    buf,
-                    ((p * len(schemes) + s) * runs + r) * _TOTALS.size,
+                out[p, s, r] = (
                     ep.total_cost,
                     ep.total_payment,
-                    ep.completed,
+                    1.0 if ep.completed else 0.0,
                     ep.slots_cellular,
                     ep.slots_wifi,
                     ep.slots_waiting,

@@ -285,23 +285,33 @@ def test_shared_mobility_is_read_only_and_never_a_callers_view():
     assert share_mobility(owned) is owned and not owned.flags.writeable
 
 
-def test_transfer_steps_on_an_array_matches_each_transfer():
+def test_transfer_steps_floors_each_transfer_on_the_grid():
     spec = ProblemSpec(100.0, 3, 0.1, QuadraticPenalty(1.0))
-    on_grid = np.arange(0, 5000) * spec.grid_step
+    n = np.arange(0, 5000)
+    drawn = np.random.default_rng(3).uniform(-5.0, 500.0, 2000)
+    fraction = drawn / spec.grid_step % 1.0
+    assert ((fraction > 1e-6) & (fraction < 1 - 1e-6)).all()  # clear of the grid slack
     transfers = np.concatenate(
         [
-            np.random.default_rng(3).uniform(-5.0, 500.0, 2000),
-            on_grid,
-            on_grid * (1 - 1e-10),  # within the grid slack: rounds up
-            on_grid * (1 - 1e-8),  # outside it: one step fewer
+            drawn,
+            n * spec.grid_step,
+            (n - 1e-10) * spec.grid_step,  # within the grid slack: rounds up
+            (n - 1e-8) * spec.grid_step,  # outside it: one step fewer
             [0.0, -0.0, -1.0, 5e-324, math.nan, -math.inf],
         ]
     ).reshape(-1, 2)
+    expected = np.concatenate(
+        [np.maximum(np.floor(drawn / spec.grid_step), 0), n, n, np.maximum(n - 1, 0), np.zeros(6)]
+    ).astype(int).tolist()
     steps = transfer_steps(spec, transfers)
     assert steps.dtype == np.int64 and steps.shape == transfers.shape
-    assert steps.ravel().tolist() == [transfer_steps(spec, float(x)) for x in transfers.ravel()]
-    with pytest.raises(DomainError, match="too many grid steps"):
-        transfer_steps(spec, np.array([1e30]))
+    assert steps.ravel().tolist() == expected
+    one_by_one = [transfer_steps(spec, x) for x in transfers.ravel().tolist()]
+    assert one_by_one == expected and {type(k) for k in one_by_one} == {int}
+    for too_many in (1e30, math.inf):
+        for transfer in (too_many, np.array([too_many])):
+            with pytest.raises(DomainError, match="too many grid steps"):
+                transfer_steps(spec, transfer)
 
 
 def test_problem_spec_rejects_non_finite():

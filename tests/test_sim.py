@@ -108,6 +108,18 @@ def test_sample_instance_deterministic_per_rng_seed():
     assert s1.initial_location == s2.initial_location
 
 
+@pytest.mark.parametrize("penalty", ["quadratic", "step"])
+def test_sampled_specs_differ_only_in_the_initial_location(penalty):
+    # ``_run_block`` reuses a shorter point's spec across the runs of a block
+    # keyed on (horizon, initial location): no other spec field may vary
+    cfg = small_cfg(runs=1, penalty=penalty)
+    specs = [sample_instance(cfg, inst)[1] for inst, _ in run_streams(cfg.seed, range(40))]
+    assert len({s.initial_location for s in specs}) > 1
+    names = [f.name for f in dataclasses.fields(ProblemSpec) if f.name != "initial_location"]
+    for spec in specs[1:]:
+        assert [getattr(spec, n) for n in names] == [getattr(specs[0], n) for n in names]
+
+
 def test_trajectory_starts_at_initial_location():
     cfg = small_cfg()
     model, spec = sample_instance(cfg, np.random.default_rng(3))
