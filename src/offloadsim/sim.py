@@ -8,11 +8,13 @@ trajectory, and runs are seeded by (seed, run index) substreams so
 results do not depend on worker count or execution order.
 
 Sweep points that differ only in the deadline share each run's work.  The
-run samples its environment and path and plans once, at the longest
-horizon, and a point with horizon T walks the first T slots of that path
-with the last T epochs of the plans.  That is exactly what sampling and
-planning at T give: the streams do not depend on the horizon, and the
-model is time-homogeneous with the penalty charged only at the horizon.
+run samples its environment and path once, at the longest horizon, and
+``plan_run`` turns it into every scheme's decisions with one call per
+planner.  A point with horizon T walks the first T slots of that path, and
+``run_episode`` reads the last T epochs of the plans.  That is exactly
+what sampling and planning at T give: the streams do not depend on the
+horizon, and the model is time-homogeneous with the penalty charged only
+at the horizon.
 
 The exact planner is given the sampled per-location rates; the threshold
 planner is given only the configured mean rates, planning from summary
@@ -247,41 +249,33 @@ def wiffler_means(path, wifi_rate, window: int) -> list:
     return out
 
 
-class WifflerPlan(NamedTuple):
-    """Wiffler's parameters and its encounter means along ``path``
-    (``wiffler_means``); a walk on another path computes its own."""
-
-    theta: float
-    window: int
-    path: list = ()
-    means: list = ()
-
-
 class Decisions(NamedTuple):
-    """One scheme's decisions for an episode, as data that ``run_episode``
-    reads inline.  With ``n > 0`` grid steps left at location ``l`` in slot
-    ``t``, the action is given by the fields set besides ``run``:
+    """One scheme's decisions for a run, as data that ``run_episode`` reads
+    inline, planned for ``horizon`` slots.  With ``n > 0`` grid steps left
+    at location ``l`` in slot ``t`` of a walk over ``T <= horizon`` slots,
+    the plans' epoch index is ``e = t - 1 + horizon - T``, so a shorter
+    deadline reads the last ``T`` epochs; the action is given by the fields
+    set besides ``run`` and ``horizon``:
 
-    - ``table`` (general): ``table(t - 1, l - 1, n)``, the exact planner's
-      action table read from an epoch offset;
+    - ``table`` (general): ``table(e, l - 1, n)``, the exact planner's
+      action table;
     - ``frontier`` and ``actions`` (monotone): cellular when
-      ``n >= frontier[l - 1][t - 1]``, else ``actions[l - 1]``;
+      ``n >= frontier[l - 1][e]``, else ``actions[l - 1]``;
     - ``actions`` alone (no-offload, OTSO): ``actions[l - 1]``;
-    - ``wiffler``: Wi-Fi where covered; elsewhere idle when the predicted
-      Wi-Fi capacity covers ``theta`` times the remaining size, else cellular.
+    - ``theta``, ``path`` and ``means`` (Wiffler): Wi-Fi where covered;
+      elsewhere idle when the Wi-Fi capacity predicted from
+      ``means[t - 1]`` (``wiffler_means`` along ``path``) covers ``theta``
+      times the remaining size, else cellular.
     """
 
     run: RunTables
+    horizon: int
     table: object = None
     frontier: list = None
     actions: list = None
-    wiffler: WifflerPlan = None
-
-
-def policy_decisions(run: RunTables, policy: dp.Policy, offset: int = 0) -> Decisions:
-    """The exact planner's table; slot t reads epoch ``t + offset``, so a
-    plan for a longer horizon serves a shorter one from its last epochs."""
-    return Decisions(run, table=policy.actions[offset:].item)
+    theta: float = None
+    path: list = None
+    means: list = None
 
 
 class FrontierRows(NamedTuple):
@@ -291,12 +285,6 @@ class FrontierRows(NamedTuple):
 
     frontier: list
     below: list
-
-    def decisions(self, run: RunTables, offset: int = 0) -> Decisions:
-        """``threshold.decide`` on these frontiers, with the epoch ``offset``
-        of ``policy_decisions``."""
-        frontier = [row[offset:] for row in self.frontier] if offset else self.frontier
-        return Decisions(run, frontier=frontier, actions=self.below)
 
 
 def frontier_rows(tp) -> FrontierRows:
@@ -310,37 +298,36 @@ def frontier_rows(tp) -> FrontierRows:
     )
 
 
-def wifi_rates(run: RunTables) -> list:
-    """Each location's Wi-Fi amount per slot, or None off coverage."""
-    return [w if c else None for (_, _, w), c in zip(run.rate, run.covered)]
-
-
 _CELLULAR, _WIFI = int(Action.CELLULAR), int(Action.WIFI)
 
 
-def heuristic_decisions(scheme: str, run: RunTables, cfg: ScenarioConfig, path=()) -> Decisions:
-    """No-offload, OTSO or Wiffler.  Wiffler's encounter means are computed
-    along ``path`` when one is given, else by the walk for its own path."""
-    if scheme == "no-offload":  # cellular everywhere while something is left
-        return Decisions(run, actions=[_CELLULAR] * len(run.covered))
-    if scheme == "otso":  # Wi-Fi where covered, else cellular
-        return Decisions(run, actions=[_WIFI if c else _CELLULAR for c in run.covered])
-    if scheme == "wiffler":
-        window = cfg.wiffler_window
-        means = wiffler_means(path, wifi_rates(run), window) if path else ()
-        return Decisions(run, wiffler=WifflerPlan(cfg.wiffler_theta, window, path, means))
-    raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-
-
-def make_agent(scheme: str, model: NetworkModel, spec: ProblemSpec, cfg: ScenarioConfig) -> Decisions:
-    """Plan (where the scheme plans) and return its decisions for one episode."""
+def plan_run(schemes, model: NetworkModel, spec: ProblemSpec, cfg: ScenarioConfig, path) -> list:
+    """Each of ``schemes``' decisions for one run, planned for
+    ``spec.horizon``: the exact planner on the sampled rates, the frontier
+    planner on ``means_model``, and Wiffler's encounter means along
+    ``path``, the run's trajectory."""
     run = run_tables(model, spec)
-    if scheme == "general":
-        return policy_decisions(run, dp.solve(model, spec, values=False)[0])
-    if scheme == "monotone":
-        mm = means_model(cfg, model, spec)
-        return frontier_rows(solve_monotone(mm, spec, values=False)[0]).decisions(run)
-    return heuristic_decisions(scheme, run, cfg)
+    T = spec.horizon
+    plans = []
+    for scheme in schemes:
+        if scheme == "general":
+            x = Decisions(run, T, table=dp.solve(model, spec, values=False)[0].actions.item)
+        elif scheme == "monotone":
+            mm = means_model(cfg, model, spec)
+            rows = frontier_rows(solve_monotone(mm, spec, values=False)[0])
+            x = Decisions(run, T, frontier=rows.frontier, actions=rows.below)
+        elif scheme == "no-offload":  # cellular everywhere while something is left
+            x = Decisions(run, T, actions=[_CELLULAR] * len(run.covered))
+        elif scheme == "otso":  # Wi-Fi where covered, else cellular
+            x = Decisions(run, T, actions=[_WIFI if c else _CELLULAR for c in run.covered])
+        elif scheme == "wiffler":
+            wifi_rate = [w if c else None for (_, _, w), c in zip(run.rate, run.covered)]
+            means = wiffler_means(path, wifi_rate, cfg.wiffler_window)
+            x = Decisions(run, T, theta=cfg.wiffler_theta, path=path, means=means)
+        else:
+            raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+        plans.append(x)
+    return plans
 
 
 class EpisodeResult(NamedTuple):
@@ -369,7 +356,8 @@ def run_episode(
     down by ``transfer_steps`` of the slot's rate, as ``next_file_size``
     does, and is billed for at most what was left, as ``payment`` is.
     Decisions are read only while ``n > 0``, and every action is checked
-    against the location's coverage."""
+    against the location's coverage.  Decisions planned for a longer
+    horizon are read from their last ``spec.horizon`` epochs."""
     if len(trajectory) < spec.horizon:
         raise ValueError("trajectory shorter than the horizon")
     path = trajectory[: spec.horizon]
@@ -378,17 +366,23 @@ def run_episode(
     run = decisions.run
     if run.model is not model or run.grid_step != spec.grid_step:
         raise ValueError("decisions were built for another model or size grid")
+    if decisions.horizon < spec.horizon:
+        raise ValueError(
+            f"decisions were planned for {decisions.horizon} slots, not {spec.horizon}"
+        )
+    means = decisions.means
+    if (
+        means is not None
+        and trajectory is not decisions.path
+        and tuple(decisions.path[: len(path)]) != tuple(path)
+    ):
+        raise ValueError("Wiffler decisions were built for another path")
 
     step = spec.grid_step
     rate, price, steps, covered = run.rate, run.price, run.steps, run.covered
-    table, frontier = decisions.table, decisions.frontier
-    actions, wiffler = decisions.actions, decisions.wiffler
-    if wiffler is not None:
-        theta = wiffler.theta
-        horizon = spec.horizon
-        means = wiffler.means
-        if wiffler.path[: len(path)] != path:
-            means = wiffler_means(path, wifi_rates(run), wiffler.window)
+    table, frontier, actions = decisions.table, decisions.frontier, decisions.actions
+    theta, horizon = decisions.theta, spec.horizon
+    shift = decisions.horizon - horizon - 1  # slot t reads epoch index t + shift
 
     n = spec.grid_points
     pay = 0.0
@@ -400,9 +394,9 @@ def run_episode(
         i = l - 1
         k = n * step
         if actions is not None:
-            a = 1 if frontier is not None and n >= frontier[i][t - 1] else actions[i]
+            a = 1 if frontier is not None and n >= frontier[i][t + shift] else actions[i]
         elif table is not None:
-            a = table(t - 1, i, n)
+            a = table(t + shift, i, n)
         elif covered[i]:
             a = 2
         else:
@@ -578,33 +572,15 @@ def _run_block(cfgs: tuple, schemes: tuple, run_indices) -> np.ndarray:
     for r, (inst_rng, traj_rng) in enumerate(run_streams(top.seed, run_indices)):
         model, spec = sample_instance(top, inst_rng)
         traj = sample_trajectory(model, spec, traj_rng)
-        run = run_tables(model, spec)
-        policy = frontier = None
-        if "general" in schemes:
-            policy = dp.solve(model, spec, values=False)[0]
-        if "monotone" in schemes:
-            mm = means_model(top, model, spec)
-            frontier = frontier_rows(solve_monotone(mm, spec, values=False)[0])
-        shared = {  # the heuristics' decisions do not depend on the deadline
-            s: heuristic_decisions(s, run, top, traj)
-            for s in schemes
-            if s not in ("general", "monotone")
-        }
+        plans = plan_run(schemes, model, spec, top, traj)
         for p, horizon in enumerate(horizons):
-            offset = spec.horizon - horizon
             spec_t = spec
-            if offset:
+            if horizon != spec.horizon:
                 key = (horizon, spec.initial_location)
                 spec_t = specs.get(key)
                 if spec_t is None:
                     spec_t = specs[key] = dataclasses.replace(spec, horizon=horizon)
-            for s, scheme in enumerate(schemes):
-                if scheme == "general":
-                    x = policy_decisions(run, policy, offset)
-                elif scheme == "monotone":
-                    x = frontier.decisions(run, offset)
-                else:
-                    x = shared[scheme]
+            for s, x in enumerate(plans):
                 ep = run_episode(x, model, spec_t, trajectory=traj)
                 out[p, s, r] = (
                     ep.total_cost,
@@ -614,6 +590,7 @@ def _run_block(cfgs: tuple, schemes: tuple, run_indices) -> np.ndarray:
                     ep.slots_wifi,
                     ep.slots_waiting,
                 )
+        del plans  # the next run's planners then allocate without this run's tables
     return out
 
 

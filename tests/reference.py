@@ -5,7 +5,10 @@ walks in batches.  The functions here are the same rules written one
 state or one draw at a time, on the public model primitives: the three
 heuristics' decision rules with Wiffler's encounter history, the exact
 planner's action value, the rejection sampler for the rates, and the
-trajectory walk on whole cumulative mobility rows.
+trajectory walk on whole cumulative mobility rows.  It also holds
+``make_agent``, one scheme's ``sim.plan_run`` decisions, and two order
+checks on value tables that hold only under uniform coverage, so
+``verify`` does not run them on its mixed-coverage default scenario.
 """
 
 from bisect import bisect_right
@@ -14,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from offloadsim import dp
 from offloadsim.model import (
     Action,
     NetworkModel,
@@ -23,6 +27,8 @@ from offloadsim.model import (
     slot_payment,
     transfer_steps,
 )
+from offloadsim.properties import CheckResult, _tol
+from offloadsim.sim import plan_run
 
 
 def no_offload_decide(s: State) -> Action:
@@ -184,3 +190,100 @@ def sample_trajectory_full_rows(model: NetworkModel, spec: ProblemSpec, rng) -> 
             l = min(bisect_right(cum[l - 1], u) + 1, L)
             locs.append(l)
     return locs
+
+
+def make_agent(scheme: str, model: NetworkModel, spec: ProblemSpec, cfg, path=()):
+    """``scheme``'s decisions for one run; Wiffler's are for walks on ``path``."""
+    return plan_run((scheme,), model, spec, cfg, path)[0]
+
+
+def check_cross_difference(
+    model: NetworkModel,
+    spec: ProblemSpec,
+    vt: dp.ValueTable,
+    name: str = "cross_difference",
+) -> CheckResult:
+    """Every two-size, two-action cost comparison has the sign that forces a
+    single switch: away from Wi-Fi the gain of transmitting grows with the
+    remaining size; on Wi-Fi the gain of paying for cellular rather than
+    using free Wi-Fi shrinks with it (simplified cost).
+
+    With ``D(k) = psi(k, a_hi) - psi(k, a_lo)``, the cross difference of
+    sizes ``k_lo < k_hi`` is ``D(k_hi) - D(k_lo)``, so the sign holds for
+    all pairs iff ``sign * D`` never drops below its running maximum by
+    more than the tolerance.  A counterexample is reported with ``k_lo``
+    at that maximum."""
+    N = spec.grid_points
+    if N < 1:
+        return CheckResult(name, "skip", "size grid too small to compare")
+    tol = _tol(vt.values)
+    arange = np.arange(N + 1)
+    grid = spec.grid_values
+    w_all = model.mobility @ vt.values[1:]  # [t - 1, l - 1]: expected cost-to-go after epoch t at l
+
+    def psi(l: int, a: Action) -> np.ndarray:
+        """Action value with full-slot cellular billing at every (epoch, size)."""
+        if a is Action.IDLE:
+            pay = 0.0
+        elif a is Action.CELLULAR:
+            pay = slot_payment(model, l, a)
+        else:
+            pay = np.minimum(grid, model.rate_of(l, a)) * model.price_of(l, a)
+        steps = transfer_steps(spec, model.rate_of(l, a))
+        return pay + w_all[:, l - 1, np.maximum(arange - steps, 0)]
+
+    for l in range(1, model.num_locations + 1):
+        if model.has_wifi(l):
+            if model.rate_of(l, Action.WIFI) > model.rate_of(l, Action.CELLULAR):
+                continue  # switch structure only claimed for Wi-Fi no faster
+            a_hi, a_lo = Action.WIFI, Action.CELLULAR
+            sign = 1.0  # cross difference must be >= 0 here
+        else:
+            a_hi, a_lo = Action.CELLULAR, Action.IDLE
+            sign = -1.0  # and <= 0 here
+        d = sign * (psi(l, a_hi) - psi(l, a_lo))  # (T, N+1)
+        bad = np.argwhere(d < np.maximum.accumulate(d, axis=1) - tol)
+        if bad.size:
+            t, k_hi = (int(x) for x in bad[0])
+            k_lo = int(np.argmax(d[t, :k_hi]))
+            return CheckResult(
+                name,
+                "fail",
+                f"cross difference has the wrong sign at "
+                f"(t={t + 1}, l={l}, k={k_hi * spec.grid_step} vs {k_lo * spec.grid_step})",
+            )
+    return CheckResult(name, "pass")
+
+
+def check_increment_monotone(
+    model: NetworkModel,
+    spec: ProblemSpec,
+    vt: dp.ValueTable,
+    name: str = "increment_monotone",
+) -> CheckResult:
+    """The value advantage of a cellular-sized step over the location's free
+    step never shrinks as time advances (simplified cost)."""
+    N = spec.grid_points
+    arange = np.arange(N + 1)
+    tol = _tol(vt.values)
+    for l in range(1, model.num_locations + 1):
+        d1 = transfer_steps(spec, model.rate_of(l, Action.CELLULAR))
+        dj = (
+            transfer_steps(spec, model.rate_of(l, Action.WIFI))
+            if model.has_wifi(l)
+            else 0
+        )
+        idx1 = np.maximum(arange - d1, 0)
+        idxj = np.maximum(arange - dj, 0)
+        col = vt.values[:, l - 1, :]
+        gaps = col[:, idxj] - col[:, idx1]  # (T+1, N+1)
+        bad = np.argwhere(gaps[1:] < gaps[:-1] - tol)
+        if bad.size:
+            t, n = bad[0]
+            return CheckResult(
+                name,
+                "fail",
+                f"advantage shrinks from t={t + 1} to t={t + 2} at "
+                f"(k={n * spec.grid_step}, l={l})",
+            )
+    return CheckResult(name, "pass")

@@ -18,8 +18,6 @@ from offloadsim.dp import solve
 from offloadsim.model import Action, State
 from offloadsim.oracle import expectimax
 from offloadsim.properties import (
-    check_cross_difference,
-    check_increment_monotone,
     check_single_switch,
     check_threshold_monotone,
     check_value_monotone_in_size,
@@ -38,7 +36,7 @@ from instances import (
     single_class_flatcost_instance,
     threshold_demo,
 )
-from reference import q_value
+from reference import check_cross_difference, check_increment_monotone, q_value
 
 SEED = 20260808
 

@@ -10,8 +10,6 @@ from offloadsim.model import Action, NetworkModel, ProblemSpec, QuadraticPenalty
 from offloadsim.oracle import expectimax
 from offloadsim.sim import sample_instance
 from offloadsim.properties import (
-    check_cross_difference,
-    check_increment_monotone,
     check_oracle,
     check_single_switch,
     check_threshold_monotone,
@@ -31,7 +29,7 @@ from instances import (
     random_general_instance,
     single_class_flatcost_instance,
 )
-from reference import q_value
+from reference import check_cross_difference, check_increment_monotone, q_value
 
 
 def test_value_monotone_in_size_universal():

@@ -1,5 +1,10 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +27,8 @@ from offloadsim.sim import (
     SCHEMES,
     EpisodeResult,
     build_grid_mobility,
-    make_agent,
     means_model,
+    plan_run,
     run_episode,
     run_experiment,
     sample_instance,
@@ -35,6 +40,7 @@ from offloadsim.threshold import LocationMode, decide as threshold_decide, solve
 
 from reference import (
     WifflerState,
+    make_agent,
     no_offload_decide,
     otso_decide,
     sample_trajectory_full_rows,
@@ -160,7 +166,7 @@ def test_episode_counts_and_penalty_flag():
     for scheme in SCHEMES:
         model, spec = sample_instance(cfg, np.random.default_rng(11))
         traj = sample_trajectory(model, spec, np.random.default_rng(12))
-        agent = make_agent(scheme, model, spec, cfg)
+        agent = make_agent(scheme, model, spec, cfg, traj)
         ep = run_episode(agent, model, spec, trajectory=traj)
         assert ep.slots_cellular + ep.slots_wifi + ep.slots_waiting <= spec.horizon
         assert ep.total_cost == pytest.approx(ep.total_payment + ep.penalty_paid)
@@ -294,6 +300,17 @@ def test_sweep_calls_each_layer_once_per_unit_of_work(monkeypatch):
         assert isinstance(ep, EpisodeResult)
 
 
+def test_benchmark_tracer_finds_every_layer_it_wraps():
+    # The tracer skips a wrap target the program no longer has, and that
+    # layer then reports no calls; a rename here must fail instead.
+    paths = [Path(__file__).resolve().parents[1] / "perfbench", Path(sim.__file__).parents[1]]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
+    code = "import json, tracer; print(json.dumps(tracer.install(tracer.Tracer())))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == []
+
+
 def test_single_run_aggregate_equals_episode():
     cfg = small_cfg(runs=1)
     res = run_experiment(cfg, ("no-offload",), "deadline", (1.0,))
@@ -323,8 +340,6 @@ def test_experiment_json_mirror(tmp_path):
     out_json = tmp_path / "result.json"
     res.write_csv(out_csv)
     res.write_json(out_json)
-    import json
-
     data = json.loads(out_json.read_text())
     assert data["sweep_axis"] == "deadline"
     assert data["config"]["runs"] == 3
@@ -353,18 +368,59 @@ def test_monotone_agent_plans_from_mean_rates():
     assert ep.total_cost >= 0.0
 
 
-def test_frontier_rows_serve_every_deadline_from_one_plan():
-    # Wi-Fi faster than cellular, so the rows that never switch are sliced too
+def test_longest_plan_walks_every_deadline_like_a_plan_for_it():
+    # Wi-Fi faster than cellular, so the rows that never switch are read too
     cfg = small_cfg(mu_cellular_mbps=10.0, mu_wifi_mbps=12.0, deadline_minutes=3.0)
     model, spec = sample_instance(cfg, _run_rngs(cfg, 1)[0])
     mm = means_model(cfg, model, spec)
     assert {mm.mode_of(l) for l in range(1, 5)} == {LocationMode.NO_WIFI, LocationMode.WIFI_FASTER}
-    run = sim.run_tables(model, spec)
-    rows = sim.frontier_rows(solve_monotone(mm, spec, values=False)[0])
-    for offset in range(spec.horizon):
-        tail = dataclasses.replace(spec, horizon=spec.horizon - offset)
-        want = sim.frontier_rows(solve_monotone(mm, tail, values=False)[0]).decisions(run)
-        assert rows.decisions(run, offset) == want, offset
+    for scheme in ("general", "monotone"):
+        longest = make_agent(scheme, model, spec, cfg)
+        completed = set()
+        for j in range(4):
+            traj = sample_trajectory(model, spec, _run_rngs(cfg, j)[1])
+            for offset in range(spec.horizon):
+                tail = dataclasses.replace(spec, horizon=spec.horizon - offset)
+                own = make_agent(scheme, model, tail, cfg)
+                want = run_episode(own, model, tail, trajectory=traj)
+                got = run_episode(longest, model, tail, trajectory=traj)
+                assert got == want, (scheme, j, offset)
+                completed.add(want.completed)
+        assert completed == {True, False}, scheme  # finished and penalised walks
+
+
+def test_walk_past_the_planned_horizon_is_a_named_error():
+    # 2x2 at 1 Mbps: plans for 6 slots, and no scheme finishes in 12
+    cfg = small_cfg(mu_cellular_mbps=1.0, mu_wifi_mbps=1.0)
+    model, spec = sample_instance(cfg, _run_rngs(cfg, 0)[0])
+    longer = dataclasses.replace(spec, horizon=12)
+    traj = sample_trajectory(model, longer, _run_rngs(cfg, 0)[1])
+    plans = plan_run(SCHEMES, model, spec, cfg, traj)
+    for scheme, x in zip(SCHEMES, plans):
+        assert x.horizon == 6
+        assert not run_episode(x, model, spec, trajectory=traj).completed
+        with pytest.raises(ValueError, match="planned for 6 slots, not 12"):
+            run_episode(x, model, longer, trajectory=traj)
+        own = make_agent(scheme, model, longer, cfg, traj)
+        assert not run_episode(own, model, longer, trajectory=traj).completed
+
+
+def test_wiffler_decisions_walk_only_their_own_path():
+    cfg = small_cfg(**WALK_CONFIGS["slow-links"])
+    model, spec = sample_instance(cfg, _run_rngs(cfg, 2)[0])
+    traj = sample_trajectory(model, spec, _run_rngs(cfg, 2)[1])
+    wiffler = make_agent("wiffler", model, spec, cfg, traj)
+    want = run_episode(wiffler, model, spec, trajectory=traj)
+    # the same locations in a tuple walk like the planned list
+    assert run_episode(wiffler, model, spec, trajectory=tuple(traj)) == want
+    assert run_episode(wiffler, model, spec, trajectory=list(traj)) == want
+    other = sample_trajectory(model, spec, _run_rngs(cfg, 3)[1])
+    assert other != traj
+    with pytest.raises(ValueError, match="built for another path"):
+        run_episode(wiffler, model, spec, trajectory=other)
+    # a plan made without a path walks none
+    with pytest.raises(ValueError, match="built for another path"):
+        run_episode(make_agent("wiffler", model, spec, cfg), model, spec, trajectory=traj)
 
 
 def test_worker_count_caps_at_runs_and_cpus():
@@ -786,7 +842,7 @@ def test_walk_matches_reference(name):
             ),
         }
         for scheme in schemes:
-            got = run_episode(make_agent(scheme, model, spec, cfg), model, spec, trajectory=traj)
+            got = run_episode(make_agent(scheme, model, spec, cfg, traj), model, spec, trajectory=traj)
             want = reference_run_episode(reference[scheme](), model, spec, traj)
             assert got == want, (name, j, scheme)
             assert repr(got) == repr(want), (name, j, scheme)
