@@ -46,7 +46,6 @@ from .sim import (
     sample_instance,
 )
 from .threshold import (
-    LocationMode,
     MonotoneModel,
     ThresholdPolicy,
     decide,
@@ -61,7 +60,6 @@ __all__ = [
     "DomainError",
     "EpisodeResult",
     "ExperimentResult",
-    "LocationMode",
     "MonotoneModel",
     "NetworkModel",
     "OffloadError",

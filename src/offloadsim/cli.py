@@ -25,7 +25,7 @@ from . import dp
 from .config import PROPERTY_NAMES, SWEEP_AXES, ScenarioConfig, parse_config, serialize_config
 from .errors import ConfigError, OffloadError
 from .model import Action
-from .sim import SCHEMES, frontier_rows, means_model, run_experiment, sample_instance
+from .sim import SCHEMES, means_model, run_experiment, sample_instance
 from .threshold import solve_monotone
 
 EXIT_OK = 0
@@ -110,7 +110,7 @@ def cmd_solve(args) -> int:
 def _parse_sweep(arg: str):
     if arg is None:
         return None, None
-    axis, _, rest = arg.partition("=")
+    axis, eq, rest = arg.partition("=")
     axis = axis.strip()
     if axis not in SWEEP_AXES:
         raise OffloadError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
@@ -121,6 +121,8 @@ def _parse_sweep(arg: str):
                 values.append(float(v))
             except ValueError:
                 raise ConfigError(f"sweep value {v.strip()!r} is not a number") from None
+    if eq and not values:  # "axis" alone means the default points, "axis=" none
+        raise ConfigError(f"no sweep value given after {arg!r}")
     return axis, tuple(values) or None
 
 
@@ -154,13 +156,13 @@ def cmd_policy_map(args) -> int:
         policy, _ = dp.solve(model, spec, values=False)
         matrix = policy.actions[:, l - 1, :]
     else:
-        # threshold.decide on every cell, from the data the walk reads:
-        # cellular at or above the frontier, else the location's action
-        # below it, and idle when nothing is left
-        rows = frontier_rows(solve_monotone(means_model(cfg, model, spec), spec, values=False)[0])
-        frontier = np.array(rows.frontier[l - 1])[:, None]
-        sizes = np.arange(spec.grid_points + 1)
-        matrix = np.where(sizes >= frontier, Action.CELLULAR, rows.below[l - 1]).astype(np.int8)
+        # threshold.decide on every cell: cellular at or above the frontier
+        # (never at the sentinel), else Wi-Fi where covered and idle
+        # elsewhere, and idle when nothing is left
+        tp = solve_monotone(means_model(cfg, model, spec), spec, values=False)[0]
+        below = Action.WIFI if l in model.wifi_locations else Action.IDLE
+        cell = np.arange(spec.grid_points + 1) >= tp.k_star_idx[l - 1][:, None]
+        matrix = np.where(cell, Action.CELLULAR, below).astype(np.int8)
         matrix[:, 0] = Action.IDLE
 
     lines = [",".join(str(int(a)) for a in row) for row in matrix]
@@ -187,7 +189,7 @@ def run_verification(cfg: ScenarioConfig, properties) -> list:
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
     props = None
-    if args.properties:
+    if args.properties is not None:
         props = tuple(p.strip() for p in args.properties.split(",") if p.strip())
     results = run_verification(cfg, props)
     failed = False

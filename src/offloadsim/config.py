@@ -122,6 +122,12 @@ class ScenarioConfig:
                 f"slot count {slots!r}"
             )
         self._check_derived()
+        base = dataclasses.replace(self, sweep_values=()) if self.sweep_values else self
+        for value in self.sweep_values:  # each point as ``run_experiment`` builds it
+            try:
+                base.with_sweep_value(self.sweep_axis, value)
+            except ConfigError as exc:
+                raise ConfigError(f"sweep_values entry {value!r} is not valid: {exc}") from None
 
     def _check_derived(self) -> None:
         """Reject finite inputs whose derived quantities overflow.  Per-slot

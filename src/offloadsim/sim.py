@@ -58,7 +58,7 @@ from .model import (
     transfer_steps,
     walk_rows,
 )
-from .threshold import LocationMode, MonotoneModel, solve_monotone
+from .threshold import MonotoneModel, solve_monotone
 
 SCHEMES = ("general", "monotone", "no-offload", "otso", "wiffler")
 
@@ -260,7 +260,8 @@ class Decisions(NamedTuple):
     - ``table`` (general): ``table(e, l - 1, n)``, the exact planner's
       action table;
     - ``frontier`` and ``actions`` (monotone): cellular when
-      ``n >= frontier[l - 1][e]``, else ``actions[l - 1]``;
+      ``n >= frontier[l - 1][e]``, the frontier planner's ``k_star_idx``,
+      else ``actions[l - 1]``: Wi-Fi where covered, idle elsewhere;
     - ``actions`` alone (no-offload, OTSO): ``actions[l - 1]``;
     - ``theta``, ``path`` and ``means`` (Wiffler): Wi-Fi where covered;
       elsewhere idle when the Wi-Fi capacity predicted from
@@ -278,27 +279,7 @@ class Decisions(NamedTuple):
     means: list = None
 
 
-class FrontierRows(NamedTuple):
-    """A frontier plan as lists, built once per plan by ``frontier_rows``:
-    per location its frontier at every epoch (never reached at Wi-Fi-faster
-    locations) and its action below the frontier."""
-
-    frontier: list
-    below: list
-
-
-def frontier_rows(tp) -> FrontierRows:
-    never = [math.inf] * tp.horizon  # Wi-Fi-faster locations always use Wi-Fi
-    return FrontierRows(
-        [
-            never if mode is LocationMode.WIFI_FASTER else row
-            for row, mode in zip(tp.k_star_idx.tolist(), tp.modes)
-        ],
-        [int(Action.IDLE if mode is LocationMode.NO_WIFI else Action.WIFI) for mode in tp.modes],
-    )
-
-
-_CELLULAR, _WIFI = int(Action.CELLULAR), int(Action.WIFI)
+_IDLE, _CELLULAR, _WIFI = int(Action.IDLE), int(Action.CELLULAR), int(Action.WIFI)
 
 
 def plan_run(schemes, model: NetworkModel, spec: ProblemSpec, cfg: ScenarioConfig, path) -> list:
@@ -313,9 +294,9 @@ def plan_run(schemes, model: NetworkModel, spec: ProblemSpec, cfg: ScenarioConfi
         if scheme == "general":
             x = Decisions(run, T, table=dp.solve(model, spec, values=False)[0].actions.item)
         elif scheme == "monotone":
-            mm = means_model(cfg, model, spec)
-            rows = frontier_rows(solve_monotone(mm, spec, values=False)[0])
-            x = Decisions(run, T, frontier=rows.frontier, actions=rows.below)
+            tp = solve_monotone(means_model(cfg, model, spec), spec, values=False)[0]
+            below = [_WIFI if c else _IDLE for c in run.covered]
+            x = Decisions(run, T, frontier=tp.k_star_idx.tolist(), actions=below)
         elif scheme == "no-offload":  # cellular everywhere while something is left
             x = Decisions(run, T, actions=[_CELLULAR] * len(run.covered))
         elif scheme == "otso":  # Wi-Fi where covered, else cellular

@@ -11,7 +11,6 @@ action set at every lattice point.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,12 +32,6 @@ from .model import (
 
 # Max relative spread tolerated when checking location-independence.
 _SPREAD_TOL = 1e-9
-
-
-class LocationMode(enum.Enum):
-    NO_WIFI = "no_wifi"
-    WIFI_SLOWER = "wifi_slower"
-    WIFI_FASTER = "wifi_faster"
 
 
 @dataclass(frozen=True)
@@ -138,13 +131,6 @@ class MonotoneModel:
             penalty=spec.penalty,
         )
 
-    def mode_of(self, l: int) -> LocationMode:
-        if l not in self.wifi_locations:
-            return LocationMode.NO_WIFI
-        if self.mu_wifi <= self.mu_cellular:
-            return LocationMode.WIFI_SLOWER
-        return LocationMode.WIFI_FASTER
-
 
 def _spread(values: np.ndarray) -> float:
     if values.size == 0:
@@ -155,22 +141,26 @@ def _spread(values: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class ThresholdPolicy:
-    """Per (location, epoch) size frontier ``k_star`` plus the per-location
-    decision mode.
+    """Per (location, epoch) size frontier ``k_star`` plus the Wi-Fi set,
+    which together state the monotone rule (``decide``).
 
     ``k_star_idx[l-1, t-1]`` is the first grid index at which cellular is
     chosen; the sentinel value ``grid_points + 1`` (one step past the file
-    size) means cellular is never chosen at that (location, epoch).
+    size) means cellular is never chosen at that (location, epoch).  Below
+    it the user takes Wi-Fi where covered and idles elsewhere.  Where Wi-Fi
+    is faster (Lemma 2), every epoch holds the sentinel.
     """
 
     k_star_idx: np.ndarray
-    modes: tuple
+    wifi_locations: frozenset
     grid_step: float
     file_size: float
     horizon: int
 
     def __post_init__(self):
         self.k_star_idx.setflags(write=False)
+        wifi = frozenset(check_location(l, self.num_locations) for l in self.wifi_locations)
+        object.__setattr__(self, "wifi_locations", wifi)
 
     @property
     def num_locations(self) -> int:
@@ -191,9 +181,6 @@ class ThresholdPolicy:
             raise DomainError(f"epoch {t} outside 1..{self.horizon}")
         return float(self.k_star_idx[l - 1, t - 1] * self.grid_step)
 
-    def mode_of(self, l: int) -> LocationMode:
-        return self.modes[check_location(l, self.num_locations) - 1]
-
     def write_csv(self, path) -> None:
         def row(l, t):
             return l + 1, t + 1, repr(float(self.k_star_idx[l, t] * self.grid_step))
@@ -202,7 +189,8 @@ class ThresholdPolicy:
 
 
 def decide(tp: ThresholdPolicy, s: State, t: int) -> Action:
-    """Decision rule induced by the frontiers.
+    """Decision rule induced by the frontiers: cellular at or above the
+    frontier, else Wi-Fi where covered and idle elsewhere.
 
     Zero remaining size always maps to IDLE, mirroring the exact planner's
     idle-at-zero rule (the transfer loop never reaches this state anyway).
@@ -212,12 +200,9 @@ def decide(tp: ThresholdPolicy, s: State, t: int) -> Action:
     n = grid_index(s.k, tp.grid_step, tp.grid_points)
     if n == 0:
         return Action.IDLE
-    mode = tp.mode_of(s.l)
-    if mode is LocationMode.WIFI_FASTER:
-        return Action.WIFI
-    if n >= tp.k_star_idx[s.l - 1, t - 1]:
+    if n >= tp.k_star_idx[check_location(s.l, tp.num_locations) - 1, t - 1]:
         return Action.CELLULAR
-    return Action.IDLE if mode is LocationMode.NO_WIFI else Action.WIFI
+    return Action.WIFI if s.l in tp.wifi_locations else Action.IDLE
 
 
 def t_star_view(tp: ThresholdPolicy, k: float, l: int) -> int:
@@ -338,10 +323,9 @@ def solve_monotone(mm: MonotoneModel, spec: ProblemSpec, *, values: bool = True)
         np.minimum(v1, tail, out=tail)
         ks_next = ks_t
 
-    modes = tuple(mm.mode_of(l + 1) for l in range(L))
     tp = ThresholdPolicy(
         k_star_idx=ks_idx,
-        modes=modes,
+        wifi_locations=mm.wifi_locations,
         grid_step=spec.grid_step,
         file_size=spec.file_size,
         horizon=T,

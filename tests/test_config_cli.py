@@ -92,6 +92,13 @@ def valid_configs(draw):
     """Any valid scenario; the ranges keep every derived quantity finite."""
     slot_seconds = draw(st.floats(0.5, 60.0))
     slots = draw(st.integers(1, 60))
+    axis = draw(st.sampled_from(SWEEP_AXES))
+    points = {  # every sweep point is a valid scenario too
+        "deadline": st.integers(1, 60).map(lambda n: n * slot_seconds / 60.0),
+        "mu_wifi": st.floats(0.0, 1e3),
+        "file_size": st.floats(0.0, 1e4),
+        "p_stay": st.floats(0.0, 1.0),
+    }
     return ScenarioConfig(
         grid_rows=draw(st.integers(1, 6)),
         grid_cols=draw(st.integers(1, 6)),
@@ -112,8 +119,8 @@ def valid_configs(draw):
         wiffler_window=draw(st.integers(1, 20)),
         runs=draw(st.integers(1, 10**6)),
         seed=draw(st.integers(0, 2**64)),
-        sweep_axis=draw(st.sampled_from(SWEEP_AXES)),
-        sweep_values=tuple(draw(st.lists(st.floats(-1e6, 1e6), max_size=4, unique=True))),
+        sweep_axis=axis,
+        sweep_values=tuple(draw(st.lists(points[axis], max_size=4, unique=True))),
     )
 
 
@@ -461,6 +468,8 @@ def test_cli_rejects_zero_jobs(tmp_path, capsys):
         (["--schemes", ","], "no scheme given"),
         (["--schemes", "otso,otso"], "scheme repeated"),
         (["--schemes", "otso", "--sweep", "deadline=1,1"], "sweep value repeated"),
+        (["--sweep", "deadline=,"], "no sweep value given after 'deadline=,'"),
+        (["--sweep", "deadline="], "no sweep value given after 'deadline='"),
     ],
 )
 def test_cli_rejects_bad_scheme_or_sweep_lists(tmp_path, capsys, monkeypatch, args, message):
@@ -471,6 +480,34 @@ def test_cli_rejects_bad_scheme_or_sweep_lists(tmp_path, capsys, monkeypatch, ar
     assert run_cli(["simulate", "--config", cfg, *args, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert sampled == [] and not (tmp_path / "exp.csv").exists()
+
+
+def test_cli_sweep_axis_alone_means_the_default_points():
+    assert cli._parse_sweep("deadline") == ("deadline", None)
+
+
+# Each used to run every check (an empty list) or one check twice.
+@pytest.mark.parametrize(
+    "arg, message",
+    [
+        ("", "no property given"),
+        (",", "no property given"),
+        ("lemma1a,lemma1a", "property repeated"),
+        ("lemma1a,bogus", "unknown property 'bogus'"),
+    ],
+)
+def test_cli_verify_rejects_empty_or_repeated_properties(
+    tmp_path, capsys, monkeypatch, arg, message
+):
+    from offloadsim import properties
+
+    sampled = []
+    monkeypatch.setattr(properties, "sample_instance", lambda *a: sampled.append(a))
+    cfg = write_cfg(tmp_path, SMALL)
+    assert run_cli(["verify", "--config", cfg, "--properties", arg]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert sampled == []
 
 
 # Finite values whose derived quantities overflow: at 1e308 the per-slot
@@ -527,6 +564,12 @@ def test_size_bounds_admit_their_limits():
         ("slot_seconds = 1e-320\n", "deadline_minutes too large"),
         ("runs = 1000000000000\n", "runs too large"),
         ("sweep_values = 1, 1\n", "sweep value repeated"),
+        # each used to pass here and fail only in simulate
+        ("sweep_values = nan\n", "sweep_values entry nan is not valid: deadline_minutes"),
+        ("sweep_values = 1, inf\n", "sweep_values entry inf is not valid"),
+        ("sweep_values = -2\n", "sweep_values entry -2.0 is not valid"),
+        ("sweep_values = 0\n", "sweep_values entry 0.0 is not valid"),
+        ("sweep_axis = p_stay\nsweep_values = 0.5, 1.5\n", "sweep_values entry 1.5"),
     ],
 )
 def test_dump_config_rejects_oversized_or_repeated_values(tmp_path, text, message):

@@ -37,7 +37,7 @@ def assert_frontier_decisions_only(mm, spec):
     tp, values = solve_monotone(mm, spec)
     lean, none = solve_monotone(mm, spec, values=False)
     assert none is None and values is not None
-    assert lean.modes == tp.modes
+    assert lean.wifi_locations == tp.wifi_locations == mm.wifi_locations
     assert lean.k_star_idx.shape == tp.k_star_idx.shape
     assert lean.k_star_idx.tobytes() == tp.k_star_idx.tobytes()
 

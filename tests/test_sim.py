@@ -36,7 +36,7 @@ from offloadsim.sim import (
     worker_count,
 )
 from offloadsim.streams import run_streams, seed_states
-from offloadsim.threshold import LocationMode, decide as threshold_decide, solve_monotone
+from offloadsim.threshold import decide as threshold_decide, solve_monotone
 
 from reference import (
     WifflerState,
@@ -373,7 +373,9 @@ def test_longest_plan_walks_every_deadline_like_a_plan_for_it():
     cfg = small_cfg(mu_cellular_mbps=10.0, mu_wifi_mbps=12.0, deadline_minutes=3.0)
     model, spec = sample_instance(cfg, _run_rngs(cfg, 1)[0])
     mm = means_model(cfg, model, spec)
-    assert {mm.mode_of(l) for l in range(1, 5)} == {LocationMode.NO_WIFI, LocationMode.WIFI_FASTER}
+    tp, _ = solve_monotone(mm, spec)
+    assert mm.mu_wifi > mm.mu_cellular and 0 < len(tp.wifi_locations) < 4
+    assert all((tp.k_star_idx[l - 1] == spec.grid_points + 1).all() for l in tp.wifi_locations)
     for scheme in ("general", "monotone"):
         longest = make_agent(scheme, model, spec, cfg)
         completed = set()

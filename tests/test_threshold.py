@@ -3,6 +3,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from offloadsim.dp import TIE_REL_TOL, solve
 from offloadsim.errors import DomainError, PreconditionError
@@ -16,7 +17,6 @@ from offloadsim.model import (
     transfer_steps,
 )
 from offloadsim.threshold import (
-    LocationMode,
     MonotoneModel,
     decide,
     solve_monotone,
@@ -25,6 +25,7 @@ from offloadsim.threshold import (
 
 from instances import (
     edge_flatcost_instances,
+    flatcost_instances,
     grid_demo_model,
     monotone_view,
     random_flatcost_instance,
@@ -153,8 +154,8 @@ def test_decide_semantics():
     model, spec = threshold_demo()
     mm = monotone_view(model, spec)
     tp, _ = solve_monotone(mm, spec)
-    assert tp.mode_of(1) is LocationMode.NO_WIFI
-    assert tp.mode_of(4) is LocationMode.WIFI_SLOWER
+    assert 1 not in tp.wifi_locations and 4 in tp.wifi_locations
+    assert mm.mu_wifi <= mm.mu_cellular
 
     assert decide(tp, State(0.0, 1), 5) is Action.IDLE
     k_star = tp.threshold(1, 20)
@@ -167,20 +168,33 @@ def test_decide_semantics():
     assert decide(tp, State(k_star4, 4), 20) is Action.CELLULAR
 
 
-def test_wifi_faster_mode_always_wifi():
-    model = grid_demo_model(mu_cellular=1.0, mu_wifi=2.0)
-    spec = ProblemSpec(20.0, 20, 1.0, QuadraticPenalty(10.0))
+def wifi_faster(instance):
+    """Some location has Wi-Fi, at a higher rate than cellular."""
+    rate = instance[0].rate
+    return rate[:, Action.WIFI].max() > rate[0, Action.CELLULAR]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(flatcost_instances().filter(wifi_faster))
+@example((grid_demo_model(1.0, 2.0), ProblemSpec(20.0, 20, 1.0, QuadraticPenalty(10.0))))
+def test_wifi_faster_mode_always_wifi(instance):
+    # Lemma 2: where Wi-Fi is faster than cellular, every epoch holds the
+    # sentinel, so Wi-Fi is taken at every positive size
+    model, spec = instance
     mm = monotone_view(model, spec)
-    tp, _ = solve_monotone(mm, spec)
-    assert tp.mode_of(4) is LocationMode.WIFI_FASTER
-    sentinel = spec.file_size + spec.grid_step
-    for t in range(1, 21):
-        assert tp.threshold(4, t) == sentinel
-        for n in (1, 7, 20):
-            assert decide(tp, State(float(n), 4), t) is Action.WIFI
-    # matches the exact planner under the same cost model
+    assert mm.wifi_locations and mm.mu_wifi > mm.mu_cellular
     pol, _ = solve(model, spec, flat_payment=True)
-    assert (pol.actions[:, 3, 1:] == int(Action.WIFI)).all()
+    for values in (True, False):
+        tp, _ = solve_monotone(mm, spec, values=values)
+        assert tp.wifi_locations == model.wifi_locations
+        for l in tp.wifi_locations:
+            assert (tp.k_star_idx[l - 1] == spec.grid_points + 1).all(), (values, l)
+            for t in range(1, spec.horizon + 1):
+                assert tp.threshold(l, t) == tp.sentinel
+                for n in range(1, spec.grid_points + 1):
+                    assert decide(tp, State(n * spec.grid_step, l), t) is Action.WIFI
+            # matches the exact planner under the same cost model
+            assert (pol.actions[:, l - 1, 1:] == int(Action.WIFI)).all()
 
 
 def test_last_epoch_threshold_at_one_step_when_penalty_exceeds_slot_cost():
@@ -249,8 +263,8 @@ def test_table_readers_reject_locations_outside_the_grid(l):
         lambda: values.value(1, k, l),
         lambda: t_star_view(tp, k, l),
         lambda: tp.threshold(l, 1),
-        lambda: tp.mode_of(l),
         lambda: decide(tp, State(k, l), 1),
+        lambda: dataclasses.replace(tp, wifi_locations={l}),  # a plan covering l
     ]
     for read in readers:
         with pytest.raises(DomainError, match=f"location {l} out of range 1..16"):
