@@ -107,39 +107,39 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _split_list(text: str) -> tuple:
+    """The stripped, non-blank entries of comma-separated ``text``."""
+    return tuple(v.strip() for v in text.split(",") if v.strip())
+
+
 def _parse_sweep(arg: str):
     if arg is None:
         return None, None
     axis, eq, rest = arg.partition("=")
-    axis = axis.strip()
-    if axis not in SWEEP_AXES:
-        raise OffloadError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     values = []
-    for v in rest.split(","):
-        if v.strip():
-            try:
-                values.append(float(v))
-            except ValueError:
-                raise ConfigError(f"sweep value {v.strip()!r} is not a number") from None
-    if eq and not values:  # "axis" alone means the default points, "axis=" none
+    for v in _split_list(rest):
+        try:
+            values.append(float(v))
+        except ValueError:
+            raise ConfigError(f"sweep value {v!r} is not a number") from None
+    if eq and not values:  # "axis" alone leaves the values to resolve_sweep, "axis=" none
         raise ConfigError(f"no sweep value given after {arg!r}")
-    return axis, tuple(values) or None
+    return axis.strip(), tuple(values) or None
 
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    schemes = tuple(s.strip() for s in args.schemes.split(",") if s.strip())
-    axis, values = _parse_sweep(args.sweep)
+    axis, values, _ = cfg.resolve_sweep(*_parse_sweep(args.sweep))
     out = Path(args.out)
     _out_dir(out.parent)
-    result = run_experiment(cfg, schemes, sweep_axis=axis, sweep_values=values, jobs=args.jobs)
+    result = run_experiment(cfg, args.schemes, sweep_axis=axis, sweep_values=values, jobs=args.jobs)
     csv_path = out.with_suffix(".csv") if out.suffix != ".csv" else out
     json_path = csv_path.with_suffix(".json")
     _save(csv_path, result.write_csv)
     _save(json_path, result.write_json)
     print(
         f"swept {result.sweep_axis} over {list(result.sweep_values)} with "
-        f"{len(schemes)} scheme(s), {cfg.runs} run(s) each; wrote {csv_path} and {json_path}"
+        f"{len(result.schemes)} scheme(s), {cfg.runs} run(s) each; wrote {csv_path} and {json_path}"
     )
     return EXIT_OK
 
@@ -188,10 +188,7 @@ def run_verification(cfg: ScenarioConfig, properties) -> list:
 
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
-    props = None
-    if args.properties is not None:
-        props = tuple(p.strip() for p in args.properties.split(",") if p.strip())
-    results = run_verification(cfg, props)
+    results = run_verification(cfg, args.properties)
     failed = False
     for r in results:
         if r.status == "pass":
@@ -233,6 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument(
         "--schemes",
+        type=_split_list,
         default=",".join(SCHEMES),
         help=f"comma-separated subset of {','.join(SCHEMES)}",
     )
@@ -261,6 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument(
         "--properties",
+        type=_split_list,
         default=None,
         help="comma-separated subset of " + ",".join(PROPERTY_NAMES),
     )

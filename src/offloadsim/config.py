@@ -24,7 +24,10 @@ from .model import MAX_LATTICE_CELLS, PenaltyFn, QuadraticPenalty, StepPenalty
 MBIT_PER_MBYTE = 8.0
 MBIT_PER_GBYTE = 8000.0
 
-SWEEP_AXES = ("deadline", "mu_wifi", "file_size", "p_stay")
+_SWEEP_FIELDS = dict(
+    deadline="deadline_minutes", mu_wifi="mu_wifi_mbps", file_size="file_mbytes", p_stay="p_stay"
+)
+SWEEP_AXES = tuple(_SWEEP_FIELDS)
 
 # Checks that ``verify`` runs (``properties.run_verification``).
 PROPERTY_NAMES = ("lemma1a", "lemma1b", "lemma2", "theorem2", "theorem3", "oracle")
@@ -43,6 +46,21 @@ DEFAULT_SWEEP_VALUES = {
     "file_size": (125.0, 250.0, 500.0, 750.0),
     "p_stay": (0.1, 0.3, 0.5, 0.7, 0.9),
 }
+
+
+def check_names(names, noun: str, known=None) -> tuple:
+    """``names`` as a tuple once it is non-empty, each entry is in ``known``
+    (or ``known`` is None) and none repeats, else a :class:`ConfigError`: the
+    one rule for schemes, properties, sweep axes, sweep values and penalties."""
+    names = tuple(names)
+    if not names:
+        raise ConfigError(f"no {noun} given; expected some of {known}")
+    for name in names:
+        if known is not None and name not in known:
+            raise ConfigError(f"unknown {noun} {name!r}; expected one of {known}")
+    if len(set(names)) < len(names):
+        raise ConfigError(f"{noun} repeated in {names}")
+    return names
 
 
 @dataclass(frozen=True)
@@ -103,12 +121,8 @@ class ScenarioConfig:
             raise ConfigError("runs must be >= 1")
         if self.wiffler_window < 1:
             raise ConfigError("wiffler_window must be >= 1")
-        if self.penalty not in ("quadratic", "step"):
-            raise ConfigError(f"penalty must be 'quadratic' or 'step', got {self.penalty!r}")
-        if self.sweep_axis not in SWEEP_AXES:
-            raise ConfigError(f"sweep_axis must be one of {SWEEP_AXES}, got {self.sweep_axis!r}")
-        if len(set(self.sweep_values)) < len(self.sweep_values):
-            raise ConfigError(f"sweep value repeated in sweep_values {self.sweep_values}")
+        check_names((self.penalty,), "penalty", ("quadratic", "step"))
+        check_names((self.sweep_axis,), "sweep_axis", SWEEP_AXES)
         slots = 60.0 * self.deadline_minutes / self.slot_seconds
         if not slots < MAX_HORIZON_SLOTS + 0.5:  # the rounded horizon, or an inf count
             raise ConfigError(
@@ -122,12 +136,8 @@ class ScenarioConfig:
                 f"slot count {slots!r}"
             )
         self._check_derived()
-        base = dataclasses.replace(self, sweep_values=()) if self.sweep_values else self
-        for value in self.sweep_values:  # each point as ``run_experiment`` builds it
-            try:
-                base.with_sweep_value(self.sweep_axis, value)
-            except ConfigError as exc:
-                raise ConfigError(f"sweep_values entry {value!r} is not valid: {exc}") from None
+        if self.sweep_values:  # each point as ``run_experiment`` builds it
+            self.resolve_sweep()
 
     def _check_derived(self) -> None:
         """Reject finite inputs whose derived quantities overflow.  Per-slot
@@ -187,16 +197,25 @@ class ScenarioConfig:
             return QuadraticPenalty(self.penalty_quadratic_coeff)
         return StepPenalty(self.penalty_step_amount)
 
-    def with_sweep_value(self, axis: str, value: float) -> "ScenarioConfig":
-        if axis not in SWEEP_AXES:
-            raise ConfigError(f"unknown sweep axis {axis!r}")
-        fields = {
-            "deadline": "deadline_minutes",
-            "mu_wifi": "mu_wifi_mbps",
-            "file_size": "file_mbytes",
-            "p_stay": "p_stay",
-        }
-        return dataclasses.replace(self, **{fields[axis]: value})
+    def resolve_sweep(self, axis: str = None, values=None) -> tuple:
+        """``(axis, values, points)``: the caller's axis, else ``sweep_axis``;
+        the caller's values, else ``sweep_values`` on ``sweep_axis`` only and
+        ``DEFAULT_SWEEP_VALUES`` on any other axis; one validated config per
+        value, with no sweep values of its own."""
+        (axis,) = check_names((axis or self.sweep_axis,), "sweep axis", SWEEP_AXES)
+        values = () if values is None else tuple(values)
+        own = not values and axis == self.sweep_axis and bool(self.sweep_values)
+        default = self.sweep_values if own else DEFAULT_SWEEP_VALUES[axis]
+        values = check_names(values or default, "sweep value")
+        base = dataclasses.replace(self, sweep_values=()) if self.sweep_values else self
+        points = []
+        for value in values:
+            try:
+                points.append(dataclasses.replace(base, **{_SWEEP_FIELDS[axis]: value}))
+            except ConfigError as exc:
+                what = "sweep_values entry" if own else "sweep value"
+                raise ConfigError(f"{what} {value!r} is not valid: {exc}") from None
+        return axis, values, tuple(points)
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)

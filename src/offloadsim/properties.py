@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dp
-from .config import MBIT_PER_MBYTE, PROPERTY_NAMES, ScenarioConfig
-from .errors import ConfigError
+from .config import MBIT_PER_MBYTE, PROPERTY_NAMES, ScenarioConfig, check_names
 from .model import (
     Action,
     NetworkModel,
@@ -236,14 +235,8 @@ def run_verification(cfg: ScenarioConfig, properties=None) -> list:
     means-based network; they are skipped (with the reason) when the
     configured penalty is not convex on the grid.
     """
-    names = PROPERTY_NAMES if properties is None else tuple(properties)
-    if not names:
-        raise ConfigError(f"no property given; expected some of {PROPERTY_NAMES}")
-    for p in names:
-        if p not in PROPERTY_NAMES:
-            raise ConfigError(f"unknown property {p!r}; expected one of {PROPERTY_NAMES}")
-    if len(set(names)) < len(names):
-        raise ConfigError(f"property repeated in {names}")
+    names = PROPERTY_NAMES if properties is None else properties
+    names = check_names(names, "property", PROPERTY_NAMES)
 
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(9000,)))
     model, spec = sample_instance(cfg, rng)

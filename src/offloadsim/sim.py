@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dp
-from .config import DEFAULT_SWEEP_VALUES, ScenarioConfig
+from .config import ScenarioConfig, check_names
 from .errors import ConfigError, SchemeError
 from .model import (
     Action,
@@ -619,23 +619,9 @@ def run_experiment(
     """Sweep one parameter, run ``cfg.runs`` paired episodes per point and
     scheme, and aggregate.  ``jobs > 1`` splits runs across processes
     (see ``worker_count``); output is identical regardless of the split."""
-    schemes = tuple(schemes)
-    if not schemes:
-        raise ConfigError(f"no scheme given; expected some of {SCHEMES}")
-    for s in schemes:
-        if s not in SCHEMES:
-            raise ConfigError(f"unknown scheme {s!r}; expected one of {SCHEMES}")
-    if len(set(schemes)) < len(schemes):
-        raise ConfigError(f"scheme repeated in {schemes}")
-    axis = sweep_axis or cfg.sweep_axis
-    values = tuple(sweep_values if sweep_values is not None else ())
-    if not values:
-        values = tuple(cfg.sweep_values) or DEFAULT_SWEEP_VALUES[axis]
-    if len(set(values)) < len(values):
-        raise ConfigError(f"sweep value repeated in {values}")
-
+    schemes = check_names(schemes, "scheme", SCHEMES)
     # Every point is validated before any episode is walked.
-    points = [cfg.with_sweep_value(axis, value) for value in values]
+    axis, values, points = cfg.resolve_sweep(sweep_axis, sweep_values)
     groups = {}  # point config with the deadline reset -> indices of its points
     for i, p in enumerate(points):
         key = dataclasses.replace(p, deadline_minutes=cfg.deadline_minutes)

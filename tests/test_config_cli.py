@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from offloadsim import cli, sim
 from offloadsim.config import (
+    DEFAULT_SWEEP_VALUES,
     MAX_HORIZON_SLOTS,
     MAX_RUNS,
     SWEEP_AXES,
@@ -484,6 +485,34 @@ def test_cli_rejects_bad_scheme_or_sweep_lists(tmp_path, capsys, monkeypatch, ar
 
 def test_cli_sweep_axis_alone_means_the_default_points():
     assert cli._parse_sweep("deadline") == ("deadline", None)
+
+
+# A bare ``--sweep mu_wifi`` used to sweep the file's deadline values as
+# Wi-Fi rates: a scenario's sweep_values belong to its own sweep_axis.
+def test_cli_sweep_axis_alone_takes_the_files_values_only_on_its_axis(tmp_path):
+    cfg = write_cfg(tmp_path, SMALL + "sweep_axis = deadline\nsweep_values = 2, 3\n")
+    swept = {}
+    for axis in ("mu_wifi", "deadline"):
+        args = ["simulate", "--config", cfg, "--schemes", "otso", "--sweep", axis]
+        assert run_cli(args + ["--out", str(tmp_path / axis)]) == 0
+        rows = (tmp_path / f"{axis}.csv").read_text().splitlines()[1:]
+        swept[axis] = [float(row.split(",")[0]) for row in rows]
+    assert swept == {"mu_wifi": list(DEFAULT_SWEEP_VALUES["mu_wifi"]), "deadline": [2.0, 3.0]}
+
+
+# run_experiment used to end in a bare KeyError on an unknown axis.
+def test_unknown_sweep_axis_is_one_config_error(tmp_path, capsys, monkeypatch):
+    sampled = []
+    monkeypatch.setattr(sim, "sample_instance", lambda *a: sampled.append(a))
+    with pytest.raises(ConfigError) as exc:
+        sim.run_experiment(ScenarioConfig(runs=2), ("otso",), "bogus")
+    assert "'bogus'" in str(exc.value) and str(SWEEP_AXES) in str(exc.value)
+    cfg = write_cfg(tmp_path, SMALL)
+    out = tmp_path / "exp"
+    assert run_cli(["simulate", "--config", cfg, "--sweep", "bogus", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown sweep axis 'bogus'") and err.count("\n") == 1
+    assert sampled == [] and not (tmp_path / "exp.csv").exists()
 
 
 # Each used to run every check (an empty list) or one check twice.

@@ -291,7 +291,8 @@ def test_sweep_calls_each_layer_once_per_unit_of_work(monkeypatch):
     assert solves == {"general": 3, "monotone": 3}
     expected = []  # run-major: per run, per point, per scheme
     for j in range(cfg.runs):
-        _, spec = sample_instance(cfg.with_sweep_value("deadline", 2.0), _run_rngs(cfg, j)[0])
+        point = dataclasses.replace(cfg, deadline_minutes=2.0)
+        _, spec = sample_instance(point, _run_rngs(cfg, j)[0])
         for horizon in (12, 6):
             expected += [dataclasses.replace(spec, horizon=horizon)] * len(SCHEMES)
     assert len(episodes) == len(expected) == 3 * 2 * len(SCHEMES)

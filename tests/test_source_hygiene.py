@@ -1,7 +1,7 @@
 """Static checks on the package source, with the standard-library ``ast``:
 no unused imports, an ``__all__`` that resolves, no module-level
-function or class that nothing names, and one home for the grid
-tolerance and the lattice budget."""
+function or class that nothing names, one home for the grid
+tolerance and the lattice budget, and one for the list rule's messages."""
 
 import ast
 import re
@@ -120,3 +120,25 @@ def single_home_breaches():
 
 def test_grid_tolerance_and_lattice_budget_live_only_in_model():
     assert single_home_breaches() == []
+
+
+LIST_RULE = re.compile(r"repeated in|given; expected some of")
+
+
+def list_rule_copies(paths):
+    """``file: message`` wherever one of ``paths`` writes the empty-list or
+    the repeat message of the list rule."""
+    copies = []
+    for path in paths:
+        for found in LIST_RULE.findall(path.read_text(encoding="utf-8")):
+            copies.append(f"{path.name}: {found}")
+    return copies
+
+
+def test_list_rule_messages_are_raised_only_in_config():
+    config = PACKAGE / "config.py"
+    assert list_rule_copies([p for p in MODULES if p != config]) == []
+    assert list_rule_copies([config]) == [
+        "config.py: given; expected some of",
+        "config.py: repeated in",
+    ]
