@@ -22,10 +22,17 @@ from pathlib import Path
 import numpy as np
 
 from . import dp
-from .config import PROPERTY_NAMES, SWEEP_AXES, ScenarioConfig, parse_config, serialize_config
+from .config import (
+    PROPERTY_NAMES,
+    SWEEP_AXES,
+    ScenarioConfig,
+    check_names,
+    parse_config,
+    serialize_config,
+)
 from .errors import ConfigError, OffloadError
 from .model import Action
-from .sim import SCHEMES, means_model, run_experiment, sample_instance
+from .sim import SCHEMES, means_model, run_experiment, sample_instance, worker_count
 from .threshold import solve_monotone
 
 EXIT_OK = 0
@@ -130,9 +137,13 @@ def _parse_sweep(arg: str):
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     axis, values, _ = cfg.resolve_sweep(*_parse_sweep(args.sweep))
+    # checked before the output directory is made, so a rejected command
+    # leaves nothing behind
+    schemes = check_names(args.schemes, "scheme", SCHEMES)
+    worker_count(args.jobs, cfg.runs, None)
     out = Path(args.out)
     _out_dir(out.parent)
-    result = run_experiment(cfg, args.schemes, sweep_axis=axis, sweep_values=values, jobs=args.jobs)
+    result = run_experiment(cfg, schemes, sweep_axis=axis, sweep_values=values, jobs=args.jobs)
     csv_path = out.with_suffix(".csv") if out.suffix != ".csv" else out
     json_path = csv_path.with_suffix(".json")
     _save(csv_path, result.write_csv)

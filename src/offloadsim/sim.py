@@ -14,7 +14,9 @@ planner.  A point with horizon T walks the first T slots of that path, and
 ``run_episode`` reads the last T epochs of the plans.  That is exactly
 what sampling and planning at T give: the streams do not depend on the
 horizon, and the model is time-homogeneous with the penalty charged only
-at the horizon.
+at the horizon.  A plan that takes one action per location (no-offload,
+OTSO) is walked once, at the longest horizon, for every point whose
+horizon that walk finished within.
 
 The exact planner is given the sampled per-location rates; the threshold
 planner is given only the configured mean rates, planning from summary
@@ -111,7 +113,8 @@ def truncated_normals(rng, mean: float, std: float, size: int) -> np.ndarray:
     negatives returns.  ``std <= 0`` gives ``max(mean, 0)``."""
     if std <= 0:
         return np.full(size, max(mean, 0.0))
-    kept = np.empty(0)
+    x = rng.normal(mean, std, size=size)
+    kept = x[x >= 0]
     while kept.size < size:
         x = rng.normal(mean, std, size=size)
         kept = np.concatenate((kept, x[x >= 0]))
@@ -535,17 +538,31 @@ class ExperimentResult:
             fh.write("\n")
 
 
+def _location_only(x: Decisions) -> bool:
+    """Whether ``x`` takes one action per location, whatever the epoch:
+    no-offload and OTSO."""
+    return x.actions is not None and x.frontier is None and x.table is None and x.means is None
+
+
 def _run_block(cfgs: tuple, schemes: tuple, run_indices) -> np.ndarray:
     """Walk runs ``run_indices`` at the sweep points ``cfgs``, which differ
     only in their deadline, sampling and planning each run once at the
     longest horizon.  Returns shape (points, schemes, runs, 6): per episode
     its total cost, payment, completion (1.0 or 0.0) and cellular, Wi-Fi
-    and waiting slots, the columns ``SchemeSamples`` reads."""
+    and waiting slots, the columns ``SchemeSamples`` reads.
+
+    Points are walked from the longest horizon down.  A plan that takes one
+    action per location (``_location_only``) whose longest walk finished
+    within a point's T slots is not walked again there: its walk over T
+    slots is the first T slots of the longest one, and it pays the same
+    amounts and no penalty."""
     from .streams import run_streams  # imported here: a process that samples nothing never needs it
 
     horizons = [c.horizon for c in cfgs]
-    top = cfgs[horizons.index(max(horizons))]
+    order = sorted(range(len(cfgs)), key=horizons.__getitem__, reverse=True)
+    top = cfgs[order[0]]
     out = np.empty((len(cfgs), len(schemes), len(run_indices), 6))
+    rows = [None] * len(cfgs)
     # (horizon, initial location) -> a shorter point's spec: the specs
     # ``sample_instance`` draws differ only in their initial location
     # (``test_sampled_specs_differ_only_in_the_initial_location``)
@@ -554,16 +571,25 @@ def _run_block(cfgs: tuple, schemes: tuple, run_indices) -> np.ndarray:
         model, spec = sample_instance(top, inst_rng)
         traj = sample_trajectory(model, spec, traj_rng)
         plans = plan_run(schemes, model, spec, top, traj)
-        for p, horizon in enumerate(horizons):
+        # per scheme whose longest walk carries over: the slots that walk
+        # took to finish, and its totals
+        finished = [None] * len(plans)
+        for p in order:
+            horizon = horizons[p]
             spec_t = spec
             if horizon != spec.horizon:
                 key = (horizon, spec.initial_location)
                 spec_t = specs.get(key)
                 if spec_t is None:
                     spec_t = specs[key] = dataclasses.replace(spec, horizon=horizon)
+            point = []
             for s, x in enumerate(plans):
+                f = finished[s]
+                if f is not None and f[0] <= horizon:
+                    point.append(f[1])
+                    continue
                 ep = run_episode(x, model, spec_t, trajectory=traj)
-                out[p, s, r] = (
+                row = (
                     ep.total_cost,
                     ep.total_payment,
                     1.0 if ep.completed else 0.0,
@@ -571,6 +597,11 @@ def _run_block(cfgs: tuple, schemes: tuple, run_indices) -> np.ndarray:
                     ep.slots_wifi,
                     ep.slots_waiting,
                 )
+                if horizon == spec.horizon and ep.completed and _location_only(x):
+                    finished[s] = (len(ep.trajectory), row)
+                point.append(row)
+            rows[p] = point
+        out[:, :, r] = rows
         del plans  # the next run's planners then allocate without this run's tables
     return out
 

@@ -483,6 +483,20 @@ def test_cli_rejects_bad_scheme_or_sweep_lists(tmp_path, capsys, monkeypatch, ar
     assert sampled == [] and not (tmp_path / "exp.csv").exists()
 
 
+# Both used to exit 2 with the parent directories of --out already made.
+@pytest.mark.parametrize(
+    "args, message",
+    [(["--schemes", "bogus"], "unknown scheme 'bogus'"), (["--jobs", "0"], "jobs must be >= 1")],
+)
+def test_cli_rejected_simulate_makes_no_directory(tmp_path, capsys, args, message):
+    cfg = write_cfg(tmp_path, SMALL)
+    out = tmp_path / "nd" / "sub" / "exp"
+    assert run_cli(["simulate", "--config", cfg, *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert not (tmp_path / "nd").exists()
+
+
 def test_cli_sweep_axis_alone_means_the_default_points():
     assert cli._parse_sweep("deadline") == ("deadline", None)
 

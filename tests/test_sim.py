@@ -285,17 +285,32 @@ def test_sweep_calls_each_layer_once_per_unit_of_work(monkeypatch):
     monkeypatch.setattr(sim, "run_episode", counted_walk)
     monkeypatch.setattr(dp, "solve", counted("general", exact))
     monkeypatch.setattr(sim, "solve_monotone", counted("monotone", frontier))
-    cfg = small_cfg(runs=3, mu_cellular_mbps=10.0, mu_wifi_mbps=4.0)
-    run_experiment(cfg, SCHEMES, "deadline", (2.0, 1.0))
+    # 6, 1 and 2 slots: no-offload finishes in 2
+    cfg = small_cfg(runs=3)
+    run_experiment(cfg, SCHEMES, "deadline", (1.0, 1 / 6, 2 / 6))
 
     assert solves == {"general": 3, "monotone": 3}
-    expected = []  # run-major: per run, per point, per scheme
+    expected = []  # run-major: per run, points from the longest down, per scheme walked
+    carried = rewalked = 0
     for j in range(cfg.runs):
-        point = dataclasses.replace(cfg, deadline_minutes=2.0)
-        _, spec = sample_instance(point, _run_rngs(cfg, j)[0])
-        for horizon in (12, 6):
-            expected += [dataclasses.replace(spec, horizon=horizon)] * len(SCHEMES)
-    assert len(episodes) == len(expected) == 3 * 2 * len(SCHEMES)
+        inst_rng, traj_rng = _run_rngs(cfg, j)
+        model, spec = sample_instance(cfg, inst_rng)
+        traj = sample_trajectory(model, spec, traj_rng)
+        plans = plan_run(SCHEMES, model, spec, cfg, traj)
+        longest = [walk(x, model, spec, trajectory=traj) for x in plans]
+        for horizon in (6, 2, 1):
+            spec_t = dataclasses.replace(spec, horizon=horizon)
+            for scheme, ep in zip(SCHEMES, longest):
+                # one action per location: a walk that finished within the
+                # point's slots is not walked again
+                if horizon < 6 and scheme in ("no-offload", "otso"):
+                    if ep.completed and len(ep.trajectory) <= horizon:
+                        carried += 1
+                        continue
+                    rewalked += 1
+                expected.append(spec_t)
+    assert carried > 0 and rewalked > 0
+    assert len(episodes) == len(expected) == 3 * 3 * len(SCHEMES) - carried
     for (args, ep), spec in zip(episodes, expected):
         assert len(args) == 3 and args[2] == spec
         assert isinstance(ep, EpisodeResult)
@@ -849,6 +864,60 @@ def test_walk_matches_reference(name):
             want = reference_run_episode(reference[scheme](), model, spec, traj)
             assert got == want, (name, j, scheme)
             assert repr(got) == repr(want), (name, j, scheme)
+
+
+# A config's own deadline and points one to four slots long: location-only
+# walks that finish before a point's horizon, exactly at it, and after it.
+SHORT_DEADLINES = tuple(k / 6 for k in (4, 3, 2, 1))
+
+
+@pytest.mark.parametrize("name", sorted(WALK_CONFIGS))
+def test_sweep_records_equal_each_points_own_walks(monkeypatch, name):
+    cfg = small_cfg(**WALK_CONFIGS[name])
+    schemes = tuple(s for s in SCHEMES if s != "monotone" or cfg.penalty != "step")
+    deadlines = (cfg.deadline_minutes, *SHORT_DEADLINES)
+    monkeypatch.setattr(sim, "available_cpus", lambda: 2)
+    parallel = run_experiment(cfg, schemes, "deadline", deadlines, jobs=2)
+    walks = []
+    walk = sim.run_episode
+    monkeypatch.setattr(sim, "run_episode", lambda *a, **k: walks.append(a) or walk(*a, **k))
+    res = run_experiment(cfg, schemes, "deadline", deadlines)
+    assert res.to_csv_text() == parallel.to_csv_text()
+
+    predicted = 0
+    seen = set()
+    for j in range(cfg.runs):
+        longest = {}  # scheme -> its walk at the first point, the longest
+        for d in deadlines:
+            point = dataclasses.replace(cfg, deadline_minutes=d)
+            inst_rng, traj_rng = _run_rngs(point, j)
+            model, spec = sample_instance(point, inst_rng)
+            traj = sample_trajectory(model, spec, traj_rng)
+            for scheme, x in zip(schemes, plan_run(schemes, model, spec, point, traj)):
+                ep = walk(x, model, spec, trajectory=traj)
+                want = (
+                    ep.total_cost,
+                    ep.total_payment,
+                    float(ep.completed),
+                    ep.slots_cellular,
+                    ep.slots_wifi,
+                    ep.slots_waiting,
+                )
+                got = tuple(float(c[j]) for c in dataclasses.astuple(res.samples[(d, scheme)]))
+                assert got == want, (d, j, scheme)
+                top = longest.setdefault(scheme, ep)
+                if scheme in ("no-offload", "otso") and top is not ep:
+                    if top.completed and len(top.trajectory) <= spec.horizon:
+                        seen.add(f"{scheme} carried")
+                        if len(ep.trajectory) == spec.horizon:
+                            seen.add(f"{scheme} finished at the horizon")
+                        continue
+                    seen.add(f"{scheme} penalised" if ep.penalty_paid > 0 else f"{scheme} walked")
+                predicted += 1
+    assert len(walks) == predicted
+    if name == "default":  # both branches of the rule, and a walk ending at a point's horizon
+        kinds = ("carried", "finished at the horizon", "penalised")
+        assert seen == {f"{s} {k}" for s in ("no-offload", "otso") for k in kinds}
 
 
 # "rejecting" draws Wi-Fi rates at 10 +- 50 Mbit per slot; "zero-mean"
