@@ -31,7 +31,6 @@ from .model import (
     admissible_actions,
     next_file_size,
     payment,
-    penalty,
     transition_dist,
 )
 from .oracle import OracleResult, expectimax
@@ -45,13 +44,7 @@ from .sim import (
     run_experiment,
     sample_instance,
 )
-from .threshold import (
-    MonotoneModel,
-    ThresholdPolicy,
-    decide,
-    solve_monotone,
-    t_star_view,
-)
+from .threshold import MonotoneModel, ThresholdPolicy, solve_monotone
 
 __all__ = [
     "Action",
@@ -81,19 +74,16 @@ __all__ = [
     "ValueTable",
     "admissible_actions",
     "build_grid_mobility",
-    "decide",
     "expectimax",
     "next_file_size",
     "parse_config",
     "payment",
-    "penalty",
     "run_episode",
     "run_experiment",
     "sample_instance",
     "serialize_config",
     "solve",
     "solve_monotone",
-    "t_star_view",
     "transition_dist",
 ]
 

@@ -19,8 +19,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import dp
 from .config import (
     PROPERTY_NAMES,
@@ -31,7 +29,6 @@ from .config import (
     serialize_config,
 )
 from .errors import ConfigError, OffloadError
-from .model import Action
 from .sim import SCHEMES, means_model, run_experiment, sample_instance, worker_count
 from .threshold import solve_monotone
 
@@ -165,16 +162,10 @@ def cmd_policy_map(args) -> int:
 
     if args.solver == "general":
         policy, _ = dp.solve(model, spec, values=False)
-        matrix = policy.actions[:, l - 1, :]
     else:
-        # threshold.decide on every cell: cellular at or above the frontier
-        # (never at the sentinel), else Wi-Fi where covered and idle
-        # elsewhere, and idle when nothing is left
-        tp = solve_monotone(means_model(cfg, model, spec), spec, values=False)[0]
-        below = Action.WIFI if l in model.wifi_locations else Action.IDLE
-        cell = np.arange(spec.grid_points + 1) >= tp.k_star_idx[l - 1][:, None]
-        matrix = np.where(cell, Action.CELLULAR, below).astype(np.int8)
-        matrix[:, 0] = Action.IDLE
+        # the frontier rule written out as the exact planner's table
+        policy = solve_monotone(means_model(cfg, model, spec), spec, values=False)[0].to_policy()
+    matrix = policy.actions[:, l - 1, :]
 
     lines = [",".join(str(int(a)) for a in row) for row in matrix]
     text = "\n".join(lines) + "\n"

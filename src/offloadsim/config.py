@@ -198,11 +198,12 @@ class ScenarioConfig:
         return StepPenalty(self.penalty_step_amount)
 
     def resolve_sweep(self, axis: str = None, values=None) -> tuple:
-        """``(axis, values, points)``: the caller's axis, else ``sweep_axis``;
-        the caller's values, else ``sweep_values`` on ``sweep_axis`` only and
-        ``DEFAULT_SWEEP_VALUES`` on any other axis; one validated config per
-        value, with no sweep values of its own."""
-        (axis,) = check_names((axis or self.sweep_axis,), "sweep axis", SWEEP_AXES)
+        """``(axis, values, points)``: the caller's axis, else (if None)
+        ``sweep_axis``; the caller's values, else ``sweep_values`` on
+        ``sweep_axis`` only and ``DEFAULT_SWEEP_VALUES`` on any other axis;
+        one validated config per value, with no sweep values of its own."""
+        axis = self.sweep_axis if axis is None else axis
+        (axis,) = check_names((axis,), "sweep axis", SWEEP_AXES)
         values = () if values is None else tuple(values)
         own = not values and axis == self.sweep_axis and bool(self.sweep_values)
         default = self.sweep_values if own else DEFAULT_SWEEP_VALUES[axis]

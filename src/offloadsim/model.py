@@ -389,12 +389,6 @@ def slot_payment(model: NetworkModel, l: int, a: Action) -> float:
     return model.rate_of(l, a) * model.price_of(l, a)
 
 
-def penalty(spec: ProblemSpec, k: float) -> float:
-    """Terminal cost of ending the horizon with ``k`` still untransferred."""
-    spec.index_of(k)
-    return float(spec.penalty(k))
-
-
 def transfer_steps(spec: ProblemSpec, transfer):
     """Whole grid steps one slot's transfer covers (progress is never
     overstated; NaN and negative transfers cover none): an int for one

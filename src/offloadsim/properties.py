@@ -40,14 +40,6 @@ class CheckResult:
     status: str  # "pass" | "fail" | "skip"
     detail: str = ""
 
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
-    @property
-    def failed(self) -> bool:
-        return self.status == "fail"
-
 
 def _tol(values: np.ndarray) -> float:
     return _REL_TOL * max(1.0, float(np.abs(values).max()))

@@ -6,7 +6,9 @@ decision switches at most once along the remaining-size axis and at most
 once along the time axis.  This planner computes only those switch points
 per (location, epoch), searching for each one only at or above the
 frontier found one epoch later, instead of minimizing over the whole
-action set at every lattice point.
+action set at every lattice point.  The frontiers plus the Wi-Fi set are
+the whole rule; ``ThresholdPolicy.to_policy`` writes it out as the
+decision table the exact planner returns.
 """
 
 from __future__ import annotations
@@ -15,16 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dp import TIE_REL_TOL, ValueTable, cost_lattice, write_table
-from .errors import DomainError, PreconditionError
+from .dp import TIE_REL_TOL, Policy, ValueTable, cost_lattice, write_table
+from .errors import PreconditionError
 from .model import (
     Action,
     NetworkModel,
     PenaltyFn,
     ProblemSpec,
-    State,
     check_location,
-    grid_index,
     is_convex_on_grid,
     penalty_on_grid,
     transfer_steps,
@@ -142,13 +142,14 @@ def _spread(values: np.ndarray) -> float:
 @dataclass(frozen=True)
 class ThresholdPolicy:
     """Per (location, epoch) size frontier ``k_star`` plus the Wi-Fi set,
-    which together state the monotone rule (``decide``).
+    which together state the monotone rule; ``to_policy`` writes it out as
+    a decision table.
 
     ``k_star_idx[l-1, t-1]`` is the first grid index at which cellular is
-    chosen; the sentinel value ``grid_points + 1`` (one step past the file
-    size) means cellular is never chosen at that (location, epoch).  Below
-    it the user takes Wi-Fi where covered and idles elsewhere.  Where Wi-Fi
-    is faster (Lemma 2), every epoch holds the sentinel.
+    chosen; the value ``grid_points + 1`` (one step past the file size)
+    means cellular is never chosen at that (location, epoch).  Below it the
+    user takes Wi-Fi where covered and idles elsewhere.  Where Wi-Fi is
+    faster (Lemma 2), every epoch holds ``grid_points + 1``.
     """
 
     k_star_idx: np.ndarray
@@ -171,49 +172,24 @@ class ThresholdPolicy:
         """Number of grid steps in the full file (grid has this + 1 values)."""
         return int(round(self.file_size / self.grid_step))
 
-    @property
-    def sentinel(self) -> float:
-        return self.file_size + self.grid_step
-
-    def threshold(self, l: int, t: int) -> float:
-        check_location(l, self.num_locations)
-        if not 1 <= t <= self.horizon:
-            raise DomainError(f"epoch {t} outside 1..{self.horizon}")
-        return float(self.k_star_idx[l - 1, t - 1] * self.grid_step)
+    def to_policy(self) -> Policy:
+        """The monotone rule as the exact planner's decision table: idle at
+        size 0, else cellular at or above the frontier, else Wi-Fi where
+        covered and idle elsewhere."""
+        shape = (self.horizon, self.num_locations, self.grid_points + 1)
+        actions = np.full(shape, Action.IDLE, dtype=np.int8)
+        for l in self.wifi_locations:
+            actions[:, l - 1] = Action.WIFI
+        cellular = np.arange(self.grid_points + 1) >= self.k_star_idx.T[:, :, None]
+        np.copyto(actions, Action.CELLULAR, where=cellular)
+        actions[:, :, 0] = Action.IDLE
+        return Policy(actions, self.grid_step, self.horizon)
 
     def write_csv(self, path) -> None:
         def row(l, t):
             return l + 1, t + 1, repr(float(self.k_star_idx[l, t] * self.grid_step))
 
         write_table(path, ("l", "t", "k_star"), self.k_star_idx.shape, row)
-
-
-def decide(tp: ThresholdPolicy, s: State, t: int) -> Action:
-    """Decision rule induced by the frontiers: cellular at or above the
-    frontier, else Wi-Fi where covered and idle elsewhere.
-
-    Zero remaining size always maps to IDLE, mirroring the exact planner's
-    idle-at-zero rule (the transfer loop never reaches this state anyway).
-    """
-    if not 1 <= t <= tp.horizon:
-        raise DomainError(f"epoch {t} outside 1..{tp.horizon}")
-    n = grid_index(s.k, tp.grid_step, tp.grid_points)
-    if n == 0:
-        return Action.IDLE
-    if n >= tp.k_star_idx[check_location(s.l, tp.num_locations) - 1, t - 1]:
-        return Action.CELLULAR
-    return Action.WIFI if s.l in tp.wifi_locations else Action.IDLE
-
-
-def t_star_view(tp: ThresholdPolicy, k: float, l: int) -> int:
-    """First epoch at which ``k`` is at or above the frontier.
-
-    Returns ``horizon + 1`` when no epoch qualifies (including ``k = 0``).
-    """
-    n = grid_index(k, tp.grid_step, tp.grid_points)
-    row = tp.k_star_idx[check_location(l, tp.num_locations) - 1]
-    hits = np.where(row <= n)[0]
-    return int(hits[0]) + 1 if hits.size else tp.horizon + 1
 
 
 def _cellular_values(w: np.ndarray, d: int, lo: int, q: float) -> np.ndarray:
@@ -231,8 +207,8 @@ def _cellular_values(w: np.ndarray, d: int, lo: int, q: float) -> np.ndarray:
 def solve_monotone(mm: MonotoneModel, spec: ProblemSpec, *, values: bool = True):
     """Backward induction that only searches around the moving frontier.
 
-    Returns ``(ThresholdPolicy, ValueTable)``.  The induced decision rule
-    matches the exact planner's table cell for cell when that planner is
+    Returns ``(ThresholdPolicy, ValueTable)``.  The policy's ``to_policy()``
+    table equals the exact planner's cell for cell when that planner is
     run with ``flat_payment=True`` on the equivalent network.  The penalty
     comes from ``spec``, as in the exact planner.  ``values=False`` keeps
     two epochs of costs and returns None for the table, as ``dp.solve``
@@ -244,7 +220,7 @@ def solve_monotone(mm: MonotoneModel, spec: ProblemSpec, *, values: bool = True)
     (Theorem 3: going back in time, frontiers only rise).  A class whose
     frontiers are all past the file size is not searched at all.  Once
     that holds for every class, ``values=False`` stops: the earlier epochs
-    keep the sentinel and their costs are never computed.
+    keep ``grid_points + 1`` and their costs are never computed.
     """
     L = mm.num_locations
     N = spec.grid_points
@@ -275,7 +251,7 @@ def solve_monotone(mm: MonotoneModel, spec: ProblemSpec, *, values: bool = True)
     ks_next = np.zeros(L, dtype=np.int64)
     starts = [0] * len(classes)  # lowest frontier of each class one epoch later
     # Switch test over sizes [start, N] of one class, plus an always-true
-    # column N + 1, so that argmax lands on the sentinel when nothing switches.
+    # column N + 1, so that argmax lands on N + 1 when nothing switches.
     switch = np.empty((L, N + 2), dtype=bool)
     switch[:, N + 1] = True
     for t in range(T - 1, -1, -1):
@@ -283,7 +259,7 @@ def solve_monotone(mm: MonotoneModel, spec: ProblemSpec, *, values: bool = True)
         if lo > N and not values:
             # Every frontier one epoch later is past the file size, so no
             # class is searched at this epoch or an earlier one: their
-            # columns keep the sentinel and their costs would go unread.
+            # columns keep N + 1 and their costs would go unread.
             break
         v_t = v[t % m]
         np.matmul(P, v[(t + 1) % m], out=v_t)  # v_t holds the idle continuation

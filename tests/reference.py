@@ -3,7 +3,8 @@
 The package reads every scheme as per-run data and samples, plans and
 walks in batches.  The functions here are the same rules written one
 state or one draw at a time, on the public model primitives: the three
-heuristics' decision rules with Wiffler's encounter history, the exact
+heuristics' decision rules with Wiffler's encounter history, the monotone
+rule read off a frontier table one state at a time, the exact
 planner's action value, the rejection sampler for the rates, and the
 trajectory walk on whole cumulative mobility rows.  It also holds
 ``make_agent``, one scheme's ``sim.plan_run`` decisions, and two order
@@ -18,11 +19,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from offloadsim import dp
+from offloadsim.errors import DomainError
 from offloadsim.model import (
     Action,
     NetworkModel,
     ProblemSpec,
     State,
+    check_location,
+    grid_index,
     payment,
     slot_payment,
     transfer_steps,
@@ -41,6 +45,20 @@ def otso_decide(model: NetworkModel, s: State) -> Action:
     if s.k <= 0:
         return Action.IDLE
     return Action.WIFI if model.has_wifi(s.l) else Action.CELLULAR
+
+
+def decide(tp, s: State, t: int) -> Action:
+    """The monotone rule of a ``ThresholdPolicy`` at one state: idle when
+    nothing is left, else cellular at or above the frontier, else Wi-Fi
+    where covered and idle elsewhere."""
+    if not 1 <= t <= tp.horizon:
+        raise DomainError(f"epoch {t} outside 1..{tp.horizon}")
+    n = grid_index(s.k, tp.grid_step, tp.grid_points)
+    if n == 0:
+        return Action.IDLE
+    if n >= tp.k_star_idx[check_location(s.l, tp.num_locations) - 1, t - 1]:
+        return Action.CELLULAR
+    return Action.WIFI if s.l in tp.wifi_locations else Action.IDLE
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from offloadsim.properties import (
     check_wifi_preference,
 )
 from offloadsim.sim import run_experiment
-from offloadsim.threshold import MonotoneModel, decide, solve_monotone
+from offloadsim.threshold import MonotoneModel, solve_monotone
 
 from instances import (
     grid_demo_model,
@@ -98,16 +98,10 @@ def test_criterion_2_monotone_general_equivalence():
         mm = monotone_view(model, spec)
         tp, _ = solve_monotone(mm, spec)
         policy, _ = solve(model, spec, flat_payment=True)
-        for t in range(1, spec.horizon + 1):
-            for l in range(1, model.num_locations + 1):
-                for n in range(spec.grid_points + 1):
-                    k = n * spec.grid_step
-                    assert decide(tp, State(k, l), t) == policy.action(t, k, l), (
-                        t,
-                        k,
-                        l,
-                    )
-                    cells += 1
+        table = tp.to_policy().actions
+        mismatch = np.argwhere(table != policy.actions)
+        assert not mismatch.size, f"first (t-1, l-1, n) that differs: {tuple(mismatch[0])}"
+        cells += table.size
     elapsed = time.perf_counter() - started
     _report(
         elapsed < 30.0,
@@ -131,9 +125,9 @@ def test_criterion_3_structure_suite():
     tp, _ = solve_monotone(monotone_view(model, spec), spec)
 
     single = check_single_switch(policy, model)
-    assert single.passed, single.detail
+    assert single.status == "pass", single.detail
     mono = check_threshold_monotone(tp)
-    assert mono.passed, mono.detail
+    assert mono.status == "pass", mono.detail
 
     # frontier positions derived from the exact planner's table
     N = spec.grid_points
@@ -171,7 +165,7 @@ def test_criterion_4_lemma_suite():
         model, spec = random_general_instance(rng)
         _, vt = solve(model, spec)
         r = check_value_monotone_in_size(vt)
-        assert r.passed, r.detail
+        assert r.status == "pass", r.detail
 
     for i in range(30):
         model, spec = random_flatcost_instance(rng, wifi_slower=(i % 3 != 0))
@@ -181,7 +175,7 @@ def test_criterion_4_lemma_suite():
             check_value_monotone_in_time(vt),
             check_wifi_preference(model, spec, policy, vt),
         ):
-            assert r.passed, (r.name, r.detail)
+            assert r.status == "pass", (r.name, r.detail)
 
     # Sign conditions on two-point/two-action comparisons need
     # coverage-homogeneous locations (see test_properties for the certified
@@ -191,9 +185,9 @@ def test_criterion_4_lemma_suite():
         model, spec = single_class_flatcost_instance(rng, all_wifi=(i % 2 == 0))
         _, vt = solve(model, spec, flat_payment=True)
         r = check_cross_difference(model, spec, vt)
-        assert r.passed, r.detail
+        assert r.status == "pass", r.detail
         r = check_increment_monotone(model, spec, vt)
-        assert r.passed, r.detail
+        assert r.status == "pass", r.detail
     _report(True, "criterion 4: order-property suite on the random corpus")
 
 

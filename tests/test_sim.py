@@ -36,10 +36,11 @@ from offloadsim.sim import (
     worker_count,
 )
 from offloadsim.streams import run_streams, seed_states
-from offloadsim.threshold import decide as threshold_decide, solve_monotone
+from offloadsim.threshold import solve_monotone
 
 from reference import (
     WifflerState,
+    decide as threshold_decide,
     make_agent,
     no_offload_decide,
     otso_decide,

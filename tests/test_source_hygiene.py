@@ -1,10 +1,14 @@
 """Static checks on the package source, with the standard-library ``ast``:
 no unused imports, an ``__all__`` that resolves, no module-level
 function or class that nothing names, one home for the grid
-tolerance and the lattice budget, and one for the list rule's messages."""
+tolerance and the lattice budget, and one for the list rule's messages.
+README's Python example is run, so that it cannot name a removed API."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -142,3 +146,15 @@ def test_list_rule_messages_are_raised_only_in_config():
         "config.py: given; expected some of",
         "config.py: repeated in",
     ]
+
+
+README_PYTHON = re.compile(r"^```python\n(.*?)^```$", re.DOTALL | re.MULTILINE)
+
+
+def test_readme_python_example_runs():
+    blocks = README_PYTHON.findall((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert blocks
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for code in blocks:
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr

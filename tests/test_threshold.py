@@ -16,12 +16,7 @@ from offloadsim.model import (
     StepPenalty,
     transfer_steps,
 )
-from offloadsim.threshold import (
-    MonotoneModel,
-    decide,
-    solve_monotone,
-    t_star_view,
-)
+from offloadsim.threshold import MonotoneModel, solve_monotone
 
 from instances import (
     edge_flatcost_instances,
@@ -31,6 +26,12 @@ from instances import (
     random_flatcost_instance,
     threshold_demo,
 )
+from reference import decide
+
+
+def k_star(tp, l, t):
+    """The frontier at location ``l`` and epoch ``t`` as a size."""
+    return float(tp.k_star_idx[l - 1, t - 1] * tp.grid_step)
 
 
 def test_from_network_model_strict_errors():
@@ -130,11 +131,9 @@ def test_threshold_pass_matches_fast_solver():
         for t in range(spec.horizon, 0, -1):
             v_next = vt.values[t]
             for l in range(1, model.num_locations + 1):
-                ks_next = (
-                    tp.threshold(l, t + 1) if t < spec.horizon else 0.0
-                )
+                ks_next = k_star(tp, l, t + 1) if t < spec.horizon else 0.0
                 ks, row = threshold_pass(mm, spec, l, v_next, ks_next)
-                assert ks == pytest.approx(tp.threshold(l, t))
+                assert ks == pytest.approx(k_star(tp, l, t))
                 np.testing.assert_allclose(
                     row, vt.values[t - 1, l - 1], rtol=1e-12, atol=0
                 )
@@ -157,15 +156,52 @@ def test_decide_semantics():
     assert 1 not in tp.wifi_locations and 4 in tp.wifi_locations
     assert mm.mu_wifi <= mm.mu_cellular
 
-    assert decide(tp, State(0.0, 1), 5) is Action.IDLE
-    k_star = tp.threshold(1, 20)
-    assert decide(tp, State(k_star, 1), 20) is Action.CELLULAR
-    if k_star > spec.grid_step:
-        assert decide(tp, State(k_star - spec.grid_step, 1), 20) is Action.IDLE
-    k_star4 = tp.threshold(4, 20)
+    policy = tp.to_policy()
+    assert policy.action(5, 0.0, 1) is Action.IDLE
+    k_star1 = k_star(tp, 1, 20)
+    assert policy.action(20, k_star1, 1) is Action.CELLULAR
+    if k_star1 > spec.grid_step:
+        assert policy.action(20, k_star1 - spec.grid_step, 1) is Action.IDLE
+    k_star4 = k_star(tp, 4, 20)
     if k_star4 > spec.grid_step:
-        assert decide(tp, State(k_star4 - spec.grid_step, 4), 20) is Action.WIFI
-    assert decide(tp, State(k_star4, 4), 20) is Action.CELLULAR
+        assert policy.action(20, k_star4 - spec.grid_step, 4) is Action.WIFI
+    assert policy.action(20, k_star4, 4) is Action.CELLULAR
+
+
+def assert_table_is_the_rule(tp):
+    """``tp.to_policy()`` is ``decide`` at every epoch, location and size."""
+    policy = tp.to_policy()
+    N = tp.grid_points
+    assert policy.actions.dtype == np.int8
+    assert policy.actions.shape == (tp.horizon, tp.num_locations, N + 1)
+    assert (policy.grid_step, policy.horizon) == (tp.grid_step, tp.horizon)
+    for t in range(1, tp.horizon + 1):
+        for l in range(1, tp.num_locations + 1):
+            for n in range(N + 1):
+                k = n * tp.grid_step
+                assert policy.action(t, k, l) is decide(tp, State(k, l), t), (t, l, n)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(flatcost_instances())
+def test_to_policy_is_the_reference_rule_on_generated_instances(instance):
+    model, spec = instance
+    tp, _ = solve_monotone(monotone_view(model, spec), spec, values=False)
+    assert_table_is_the_rule(tp)
+
+
+def never_cellular():
+    """An absurd slot cost: every frontier is the sentinel."""
+    return grid_demo_model(price_cellular=1e9), ProblemSpec(20.0, 5, 1.0, QuadraticPenalty(0.001))
+
+
+@pytest.mark.parametrize("instance", edge_flatcost_instances() + [never_cellular()])
+def test_to_policy_is_the_reference_rule_on_edge_instances(instance):
+    # an empty file, no or full coverage, Wi-Fi faster than cellular
+    # (Lemma 2), a single slot, and a plan that is all sentinel
+    model, spec = instance
+    tp, _ = solve_monotone(monotone_view(model, spec), spec)
+    assert_table_is_the_rule(tp)
 
 
 def wifi_faster(instance):
@@ -184,17 +220,14 @@ def test_wifi_faster_mode_always_wifi(instance):
     mm = monotone_view(model, spec)
     assert mm.wifi_locations and mm.mu_wifi > mm.mu_cellular
     pol, _ = solve(model, spec, flat_payment=True)
+    wifi = [l - 1 for l in model.wifi_locations]
     for values in (True, False):
         tp, _ = solve_monotone(mm, spec, values=values)
         assert tp.wifi_locations == model.wifi_locations
-        for l in tp.wifi_locations:
-            assert (tp.k_star_idx[l - 1] == spec.grid_points + 1).all(), (values, l)
-            for t in range(1, spec.horizon + 1):
-                assert tp.threshold(l, t) == tp.sentinel
-                for n in range(1, spec.grid_points + 1):
-                    assert decide(tp, State(n * spec.grid_step, l), t) is Action.WIFI
-            # matches the exact planner under the same cost model
-            assert (pol.actions[:, l - 1, 1:] == int(Action.WIFI)).all()
+        assert (tp.k_star_idx[wifi] == spec.grid_points + 1).all(), values
+        assert (tp.to_policy().actions[:, wifi, 1:] == Action.WIFI).all(), values
+    # matches the exact planner under the same cost model
+    assert (pol.actions[:, wifi, 1:] == Action.WIFI).all()
 
 
 def test_last_epoch_threshold_at_one_step_when_penalty_exceeds_slot_cost():
@@ -206,19 +239,18 @@ def test_last_epoch_threshold_at_one_step_when_penalty_exceeds_slot_cost():
     tp, _ = solve_monotone(mm, spec)
     for l in range(1, 17):
         if l in model.wifi_locations:
-            assert tp.threshold(l, 20) == 2 * spec.grid_step
+            assert k_star(tp, l, 20) == 2 * spec.grid_step
         else:
-            assert tp.threshold(l, 20) <= spec.grid_step
+            assert k_star(tp, l, 20) <= spec.grid_step
 
 
 def test_sentinel_when_cellular_never_chosen():
-    model = grid_demo_model(price_cellular=1e9)  # absurd slot cost
-    spec = ProblemSpec(20.0, 5, 1.0, QuadraticPenalty(0.001))
-    mm = monotone_view(model, spec)
-    tp, _ = solve_monotone(mm, spec)
+    model, spec = never_cellular()
+    tp, _ = solve_monotone(monotone_view(model, spec), spec)
     assert (tp.k_star_idx == spec.grid_points + 1).all()
-    assert decide(tp, State(20.0, 1), 1) is Action.IDLE
-    assert decide(tp, State(20.0, 4), 1) is Action.WIFI
+    policy = tp.to_policy()
+    assert policy.action(1, 20.0, 1) is Action.IDLE
+    assert policy.action(1, 20.0, 4) is Action.WIFI
 
 
 def test_frontier_monotone_in_time():
@@ -230,25 +262,29 @@ def test_frontier_monotone_in_time():
         assert (ks[:, :-1] >= ks[:, 1:]).all()
 
 
-def test_t_star_view():
+def test_time_frontier_never_grows_with_size():
+    # the first epoch at which a size takes cellular, read off the table
     model, spec = threshold_demo()
     tp, _ = solve_monotone(monotone_view(model, spec), spec)
-    assert t_star_view(tp, 0.0, 1) == spec.horizon + 1
-    assert t_star_view(tp, tp.threshold(1, 1), 1) == 1
-    for l in range(1, 17):
-        stars = [t_star_view(tp, float(n), l) for n in range(21)]
-        assert all(a >= b for a, b in zip(stars, stars[1:]))
+    T = spec.horizon
+    cellular = tp.to_policy().actions == Action.CELLULAR
+    t_star = np.where(cellular.any(axis=0), cellular.argmax(axis=0) + 1, T + 1)
+    assert (t_star[:, 0] == T + 1).all()
+    assert t_star[0, tp.k_star_idx[0, 0]] == 1
+    assert (t_star[:, :-1] >= t_star[:, 1:]).all()
 
 
-def test_decide_and_t_star_view_reject_sizes_off_or_above_the_grid():
+def test_monotone_table_rejects_sizes_off_or_above_the_grid():
     model, spec = threshold_demo()
     tp, _ = solve_monotone(monotone_view(model, spec), spec)
     assert tp.grid_points == spec.grid_points
+    policy = tp.to_policy()
     for k in (0.5 * spec.grid_step, spec.file_size + spec.grid_step, -spec.grid_step):
         with pytest.raises(DomainError, match="size"):
-            decide(tp, State(k, 1), 1)
-        with pytest.raises(DomainError, match="size"):
-            t_star_view(tp, k, 1)
+            policy.action(1, k, 1)
+    for t in (0, spec.horizon + 1):
+        with pytest.raises(DomainError, match="epoch"):
+            policy.action(t, spec.grid_step, 1)
 
 
 @pytest.mark.parametrize("l", [0, 17])
@@ -261,9 +297,7 @@ def test_table_readers_reject_locations_outside_the_grid(l):
     readers = [
         lambda: policy.action(1, k, l),
         lambda: values.value(1, k, l),
-        lambda: t_star_view(tp, k, l),
-        lambda: tp.threshold(l, 1),
-        lambda: decide(tp, State(k, l), 1),
+        lambda: tp.to_policy().action(1, k, l),
         lambda: dataclasses.replace(tp, wifi_locations={l}),  # a plan covering l
     ]
     for read in readers:
@@ -277,12 +311,7 @@ def test_policy_equivalence_with_exact_planner():
         tp, vt_m = solve_monotone(mm, spec)
         pol, vt_f = solve(model, spec, flat_payment=True)
         np.testing.assert_allclose(vt_m.values, vt_f.values, rtol=2e-9, atol=0)
-        for t in range(1, spec.horizon + 1):
-            for l in range(1, model.num_locations + 1):
-                for n in range(spec.grid_points + 1):
-                    assert decide(tp, State(n * spec.grid_step, l), t) == pol.action(
-                        t, n * spec.grid_step, l
-                    )
+        assert np.array_equal(tp.to_policy().actions, pol.actions)
 
 
 def test_threshold_csv(tmp_path):
@@ -294,4 +323,4 @@ def test_threshold_csv(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 16 * 20
     for row in rows[:40]:
-        assert tp.threshold(int(row["l"]), int(row["t"])) == float(row["k_star"])
+        assert k_star(tp, int(row["l"]), int(row["t"])) == float(row["k_star"])
