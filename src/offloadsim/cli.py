@@ -191,16 +191,9 @@ def run_verification(cfg: ScenarioConfig, properties) -> list:
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
     results = run_verification(cfg, args.properties)
-    failed = False
     for r in results:
-        if r.status == "pass":
-            print(f"PASS {r.name}")
-        elif r.status == "skip":
-            print(f"SKIP {r.name}: {r.detail}")
-        else:
-            failed = True
-            print(f"FAIL {r.name}: {r.detail}")
-    return EXIT_PROPERTY if failed else EXIT_OK
+        print(f"{r.status.upper()} {r.name}" + (f": {r.detail}" if r.detail else ""))
+    return EXIT_PROPERTY if any(r.status == "fail" for r in results) else EXIT_OK
 
 
 def cmd_dump_config(args) -> int:

@@ -54,7 +54,9 @@ def check_names(names, noun: str, known=None) -> tuple:
     one rule for schemes, properties, sweep axes, sweep values and penalties."""
     names = tuple(names)
     if not names:
-        raise ConfigError(f"no {noun} given; expected some of {known}")
+        raise ConfigError(
+            f"no {noun} given" if known is None else f"no {noun} given; expected some of {known}"
+        )
     for name in names:
         if known is not None and name not in known:
             raise ConfigError(f"unknown {noun} {name!r}; expected one of {known}")
@@ -199,15 +201,15 @@ class ScenarioConfig:
 
     def resolve_sweep(self, axis: str = None, values=None) -> tuple:
         """``(axis, values, points)``: the caller's axis, else (if None)
-        ``sweep_axis``; the caller's values, else ``sweep_values`` on
-        ``sweep_axis`` only and ``DEFAULT_SWEEP_VALUES`` on any other axis;
+        ``sweep_axis``; the caller's values, else (if None) ``sweep_values``
+        on ``sweep_axis`` only and ``DEFAULT_SWEEP_VALUES`` on any other axis;
         one validated config per value, with no sweep values of its own."""
         axis = self.sweep_axis if axis is None else axis
         (axis,) = check_names((axis,), "sweep axis", SWEEP_AXES)
-        values = () if values is None else tuple(values)
-        own = not values and axis == self.sweep_axis and bool(self.sweep_values)
-        default = self.sweep_values if own else DEFAULT_SWEEP_VALUES[axis]
-        values = check_names(values or default, "sweep value")
+        own = values is None and axis == self.sweep_axis and bool(self.sweep_values)
+        if values is None:
+            values = self.sweep_values if own else DEFAULT_SWEEP_VALUES[axis]
+        values = check_names(values, "sweep value")
         base = dataclasses.replace(self, sweep_values=()) if self.sweep_values else self
         points = []
         for value in values:

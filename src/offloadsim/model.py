@@ -4,9 +4,11 @@ A mobile user moves between locations on a Markov chain, always has a
 cellular connection, sometimes has Wi-Fi, and must push a file of known
 size through before a deadline.  This module holds the static problem
 description (network, prices, per-slot throughputs, size grid, deadline
-penalty) and the primitive functions every solver and the simulator share:
-per-slot payment, terminal penalty, size update, and the one-step
-transition distribution.
+penalty) and the rules read from it.  Both planners and the episode walk
+quantize a slot's transfer with ``transfer_steps``; the planners read the
+terminal penalty on the whole grid with ``penalty_on_grid``.  The scalar
+primitives (per-slot payment, size update and one-step transition
+distribution) serve the brute-force oracle.
 
 Sizes and rates are expressed in one consistent unit (the bundled
 scenario builder uses megabits); prices are money per size unit.  All
@@ -292,14 +294,14 @@ def penalty_on_grid(pen: PenaltyFn, grid: np.ndarray) -> np.ndarray:
     return pen.on_grid(np.asarray(grid, dtype=float))
 
 
-def is_convex_on_grid(vals: np.ndarray, tol: float = 1e-9) -> bool:
-    """Second differences of penalty values on the grid are all >= -tol
-    (relative to the largest magnitude, floored at 1)."""
+def is_convex_on_grid(vals: np.ndarray) -> bool:
+    """Second differences of penalty values on the grid are all >= -1e-9
+    relative to the largest magnitude, floored at 1."""
     if vals.size < 3:
         return True
     second = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
     scale = max(1.0, float(np.abs(vals).max()))
-    return bool((second >= -tol * scale).all())
+    return bool((second >= -1e-9 * scale).all())
 
 
 @dataclass(frozen=True)

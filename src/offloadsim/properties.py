@@ -4,9 +4,9 @@ The planners' outputs obey a family of order properties: costs-to-go grow
 with the remaining size and with time pressure, free transfer beats
 idling wherever it is available, and under the simplified cost model the
 decision flips at most once along the size axis with frontiers that move
-monotonically.  These checks scan solved tables for violations and report
-the first counterexample; the command-line ``verify`` subcommand and the
-test suite both run them.
+monotonically.  Each check tests whole tables and reports the first
+counterexample in a fixed scan order; the command-line ``verify``
+subcommand and the test suite both run them.
 """
 
 from __future__ import annotations
@@ -45,152 +45,124 @@ def _tol(values: np.ndarray) -> float:
     return _REL_TOL * max(1.0, float(np.abs(values).max()))
 
 
-def check_value_monotone_in_size(vt: dp.ValueTable, name: str = "lemma1a") -> CheckResult:
-    """Cost-to-go never drops when the remaining size grows."""
-    v = vt.values
-    diff = v[:, :, 1:] - v[:, :, :-1]
-    bad = np.argwhere(diff < -_tol(v))
-    if bad.size:
-        t, l, n = bad[0]
-        return CheckResult(
-            name,
-            "fail",
-            f"value(t={t + 1}, k={(n + 1) * vt.grid_step}, l={l + 1}) < "
-            f"value at k={n * vt.grid_step}",
-        )
-    return CheckResult(name, "pass")
+def _first(bad: np.ndarray):
+    """The index tuple of the first True cell of ``bad`` in C order, or None."""
+    if not bad.any():
+        return None
+    return tuple(int(i) for i in np.unravel_index(bad.argmax(), bad.shape))
 
 
-def check_value_monotone_in_time(vt: dp.ValueTable, name: str = "lemma1b") -> CheckResult:
-    """Cost-to-go never drops as the deadline gets closer (simplified cost)."""
+def check_value_monotone_in_size(vt: dp.ValueTable) -> CheckResult:
+    """Cost-to-go never drops when the remaining size grows.  Scans epoch,
+    location, size."""
     v = vt.values
-    diff = v[1:] - v[:-1]
-    bad = np.argwhere(diff < -_tol(v))
-    if bad.size:
-        t, l, n = bad[0]
-        return CheckResult(
-            name,
-            "fail",
-            f"value(t={t + 2}, k={n * vt.grid_step}, l={l + 1}) < value(t={t + 1}, ...)",
-        )
-    return CheckResult(name, "pass")
+    at = _first(v[:, :, 1:] - v[:, :, :-1] < -_tol(v))
+    if at is None:
+        return CheckResult("lemma1a", "pass")
+    t, l, n = at
+    return CheckResult(
+        "lemma1a",
+        "fail",
+        f"value(t={t + 1}, k={(n + 1) * vt.grid_step}, l={l + 1}) < "
+        f"value at k={n * vt.grid_step}",
+    )
+
+
+def check_value_monotone_in_time(vt: dp.ValueTable) -> CheckResult:
+    """Cost-to-go never drops as the deadline gets closer (simplified cost).
+    Scans epoch, location, size."""
+    v = vt.values
+    at = _first(v[1:] - v[:-1] < -_tol(v))
+    if at is None:
+        return CheckResult("lemma1b", "pass")
+    t, l, n = at
+    return CheckResult(
+        "lemma1b",
+        "fail",
+        f"value(t={t + 2}, k={n * vt.grid_step}, l={l + 1}) < value(t={t + 1}, ...)",
+    )
 
 
 def check_wifi_preference(
-    model: NetworkModel,
-    spec: ProblemSpec,
-    policy: dp.Policy,
-    vt: dp.ValueTable,
-    name: str = "lemma2",
+    model: NetworkModel, spec: ProblemSpec, policy: dp.Policy, vt: dp.ValueTable
 ) -> CheckResult:
     """Where Wi-Fi is available: idling never beats it, and if Wi-Fi is at
-    least as fast as cellular it is chosen outright (simplified cost)."""
-    N = spec.grid_points
-    arange = np.arange(N + 1)
+    least as fast as cellular it is chosen outright (simplified cost).
+    Scans location, then each test over epoch and size."""
+    idx = np.arange(spec.grid_points + 1)
     tol = _tol(vt.values)
     for l in sorted(model.wifi_locations):
         steps = transfer_steps(spec, model.rate_of(l, Action.WIFI))
-        idx2 = np.maximum(arange - steps, 0)
-        for t in range(1, spec.horizon + 1):
-            w = model.mobility[l - 1] @ vt.values[t]
-            gap = w - w[idx2]  # idle minus Wi-Fi action value
-            bad = np.argwhere(gap < -tol)
-            if bad.size:
-                n = int(bad[0][0])
-                return CheckResult(
-                    name,
-                    "fail",
-                    f"idling beats Wi-Fi at (t={t}, k={n * spec.grid_step}, l={l})",
-                )
+        w = model.mobility[l - 1] @ vt.values[1:]  # (epoch, size) cost-to-go after each epoch
+        at = _first(w - w[:, np.maximum(idx - steps, 0)] < -tol)  # idle minus Wi-Fi
+        if at is not None:
+            t, n = at
+            where = f"(t={t + 1}, k={n * spec.grid_step}, l={l})"
+            return CheckResult("lemma2", "fail", f"idling beats Wi-Fi at {where}")
         if model.rate_of(l, Action.CELLULAR) <= model.rate_of(l, Action.WIFI):
-            acts = policy.actions[:, l - 1, 1:]
-            bad = np.argwhere(acts != int(Action.WIFI))
-            if bad.size:
-                t, n = bad[0]
+            at = _first(policy.actions[:, l - 1, 1:] != int(Action.WIFI))
+            if at is not None:
+                t, n = at
                 return CheckResult(
-                    name,
+                    "lemma2",
                     "fail",
                     f"Wi-Fi at least as fast as cellular but action at "
                     f"(t={t + 1}, k={(n + 1) * spec.grid_step}, l={l}) is not Wi-Fi",
                 )
-    return CheckResult(name, "pass")
+    return CheckResult("lemma2", "pass")
 
 
-def check_single_switch(
-    policy: dp.Policy, model: NetworkModel, name: str = "theorem2"
-) -> CheckResult:
+def check_single_switch(policy: dp.Policy, model: NetworkModel) -> CheckResult:
     """Along the size axis (excluding the idle-at-zero cell) the decision is
-    the location's free action up to one switch point and cellular after."""
+    the location's free action up to one switch point and cellular after.
+    Scans location, epoch, then in one column an unexpected action before
+    a second switch, then size."""
     for l in range(1, model.num_locations + 1):
         low = Action.WIFI if model.has_wifi(l) else Action.IDLE
-        for t in range(1, policy.horizon + 1):
-            col = policy.actions[t - 1, l - 1, 1:]
-            if col.size == 0:
-                continue
-            is_cell = col == int(Action.CELLULAR)
-            if np.any(~is_cell & (col != int(low))):
-                n = int(np.argwhere(~is_cell & (col != int(low)))[0][0]) + 1
-                return CheckResult(
-                    name,
-                    "fail",
-                    f"unexpected action {Action(int(col[n - 1])).name} at "
-                    f"(t={t}, k={n * policy.grid_step}, l={l})",
-                )
-            if np.any(np.diff(is_cell.astype(np.int8)) < 0):
-                n = int(np.argwhere(np.diff(is_cell.astype(np.int8)) < 0)[0][0]) + 1
-                return CheckResult(
-                    name,
-                    "fail",
-                    f"cellular gives way to {low.name} above "
-                    f"(t={t}, k={n * policy.grid_step}, l={l}): more than one switch",
-                )
-    return CheckResult(name, "pass")
+        acts = policy.actions[:, l - 1, 1:]  # size index n + 1 at column n
+        cell = acts == int(Action.CELLULAR)
+        bad = np.zeros((acts.shape[0], 2, acts.shape[1]), dtype=bool)
+        bad[:, 0] = ~cell & (acts != int(low))
+        bad[:, 1, :-1] = cell[:, :-1] & ~cell[:, 1:]  # cellular gives way
+        at = _first(bad)
+        if at is None:
+            continue
+        t, second, n = at
+        where = f"(t={t + 1}, k={(n + 1) * policy.grid_step}, l={l})"
+        if second:
+            detail = f"cellular gives way to {low.name} above {where}: more than one switch"
+        else:
+            detail = f"unexpected action {Action(int(acts[t, n])).name} at {where}"
+        return CheckResult("theorem2", "fail", detail)
+    return CheckResult("theorem2", "pass")
 
 
-def check_threshold_monotone(tp: ThresholdPolicy, name: str = "theorem3") -> CheckResult:
-    """Size frontiers never grow as time advances; the induced time
-    frontiers never grow as the size grows."""
+def check_threshold_monotone(tp: ThresholdPolicy) -> CheckResult:
+    """Size frontiers never grow as time advances.  Scans location, epoch.
+
+    The time frontiers a frontier table induces (the first epoch at which a
+    size takes cellular) never grow with the size by construction: the
+    epochs whose frontier is at most ``k`` only gain members as ``k`` grows."""
     ks = tp.k_star_idx
-    bad = np.argwhere(ks[:, :-1] < ks[:, 1:])
-    if bad.size:
-        l, t = bad[0]
-        return CheckResult(
-            name,
-            "fail",
-            f"frontier at (l={l + 1}, t={t + 1}) is below the one at t={t + 2}",
-        )
-    sizes = np.arange(tp.grid_points + 1)
-    for l in range(tp.num_locations):
-        hit = ks[l][None, :] <= sizes[:, None]  # (N+1, T)
-        any_hit = hit.any(axis=1)
-        tstar = np.where(any_hit, hit.argmax(axis=1) + 1, tp.horizon + 1)
-        bad = np.argwhere(tstar[:-1] < tstar[1:])
-        if bad.size:
-            n = int(bad[0][0])
-            return CheckResult(
-                name,
-                "fail",
-                f"time frontier grows from k={n * tp.grid_step} to "
-                f"k={(n + 1) * tp.grid_step} at l={l + 1}",
-            )
-    return CheckResult(name, "pass")
+    at = _first(ks[:, :-1] < ks[:, 1:])
+    if at is None:
+        return CheckResult("theorem3", "pass")
+    l, t = at
+    return CheckResult(
+        "theorem3", "fail", f"frontier at (l={l + 1}, t={t + 1}) is below the one at t={t + 2}"
+    )
 
 
-def check_oracle(
-    model: NetworkModel,
-    spec: ProblemSpec,
-    rel_tol: float = 1e-9,
-    name: str = "oracle",
-) -> CheckResult:
+def check_oracle(model: NetworkModel, spec: ProblemSpec) -> CheckResult:
     """Planner value at the start state matches the brute-force optimum."""
     policy, vt = dp.solve(model, spec)
     s = State(spec.file_size, spec.initial_location)
     res = expectimax(model, spec, s, 1)
     got = vt.value(1, spec.file_size, spec.initial_location)
     err = abs(got - res.optimal_value) / max(1.0, abs(res.optimal_value))
-    if err > rel_tol:
+    if err > _REL_TOL:
         return CheckResult(
-            name,
+            "oracle",
             "fail",
             f"planner start value {got!r} vs brute force {res.optimal_value!r} "
             f"(relative error {err:.2e})",
@@ -199,12 +171,12 @@ def check_oracle(
         chosen = policy.action(1, spec.file_size, spec.initial_location)
         if chosen not in res.optimal_action_at_root:
             return CheckResult(
-                name,
+                "oracle",
                 "fail",
                 f"planner root action {chosen.name} not among brute-force "
                 f"optima {[a.name for a in res.optimal_action_at_root]}",
             )
-    return CheckResult(name, "pass")
+    return CheckResult("oracle", "pass")
 
 
 def oracle_config(cfg: ScenarioConfig) -> ScenarioConfig:
@@ -221,7 +193,8 @@ def oracle_config(cfg: ScenarioConfig) -> ScenarioConfig:
 
 
 def run_verification(cfg: ScenarioConfig, properties=None) -> list:
-    """Run the named checks on an instance sampled from the configuration.
+    """Run the named checks, in the order named, on an instance sampled
+    from the configuration; the oracle's small instance is drawn after it.
 
     Checks that rely on the simplified cost model run against the
     means-based network; they are skipped (with the reason) when the
@@ -229,40 +202,25 @@ def run_verification(cfg: ScenarioConfig, properties=None) -> list:
     """
     names = PROPERTY_NAMES if properties is None else properties
     names = check_names(names, "property", PROPERTY_NAMES)
-
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(9000,)))
     model, spec = sample_instance(cfg, rng)
-    convex = is_convex_on_grid(penalty_on_grid(spec.penalty, spec.grid_values))
-
-    flat_needed = {"lemma1b", "lemma2", "theorem2", "theorem3"} & set(names)
-    flat_policy = flat_vt = flat_net = tp = None
-    if flat_needed and convex:
+    checks = {
+        "lemma1a": lambda: check_value_monotone_in_size(dp.solve(model, spec)[1]),
+        "oracle": lambda: check_oracle(*sample_instance(oracle_config(cfg), rng)),
+    }
+    flat_cost = {  # they read the flat pair below, solved only if one is asked for
+        "lemma1b": lambda: check_value_monotone_in_time(vt),
+        "lemma2": lambda: check_wifi_preference(net, spec, policy, vt),
+        "theorem2": lambda: check_single_switch(policy, net),
+        "theorem3": lambda: check_threshold_monotone(tp),
+    }
+    if flat_cost.keys() & set(names) and is_convex_on_grid(
+        penalty_on_grid(spec.penalty, spec.grid_values)
+    ):
         mm = means_model(cfg, model, spec)
-        flat_net = mm.to_network_model()
-        flat_policy, flat_vt = dp.solve(flat_net, spec, flat_payment=True)
+        net = mm.to_network_model()
+        policy, vt = dp.solve(net, spec, flat_payment=True)
         tp, _ = solve_monotone(mm, spec, values=False)
-
-    results = []
-    for p in names:
-        if p == "lemma1a":
-            _, vt = dp.solve(model, spec)
-            results.append(check_value_monotone_in_size(vt, name=p))
-        elif p in ("lemma1b", "lemma2", "theorem2", "theorem3"):
-            if not convex:
-                results.append(
-                    CheckResult(p, "skip", "penalty not convex on the size grid")
-                )
-            elif p == "lemma1b":
-                results.append(check_value_monotone_in_time(flat_vt, name=p))
-            elif p == "lemma2":
-                results.append(
-                    check_wifi_preference(flat_net, spec, flat_policy, flat_vt, name=p)
-                )
-            elif p == "theorem2":
-                results.append(check_single_switch(flat_policy, flat_net, name=p))
-            else:
-                results.append(check_threshold_monotone(tp, name=p))
-        elif p == "oracle":
-            tiny_model, tiny_spec = sample_instance(oracle_config(cfg), rng)
-            results.append(check_oracle(tiny_model, tiny_spec, name=p))
-    return results
+        checks.update(flat_cost)
+    skip = "penalty not convex on the size grid"
+    return [checks[p]() if p in checks else CheckResult(p, "skip", skip) for p in names]

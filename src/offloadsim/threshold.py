@@ -192,16 +192,20 @@ class ThresholdPolicy:
         write_table(path, ("l", "t", "k_star"), self.k_star_idx.shape, row)
 
 
-def _cellular_values(w: np.ndarray, d: int, lo: int, q: float) -> np.ndarray:
-    """``q + w[:, max(n - d, 0)]`` for columns ``n = lo..N``, from basic slices."""
+def _cellular_values(out: np.ndarray, w: np.ndarray, d: int, lo: int, q: float) -> None:
+    """Write ``q + w[:, max(n - d, 0)]`` to ``out`` for every column
+    ``n >= min(lo, d)``.
+
+    The bulk is one add over the flat buffers, so that it runs over
+    contiguous memory.  It leaves the end of the row above in each row's
+    first ``d`` columns; those are written over only when some of them
+    are at or above ``lo``.
+    """
     width = w.shape[1]
-    if lo >= d:
-        return w[:, lo - d : width - d] + q
-    out = np.empty((w.shape[0], width - lo))
-    clear = min(d, width) - lo  # one cellular slot clears these sizes
-    out[:, :clear] = w[:, :1] + q
-    out[:, clear:] = w[:, : max(width - d, 0)] + q
-    return out
+    if d < width:
+        np.add(w.reshape(-1)[: w.size - d], q, out=out.reshape(-1)[d:])
+    if lo < d:
+        np.add(w[:, :1], q, out=out[:, : min(d, width)])
 
 
 def solve_monotone(mm: MonotoneModel, spec: ProblemSpec, *, values: bool = True):
@@ -215,12 +219,14 @@ def solve_monotone(mm: MonotoneModel, spec: ProblemSpec, *, values: bool = True)
     does.
 
     Each epoch shifts the idle continuation ``P @ v[t+1]`` by the cellular
-    and Wi-Fi transfers, then searches each coverage class for its switch
-    only at or above that class's lowest frontier one epoch later
-    (Theorem 3: going back in time, frontiers only rise).  A class whose
-    frontiers are all past the file size is not searched at all.  Once
-    that holds for every class, ``values=False`` stops: the earlier epochs
-    keep ``grid_points + 1`` and their costs are never computed.
+    and Wi-Fi transfers, then takes each location's switch as the first
+    size at or above its own frontier one epoch later where cellular wins
+    (Theorem 3: going back in time, frontiers only rise).  The cellular
+    option enters the costs only from the lowest of those frontiers up.
+    Once every frontier is past the file size, cellular is never chosen
+    again: no location is searched, and ``values=False`` stops, so that
+    the earlier epochs keep ``grid_points + 1`` and their costs are never
+    computed.
     """
     L = mm.num_locations
     N = spec.grid_points
@@ -235,69 +241,72 @@ def solve_monotone(mm: MonotoneModel, spec: ProblemSpec, *, values: bool = True)
     covered = np.zeros(L, dtype=bool)
     covered[[l - 1 for l in mm.wifi_locations]] = True
     wifi_rows = np.flatnonzero(covered)
-    # Mirror the exact planner's displacement rule per coverage class: on
-    # Wi-Fi, cellular must beat the free transfer strictly (ties stay
-    # free); away from it, cellular takes a cell unless idling is strictly
-    # cheaper (ties transmit).
-    classes = [(wifi_rows, True), (np.flatnonzero(~covered), False)]
-    classes = [(rows, wifi) for rows, wifi in classes if rows.size]
-    shift_wifi = wifi_rows.size > 0 and d2 > 0
-    cols = np.arange(N + 1)
+    nw = wifi_rows.size
+    shift_wifi = nw > 0 and d2 > 0
+    # Flat index of the idle cost that a Wi-Fi slot reaches from each
+    # covered cell: column max(n - d2, 0) of the same row.
+    wifi_src = wifi_rows[:, None] * (N + 1) + np.maximum(np.arange(N + 1) - d2, 0)
     q = mm.cellular_cost
     P = mm.mobility
     omt = 1.0 - TIE_REL_TOL
 
     ks_idx = np.full((L, T), N + 1, dtype=np.int64)
-    ks_next = np.zeros(L, dtype=np.int64)
-    starts = [0] * len(classes)  # lowest frontier of each class one epoch later
-    # Switch test over sizes [start, N] of one class, plus an always-true
+    ks_next = np.zeros(L, dtype=np.int64)  # frontiers one epoch later
+    lo = 0  # the lowest of them
+    wifi_searched = nw > 0  # some covered location's frontier is at most N
+    # Whole-row work buffers.  Each switch test carries an always-true
     # column N + 1, so that argmax lands on N + 1 when nothing switches.
+    cell = np.empty((L, N + 1))  # cost of a cellular slot now
+    scaled = np.empty((L, N + 1))
     switch = np.empty((L, N + 2), dtype=bool)
-    switch[:, N + 1] = True
+    wifi_switch = np.empty((nw, N + 2), dtype=bool)
+    switch[:, N + 1] = wifi_switch[:, N + 1] = True
     for t in range(T - 1, -1, -1):
-        lo = min(starts)  # lowest frontier one epoch later, over all locations
         if lo > N and not values:
             # Every frontier one epoch later is past the file size, so no
-            # class is searched at this epoch or an earlier one: their
+            # location is searched at this epoch or an earlier one: their
             # columns keep N + 1 and their costs would go unread.
             break
         v_t = v[t % m]
         np.matmul(P, v[(t + 1) % m], out=v_t)  # v_t holds the idle continuation
         if lo <= N:
-            v1 = _cellular_values(v_t, d1, lo, q)
+            _cellular_values(cell, v_t, d1, lo, q)
         if shift_wifi:
             # Free-action value at covered locations is the Wi-Fi one.
-            idle = v_t[wifi_rows]
-            v_t[wifi_rows, :d2] = idle[:, :1]
-            v_t[wifi_rows, d2:] = idle[:, : max(N + 1 - d2, 0)]
+            v_t[wifi_rows] = v_t.reshape(-1)[wifi_src]
         if lo > N:
             # Every frontier is above the file size one epoch later, hence
             # now too: cellular is never chosen.
             continue
-        ks_t = ks_idx[:, t]
-        for c, (rows, wifi) in enumerate(classes):
-            start = starts[c]
-            if start > N:
-                continue
-            c1 = v1[rows, start - lo :]
-            cj = v_t[rows, start:]
-            hit = switch[: rows.size, start:]
-            if wifi:
-                np.less(c1, cj * omt, out=hit[:, :-1])
-            else:
-                np.greater_equal(cj, c1 * omt, out=hit[:, :-1])
-            ks = hit.argmax(axis=1) + start
-            below = ks_next[rows]
-            if (ks < below).any():
-                # Some row switches below its own later frontier: search
-                # each row only from that frontier.
-                hit[:, :-1] &= cols[start:] >= below[:, None]
-                ks = hit.argmax(axis=1) + start
-            ks_t[rows] = ks
-            starts[c] = int(ks.min())
-        tail = v_t[:, lo:]
-        np.minimum(v1, tail, out=tail)
-        ks_next = ks_t
+        # Cellular enters the costs, and the search, from the lowest
+        # frontier up.
+        cell[:, :lo] = np.inf
+        # Mirror the exact planner's displacement rule: away from Wi-Fi,
+        # cellular takes a cell unless idling is strictly cheaper (ties
+        # transmit); on Wi-Fi, cellular must beat the free transfer
+        # strictly (ties stay free).
+        np.multiply(cell, omt, out=scaled)
+        np.greater_equal(v_t, scaled, out=switch[:, : N + 1])
+        if wifi_searched:
+            np.multiply(v_t[wifi_rows], omt, out=scaled[:nw])
+            np.less(cell[wifi_rows], scaled[:nw], out=wifi_switch[:, : N + 1])
+        ks = switch.argmax(axis=1)
+        if wifi_searched:
+            ks[wifi_rows] = wifi_switch.argmax(axis=1)
+        elif nw:
+            ks[wifi_rows] = N + 1
+        for r in (ks < ks_next).nonzero()[0]:
+            # A switch below the row's own later frontier: search the row
+            # only from that frontier.
+            k = ks_next[r]
+            row = wifi_switch[np.searchsorted(wifi_rows, r)] if covered[r] else switch[r]
+            ks[r] = k + row[k:].argmax()
+        if wifi_searched:
+            wifi_searched = ks[wifi_rows].min() <= N
+        ks_idx[:, t] = ks
+        np.minimum(cell, v_t, out=v_t)
+        ks_next = ks
+        lo = min(ks.tolist())
 
     tp = ThresholdPolicy(
         k_star_idx=ks_idx,

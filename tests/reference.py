@@ -31,7 +31,7 @@ from offloadsim.model import (
     slot_payment,
     transfer_steps,
 )
-from offloadsim.properties import CheckResult, _tol
+from offloadsim.properties import CheckResult, _first, _tol
 from offloadsim.sim import plan_run
 
 
@@ -216,10 +216,7 @@ def make_agent(scheme: str, model: NetworkModel, spec: ProblemSpec, cfg, path=()
 
 
 def check_cross_difference(
-    model: NetworkModel,
-    spec: ProblemSpec,
-    vt: dp.ValueTable,
-    name: str = "cross_difference",
+    model: NetworkModel, spec: ProblemSpec, vt: dp.ValueTable
 ) -> CheckResult:
     """Every two-size, two-action cost comparison has the sign that forces a
     single switch: away from Wi-Fi the gain of transmitting grows with the
@@ -233,7 +230,7 @@ def check_cross_difference(
     at that maximum."""
     N = spec.grid_points
     if N < 1:
-        return CheckResult(name, "skip", "size grid too small to compare")
+        return CheckResult("cross_difference", "skip", "size grid too small to compare")
     tol = _tol(vt.values)
     arange = np.arange(N + 1)
     grid = spec.grid_values
@@ -260,24 +257,21 @@ def check_cross_difference(
             a_hi, a_lo = Action.CELLULAR, Action.IDLE
             sign = -1.0  # and <= 0 here
         d = sign * (psi(l, a_hi) - psi(l, a_lo))  # (T, N+1)
-        bad = np.argwhere(d < np.maximum.accumulate(d, axis=1) - tol)
-        if bad.size:
-            t, k_hi = (int(x) for x in bad[0])
+        at = _first(d < np.maximum.accumulate(d, axis=1) - tol)
+        if at is not None:
+            t, k_hi = at
             k_lo = int(np.argmax(d[t, :k_hi]))
             return CheckResult(
-                name,
+                "cross_difference",
                 "fail",
                 f"cross difference has the wrong sign at "
                 f"(t={t + 1}, l={l}, k={k_hi * spec.grid_step} vs {k_lo * spec.grid_step})",
             )
-    return CheckResult(name, "pass")
+    return CheckResult("cross_difference", "pass")
 
 
 def check_increment_monotone(
-    model: NetworkModel,
-    spec: ProblemSpec,
-    vt: dp.ValueTable,
-    name: str = "increment_monotone",
+    model: NetworkModel, spec: ProblemSpec, vt: dp.ValueTable
 ) -> CheckResult:
     """The value advantage of a cellular-sized step over the location's free
     step never shrinks as time advances (simplified cost)."""
@@ -295,13 +289,13 @@ def check_increment_monotone(
         idxj = np.maximum(arange - dj, 0)
         col = vt.values[:, l - 1, :]
         gaps = col[:, idxj] - col[:, idx1]  # (T+1, N+1)
-        bad = np.argwhere(gaps[1:] < gaps[:-1] - tol)
-        if bad.size:
-            t, n = bad[0]
+        at = _first(gaps[1:] < gaps[:-1] - tol)
+        if at is not None:
+            t, n = at
             return CheckResult(
-                name,
+                "increment_monotone",
                 "fail",
                 f"advantage shrinks from t={t + 1} to t={t + 2} at "
                 f"(k={n * spec.grid_step}, l={l})",
             )
-    return CheckResult(name, "pass")
+    return CheckResult("increment_monotone", "pass")

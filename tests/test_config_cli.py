@@ -548,6 +548,22 @@ def test_empty_sweep_axis_is_a_config_error(tmp_path, capsys, monkeypatch, sweep
     assert sampled == [] and not (tmp_path / "nd").exists()
 
 
+# Each used to sweep the default deadlines: an empty list of values read as
+# "not given".  Only None leaves the values to the scenario.
+@pytest.mark.parametrize("values", [(), []])
+def test_empty_sweep_values_are_a_config_error(monkeypatch, values):
+    sampled = []
+    monkeypatch.setattr(sim, "sample_instance", lambda *a: sampled.append(a))
+    cfg = ScenarioConfig(runs=2, sweep_values=(2.0, 3.0))
+    for axis in ("deadline", "p_stay"):
+        with pytest.raises(ConfigError, match="^no sweep value given$"):
+            cfg.resolve_sweep(axis, values)
+        with pytest.raises(ConfigError, match="^no sweep value given$"):
+            sim.run_experiment(cfg, ("otso",), axis, values)
+    assert sampled == []
+    assert cfg.resolve_sweep("deadline", None)[1] == (2.0, 3.0)
+
+
 # Each used to run every check (an empty list) or one check twice.
 @pytest.mark.parametrize(
     "arg, message",

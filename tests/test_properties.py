@@ -1,15 +1,17 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from offloadsim.config import ScenarioConfig
+from offloadsim.config import PROPERTY_NAMES, ScenarioConfig
 from offloadsim.dp import ValueTable, solve
 from offloadsim.model import Action, NetworkModel, ProblemSpec, QuadraticPenalty, State
 from offloadsim.oracle import expectimax
-from offloadsim.sim import sample_instance
+from offloadsim.sim import build_grid_mobility, sample_instance
 from offloadsim.properties import (
+    CheckResult,
     check_oracle,
     check_single_switch,
     check_threshold_monotone,
@@ -22,9 +24,11 @@ from offloadsim.properties import (
 from offloadsim.threshold import MonotoneModel, solve_monotone
 
 from instances import (
+    flatcost_instance,
     flatcost_instances,
     general_instances,
     monotone_view,
+    multiswitch_demo,
     random_flatcost_instance,
     random_general_instance,
     single_class_flatcost_instance,
@@ -282,8 +286,7 @@ def test_oracle_instance_is_the_scenario_shrunk(over):
 def test_run_verification_all_pass_on_baseline():
     cfg = ScenarioConfig(grid_rows=2, grid_cols=2, file_mbytes=125.0, deadline_minutes=1.0, runs=1)
     results = run_verification(cfg)
-    by_name = {r.name: r for r in results}
-    assert set(by_name) == {"lemma1a", "lemma1b", "lemma2", "theorem2", "theorem3", "oracle"}
+    assert tuple(r.name for r in results) == PROPERTY_NAMES
     assert all(r.status == "pass" for r in results), [(r.name, r.detail) for r in results]
 
 
@@ -291,8 +294,155 @@ def test_run_verification_skips_without_convexity():
     cfg = ScenarioConfig(
         grid_rows=2, grid_cols=2, file_mbytes=125.0, deadline_minutes=1.0, runs=1, penalty="step"
     )
-    results = run_verification(cfg, ("lemma1b", "theorem2", "lemma1a"))
-    by_name = {r.name: r for r in results}
-    assert by_name["lemma1b"].status == "skip"
-    assert by_name["theorem2"].status == "skip"
-    assert by_name["lemma1a"].status == "pass"
+    asked = ("theorem3", "lemma1b", "oracle", "theorem2", "lemma1a", "lemma2")
+    results = run_verification(cfg, asked)
+    assert tuple(r.name for r in results) == asked
+    flat = ("theorem3", "lemma1b", "theorem2", "lemma2")
+    assert [r for r in results if r.name in flat] == [
+        CheckResult(p, "skip", "penalty not convex on the size grid") for p in flat
+    ]
+    assert [r.status for r in results if r.name in ("lemma1a", "oracle")] == ["pass", "pass"]
+
+
+# Failure reports.  Each test plants faults in the tables of one solved
+# flat-cost instance: a 2x2 grid with Wi-Fi at locations 2 and 4, cellular
+# at 2 steps per slot, a 6-step file and 5 slots, and Wi-Fi at 1 step (slower
+# than cellular) or 3 (faster).  With Wi-Fi slower, locations 1 and 3 idle
+# below their size frontier and locations 2 and 4 take Wi-Fi below it.
+
+
+def solved_flat(mu_wifi=1.0):
+    model, spec = flatcost_instance(
+        build_grid_mobility(2, 2, 0.6), {2, 4}, 2.0, mu_wifi, 0.5, 6, 5, 1.0
+    )
+    policy, vt = solve(model, spec, flat_payment=True)
+    tp, _ = solve_monotone(monotone_view(model, spec), spec, values=False)
+    return model, spec, policy, vt, tp
+
+
+def planted(table, field, *cells):
+    """``table`` with ``field`` set to ``value`` at each ``(index, value)``."""
+    arr = getattr(table, field).copy()
+    for index, value in cells:
+        arr[index] = value
+    return dataclasses.replace(table, **{field: arr})
+
+
+def test_solved_flat_tables_pass_every_check():
+    for mu_wifi in (1.0, 3.0):
+        model, spec, policy, vt, tp = solved_flat(mu_wifi)
+        for r in (
+            check_value_monotone_in_size(vt),
+            check_value_monotone_in_time(vt),
+            check_wifi_preference(model, spec, policy, vt),
+            check_single_switch(policy, model),
+            check_threshold_monotone(tp),
+        ):
+            assert r.status == "pass", (mu_wifi, r)
+
+
+def test_value_monotone_in_size_reports_the_first_drop():
+    *_, vt, _ = solved_flat()
+    v = vt.values
+    bad = planted(vt, "values", ((2, 1, 3), v[2, 1, 2] - 1.0), ((4, 0, 2), -1.0))
+    assert check_value_monotone_in_size(bad) == CheckResult(
+        "lemma1a", "fail", "value(t=3, k=3.0, l=2) < value at k=2.0"
+    )
+
+
+def test_value_monotone_in_time_reports_the_first_drop():
+    *_, vt, _ = solved_flat()
+    v = vt.values
+    bad = planted(vt, "values", ((3, 0, 4), v[2, 0, 4] - 1.0), ((4, 3, 1), -1.0))
+    assert check_value_monotone_in_time(bad) == CheckResult(
+        "lemma1b", "fail", "value(t=4, k=4.0, l=1) < value(t=3, ...)"
+    )
+
+
+def test_wifi_preference_reports_idling_that_beats_wifi():
+    # cheaper cost-to-go at size 4 after epoch 3 makes idling there beat Wi-Fi
+    model, spec, policy, vt, _ = solved_flat()
+    bad = planted(vt, "values", ((3, 1, 4), -100.0))
+    assert check_wifi_preference(model, spec, policy, bad) == CheckResult(
+        "lemma2", "fail", "idling beats Wi-Fi at (t=3, k=4.0, l=2)"
+    )
+
+
+def test_wifi_preference_reports_wifi_not_taken_where_it_is_faster():
+    model, spec, policy, vt, _ = solved_flat(mu_wifi=3.0)
+    cell = int(Action.CELLULAR)
+    bad = planted(policy, "actions", ((2, 3, 5), cell), ((4, 3, 1), cell))
+    assert check_wifi_preference(model, spec, bad, vt) == CheckResult(
+        "lemma2",
+        "fail",
+        "Wi-Fi at least as fast as cellular but action at (t=3, k=5.0, l=4) is not Wi-Fi",
+    )
+    # location by location, and at one location every epoch's idling test
+    # before the first action test
+    worse = planted(bad, "actions", ((0, 1, 6), cell))
+    assert check_wifi_preference(model, spec, worse, vt).detail.endswith(
+        "action at (t=1, k=6.0, l=2) is not Wi-Fi"
+    )
+    values = planted(vt, "values", ((4, 1, 2), -100.0))
+    assert check_wifi_preference(model, spec, worse, values).detail == (
+        "idling beats Wi-Fi at (t=4, k=2.0, l=2)"
+    )
+
+
+def test_single_switch_reports_an_unexpected_action():
+    model, _, policy, *_ = solved_flat()
+    bad = planted(policy, "actions", ((1, 0, 2), int(Action.WIFI)))
+    assert check_single_switch(bad, model) == CheckResult(
+        "theorem2", "fail", "unexpected action WIFI at (t=2, k=2.0, l=1)"
+    )
+    bad = planted(policy, "actions", ((4, 3, 6), int(Action.IDLE)))
+    assert check_single_switch(bad, model).detail == (
+        "unexpected action IDLE at (t=5, k=6.0, l=4)"
+    )
+
+
+def test_single_switch_reports_a_second_switch():
+    model, _, policy, *_ = solved_flat()
+    bad = planted(policy, "actions", ((2, 0, 5), int(Action.IDLE)))
+    assert check_single_switch(bad, model) == CheckResult(
+        "theorem2",
+        "fail",
+        "cellular gives way to IDLE above (t=3, k=4.0, l=1): more than one switch",
+    )
+    bad = planted(policy, "actions", ((4, 1, 4), int(Action.WIFI)))
+    assert check_single_switch(bad, model).detail == (
+        "cellular gives way to WIFI above (t=5, k=3.0, l=2): more than one switch"
+    )
+
+
+def test_single_switch_scans_columns_in_order():
+    # within one column an unexpected action comes first, even above a
+    # second switch; an earlier column comes first whatever it holds
+    model, _, policy, *_ = solved_flat()
+    idle, wifi = int(Action.IDLE), int(Action.WIFI)
+    bad = planted(policy, "actions", ((2, 0, 4), idle), ((2, 0, 6), wifi))
+    assert check_single_switch(bad, model).detail == (
+        "unexpected action WIFI at (t=3, k=6.0, l=1)"
+    )
+    bad = planted(bad, "actions", ((1, 0, 5), idle))
+    assert check_single_switch(bad, model).detail == (
+        "cellular gives way to IDLE above (t=2, k=4.0, l=1): more than one switch"
+    )
+
+
+def test_single_switch_fails_on_the_step_penalty_demo():
+    model, spec = multiswitch_demo()
+    policy, _ = solve(model, spec)
+    assert check_single_switch(policy, model) == CheckResult(
+        "theorem2",
+        "fail",
+        "cellular gives way to IDLE above (t=14, k=18.0, l=1): more than one switch",
+    )
+
+
+def test_threshold_monotone_reports_a_size_frontier_that_grows():
+    *_, tp = solved_flat()
+    bad = planted(tp, "k_star_idx", ((0, 3), 4), ((1, 0), 3))
+    assert check_threshold_monotone(bad) == CheckResult(
+        "theorem3", "fail", "frontier at (l=1, t=3) is below the one at t=4"
+    )
