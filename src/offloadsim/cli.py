@@ -19,7 +19,6 @@ import json
 import sys
 from pathlib import Path
 
-from . import dp
 from .config import (
     PROPERTY_NAMES,
     SWEEP_AXES,
@@ -29,8 +28,7 @@ from .config import (
     serialize_config,
 )
 from .errors import ConfigError, OffloadError
-from .sim import SCHEMES, means_model, run_experiment, sample_instance, worker_count
-from .threshold import solve_monotone
+from .sim import SCHEMES, SOLVERS, plan, run_experiment, sample_runs, worker_count
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -45,15 +43,6 @@ def _load_config(args) -> ScenarioConfig:
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
-
-
-def _instance_for(cfg: ScenarioConfig):
-    # Same substream as the experiment's first run, so `solve` shows the
-    # environment the first simulated episode runs in.
-    from .streams import run_streams
-
-    inst_rng, _ = next(run_streams(cfg.seed, (0,)))
-    return sample_instance(cfg, inst_rng)
 
 
 def _out_dir(path: Path) -> Path:
@@ -82,17 +71,10 @@ def _text_writer(text: str):
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
     outdir = _out_dir(Path(args.out))
-    model, spec = _instance_for(cfg)
-
-    if args.solver == "general":
-        policy, vt = dp.solve(model, spec)
-        _save(outdir / "policy.csv", policy.write_csv)
-        written = ["policy.csv", "value.csv"]
-    else:
-        mm = means_model(cfg, model, spec)
-        tp, vt = solve_monotone(mm, spec)
-        _save(outdir / "thresholds.csv", tp.write_csv)
-        written = ["thresholds.csv", "value.csv"]
+    model, spec, _ = next(sample_runs(cfg, (0,)))  # run 0 of simulate
+    table, vt = plan(args.solver, cfg, model, spec, values=True)
+    written = ["policy.csv" if args.solver == "general" else "thresholds.csv", "value.csv"]
+    _save(outdir / written[0], table.write_csv)
     _save(outdir / "value.csv", vt.write_csv)
 
     meta = {
@@ -141,8 +123,8 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     _out_dir(out.parent)
     result = run_experiment(cfg, schemes, sweep_axis=axis, sweep_values=values, jobs=args.jobs)
-    csv_path = out.with_suffix(".csv") if out.suffix != ".csv" else out
-    json_path = csv_path.with_suffix(".json")
+    base = str(out.with_suffix("") if out.suffix in (".csv", ".json") else out)  # run.1 stays run.1
+    csv_path, json_path = Path(base + ".csv"), Path(base + ".json")
     _save(csv_path, result.write_csv)
     _save(json_path, result.write_json)
     print(
@@ -154,18 +136,16 @@ def cmd_simulate(args) -> int:
 
 def cmd_policy_map(args) -> int:
     cfg = _load_config(args)
-    model, spec = _instance_for(cfg)
+    model, spec, _ = next(sample_runs(cfg, (0,)))
     l = args.location
     model.check_location(l)
     if args.out != "-":
         _out_dir(Path(args.out).parent)
 
-    if args.solver == "general":
-        policy, _ = dp.solve(model, spec, values=False)
-    else:
-        # the frontier rule written out as the exact planner's table
-        policy = solve_monotone(means_model(cfg, model, spec), spec, values=False)[0].to_policy()
-    matrix = policy.actions[:, l - 1, :]
+    table, _ = plan(args.solver, cfg, model, spec)
+    if args.solver == "monotone":  # the frontier rule written out as the exact planner's table
+        table = table.to_policy()
+    matrix = table.actions[:, l - 1, :]
 
     lines = [",".join(str(int(a)) for a in row) for row in matrix]
     text = "\n".join(lines) + "\n"
@@ -217,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="plan one sampled scenario and dump tables")
     common(p)
-    p.add_argument("--solver", choices=("general", "monotone"), default="general")
+    p.add_argument("--solver", choices=SOLVERS, default="general")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_solve)
 
@@ -245,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("policy-map", help="dump one location's decision matrix")
     common(p)
-    p.add_argument("--solver", choices=("general", "monotone"), default="general")
+    p.add_argument("--solver", choices=SOLVERS, default="general")
     p.add_argument("--location", type=int, required=True)
     p.add_argument("--out", required=True, help="output file, or - for stdout")
     p.set_defaults(func=cmd_policy_map)

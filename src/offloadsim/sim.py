@@ -63,6 +63,7 @@ from .model import (
 from .threshold import MonotoneModel, solve_monotone
 
 SCHEMES = ("general", "monotone", "no-offload", "otso", "wiffler")
+SOLVERS = SCHEMES[:2]  # the schemes that plan: ``plan``'s solver names
 
 
 def build_grid_mobility(rows: int, cols: int, p_stay: float) -> np.ndarray:
@@ -189,6 +190,28 @@ def means_model(cfg: ScenarioConfig, model: NetworkModel, spec: ProblemSpec) -> 
     )
 
 
+def sample_runs(cfg: ScenarioConfig, run_indices):
+    """Per run of ``run_indices``, in order, its ``(model, spec, path)``
+    drawn from the run's pair of ``streams.run_streams``.  Every command
+    samples here, so ``solve``, ``policy-map`` and ``verify`` see run 0."""
+    from .streams import run_streams  # imported here: a process that samples nothing never needs it
+
+    for inst_rng, traj_rng in run_streams(cfg.seed, run_indices):
+        model, spec = sample_instance(cfg, inst_rng)
+        yield model, spec, sample_trajectory(model, spec, traj_rng)
+
+
+def plan(solver: str, cfg: ScenarioConfig, model: NetworkModel, spec: ProblemSpec, *, values=False):
+    """``solver``'s ``(table, value table or None)`` for a sampled instance:
+    ``general`` is the exact planner on its rates (``dp.solve``), and
+    ``monotone`` the frontier planner on ``means_model`` (``solve_monotone``)."""
+    if solver == "general":
+        return dp.solve(model, spec, values=values)
+    if solver == "monotone":
+        return solve_monotone(means_model(cfg, model, spec), spec, values=values)
+    raise ConfigError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
+
+
 class RunTables(NamedTuple):
     """What every episode of one run reads, built once per run by
     ``run_tables``: per location (index ``l - 1``) each action's rate, price
@@ -287,17 +310,16 @@ _IDLE, _CELLULAR, _WIFI = int(Action.IDLE), int(Action.CELLULAR), int(Action.WIF
 
 def plan_run(schemes, model: NetworkModel, spec: ProblemSpec, cfg: ScenarioConfig, path) -> list:
     """Each of ``schemes``' decisions for one run, planned for
-    ``spec.horizon``: the exact planner on the sampled rates, the frontier
-    planner on ``means_model``, and Wiffler's encounter means along
-    ``path``, the run's trajectory."""
+    ``spec.horizon``: each planner's table from ``plan``, and Wiffler's
+    encounter means along ``path``, the run's trajectory."""
     run = run_tables(model, spec)
     T = spec.horizon
     plans = []
     for scheme in schemes:
         if scheme == "general":
-            x = Decisions(run, T, table=dp.solve(model, spec, values=False)[0].actions.item)
+            x = Decisions(run, T, table=plan(scheme, cfg, model, spec)[0].actions.item)
         elif scheme == "monotone":
-            tp = solve_monotone(means_model(cfg, model, spec), spec, values=False)[0]
+            tp = plan(scheme, cfg, model, spec)[0]
             below = [_WIFI if c else _IDLE for c in run.covered]
             x = Decisions(run, T, frontier=tp.k_star_idx.tolist(), actions=below)
         elif scheme == "no-offload":  # cellular everywhere while something is left
@@ -417,6 +439,8 @@ def run_episode(
 
 @dataclass(frozen=True)
 class AggregateMetrics:
+    """One point and scheme's totals, in the order of their CSV columns."""
+
     runs: int
     completion_probability: float
     completion_ci: float
@@ -491,20 +515,7 @@ class ExperimentResult:
         for value in self.sweep_values:
             for scheme in self.schemes:
                 m = self.metrics[(value, scheme)]
-                yield (
-                    repr(value),
-                    scheme,
-                    str(m.runs),
-                    repr(m.completion_probability),
-                    repr(m.completion_ci),
-                    repr(m.mean_total_cost),
-                    repr(m.cost_ci),
-                    repr(m.mean_payment),
-                    repr(m.payment_ci),
-                    repr(m.mean_slots_cellular),
-                    repr(m.mean_slots_wifi),
-                    repr(m.mean_slots_waiting),
-                )
+                yield (repr(value), scheme, *map(repr, dataclasses.astuple(m)))
 
     def to_csv_text(self) -> str:
         lines = [",".join(self.CSV_COLUMNS)]
@@ -556,8 +567,6 @@ def _run_block(cfgs: tuple, schemes: tuple, run_indices) -> np.ndarray:
     within a point's T slots is not walked again there: its walk over T
     slots is the first T slots of the longest one, and it pays the same
     amounts and no penalty."""
-    from .streams import run_streams  # imported here: a process that samples nothing never needs it
-
     horizons = [c.horizon for c in cfgs]
     order = sorted(range(len(cfgs)), key=horizons.__getitem__, reverse=True)
     top = cfgs[order[0]]
@@ -567,9 +576,7 @@ def _run_block(cfgs: tuple, schemes: tuple, run_indices) -> np.ndarray:
     # ``sample_instance`` draws differ only in their initial location
     # (``test_sampled_specs_differ_only_in_the_initial_location``)
     specs = {}
-    for r, (inst_rng, traj_rng) in enumerate(run_streams(top.seed, run_indices)):
-        model, spec = sample_instance(top, inst_rng)
-        traj = sample_trajectory(model, spec, traj_rng)
+    for r, (model, spec, traj) in enumerate(sample_runs(top, run_indices)):
         plans = plan_run(schemes, model, spec, top, traj)
         # per scheme whose longest walk carries over: the slots that walk
         # took to finish, and its totals
@@ -653,13 +660,12 @@ def run_experiment(
     schemes = check_names(schemes, "scheme", SCHEMES)
     # Every point is validated before any episode is walked.
     axis, values, points = cfg.resolve_sweep(sweep_axis, sweep_values)
-    groups = {}  # point config with the deadline reset -> indices of its points
-    for i, p in enumerate(points):
-        key = dataclasses.replace(p, deadline_minutes=cfg.deadline_minutes)
-        groups.setdefault(key, []).append(i)
+    # points that differ only in their deadline share each run (``_run_block``)
+    indices = list(range(len(points)))
+    groups = [indices] if axis == "deadline" else [[i] for i in indices]
 
     workers = worker_count(jobs, cfg.runs, available_cpus())
-    tasks = [(group, slice(w, None, workers)) for group in groups.values() for w in range(workers)]
+    tasks = [(group, slice(w, None, workers)) for group in groups for w in range(workers)]
     blocks = [
         (tuple(points[i] for i in group), schemes, range(cfg.runs)[runs]) for group, runs in tasks
     ]

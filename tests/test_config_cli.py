@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -40,6 +41,64 @@ def test_empty_config_gives_baseline_defaults():
     assert cfg.wifi_prob == 0.5
     assert cfg.rate_std_mbps == 5.0
     assert cfg.mu_cellular_mbps == 90.0
+
+
+TINY = math.nextafter(0.0, 1.0)  # the smallest positive float
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        "mu_cellular_mbps",
+        "mu_wifi_mbps",
+        "rate_std_mbps",
+        "price_per_gbyte",
+        "file_mbytes",
+        "penalty_quadratic_coeff",
+        "penalty_step_amount",
+    ],
+)
+def test_config_non_negative_keys_reject_the_first_negative_value(key):
+    with pytest.raises(ConfigError) as exc:
+        ScenarioConfig(**{key: math.nextafter(0.0, -1.0)})
+    assert str(exc.value) == f"{key} must be >= 0"
+    assert getattr(ScenarioConfig(**{key: 0.0}), key) == 0.0
+
+
+# Per key, the other keys under which its smallest positive value is valid:
+# a deadline of TINY minutes in TINY-second slots is 60 slots, and a grid
+# step of TINY Mbit needs an empty file and zero rates.
+POSITIVE_KEYS = {
+    "deadline_minutes": dict(slot_seconds=TINY),
+    "slot_seconds": dict(deadline_minutes=TINY),
+    "grid_step_mbit": dict(mu_cellular_mbps=0, mu_wifi_mbps=0, rate_std_mbps=0, file_mbytes=0),
+    "wiffler_theta": {},
+}
+
+
+@pytest.mark.parametrize("key", sorted(POSITIVE_KEYS))
+def test_config_positive_keys_reject_zero(key):
+    for zero in (0.0, -0.0):
+        with pytest.raises(ConfigError) as exc:
+            ScenarioConfig(**{key: zero})
+        assert str(exc.value) == f"{key} must be > 0"
+    assert getattr(ScenarioConfig(**{key: TINY}, **POSITIVE_KEYS[key]), key) == TINY
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        ("grid_rows", "grid_rows and grid_cols must be >= 1"),
+        ("grid_cols", "grid_rows and grid_cols must be >= 1"),
+        ("runs", "runs must be >= 1"),
+        ("wiffler_window", "wiffler_window must be >= 1"),
+    ],
+)
+def test_config_count_keys_reject_zero(key, message):
+    with pytest.raises(ConfigError) as exc:
+        ScenarioConfig(**{key: 0})
+    assert str(exc.value) == message
+    assert getattr(ScenarioConfig(**{key: 1}), key) == 1
 
 
 def test_horizon_from_deadline():
@@ -216,6 +275,46 @@ def test_cli_simulate(tmp_path):
     assert mirror["config"]["seed"] == 7
 
 
+# A dotted name used to lose its suffix: run.1 and run.2 both wrote
+# run.csv and run.json, the second over the first.
+def test_cli_simulate_replaces_only_a_csv_or_json_suffix(tmp_path):
+    cfg = write_cfg(tmp_path, SMALL)
+    args = ["simulate", "--config", cfg, "--schemes", "otso", "--sweep", "deadline=1"]
+    for out in ("run.1", "run.2"):
+        assert run_cli(args + ["--out", str(tmp_path / "dotted" / out)]) == 0
+    names = ["run.1.csv", "run.1.json", "run.2.csv", "run.2.json"]
+    assert sorted(p.name for p in (tmp_path / "dotted").iterdir()) == names
+    for out in ("exp", "exp.csv", "exp.json"):
+        assert run_cli(args + ["--out", str(tmp_path / out / out)]) == 0
+        assert sorted(p.name for p in (tmp_path / out).iterdir()) == ["exp.csv", "exp.json"]
+
+
+# verify used to check an instance from a stream of its own, which no
+# simulated run sees.
+def test_verify_solve_and_simulate_plan_run_0s_instance(tmp_path, monkeypatch):
+    from offloadsim import dp
+
+    planned = []
+    solve = dp.solve
+
+    def record(model, spec, **kw):
+        planned.append((sorted(model.wifi_locations), model.rate.tolist(), spec))
+        return solve(model, spec, **kw)
+
+    monkeypatch.setattr(dp, "solve", record)
+    cfg = write_cfg(tmp_path, SMALL)
+    first = {}
+    for args in (
+        ["verify", "--properties", "lemma1a"],
+        ["solve", "--out", str(tmp_path / "tables")],
+        ["simulate", "--schemes", "general", "--sweep", "deadline=1", "--out", str(tmp_path / "e")],
+    ):
+        planned.clear()
+        assert run_cli([*args, "--config", cfg]) == 0
+        first[args[0]] = planned[0]
+    assert first["verify"] == first["solve"] == first["simulate"]
+
+
 def test_cli_policy_map_shape(tmp_path):
     cfg = write_cfg(tmp_path, SMALL)
     out = tmp_path / "map.csv"
@@ -271,7 +370,7 @@ def test_cli_policy_map_monotone_matches_decide_per_cell(tmp_path, name):
     text = "".join(f"{k} = {v}\n" for k, v in keys.items())
     cfg_path = write_cfg(tmp_path, text)
     cfg = parse_config(cfg_path)
-    model, spec = cli._instance_for(cfg)
+    model, spec, _ = next(sim.sample_runs(cfg, (0,)))
     tp, _ = solve_monotone(means_model(cfg, model, spec), spec)
     for l in range(1, model.num_locations + 1):
         out = tmp_path / f"map{l}.csv"
@@ -422,8 +521,7 @@ def test_cli_rejects_unwritable_out_before_any_work(tmp_path, capsys, monkeypatc
         raise AssertionError("work started")
 
     monkeypatch.setattr(cli, "run_experiment", fail)
-    monkeypatch.setattr(cli.dp, "solve", fail)
-    monkeypatch.setattr(cli, "solve_monotone", fail)
+    monkeypatch.setattr(cli, "plan", fail)
     blocker = tmp_path / "file"
     blocker.write_text("")
     cfg = write_cfg(tmp_path, SMALL)
@@ -580,7 +678,7 @@ def test_cli_verify_rejects_empty_or_repeated_properties(
     from offloadsim import properties
 
     sampled = []
-    monkeypatch.setattr(properties, "sample_instance", lambda *a: sampled.append(a))
+    monkeypatch.setattr(properties, "sample_runs", lambda *a: sampled.append(a))
     cfg = write_cfg(tmp_path, SMALL)
     assert run_cli(["verify", "--config", cfg, "--properties", arg]) == 2
     captured = capsys.readouterr()

@@ -16,6 +16,7 @@ from offloadsim.model import (
     StepPenalty,
     TabulatedPenalty,
     admissible_actions,
+    grid_index,
     is_convex_on_grid,
     next_file_size,
     payment,
@@ -40,6 +41,13 @@ def simple_model(wifi=frozenset({2}), L=2, rate_cell=900.0, rate_wifi=200.0, pri
         rate[l - 1, Action.WIFI] = rate_wifi
     mobility = np.full((L, L), 1.0 / L)
     return NetworkModel(L, wifi, mobility, price, rate)
+
+
+def raised(error, call, *args):
+    """The message of the ``error`` that ``call(*args)`` raises."""
+    with pytest.raises(error) as exc:
+        call(*args)
+    return str(exc.value)
 
 
 def test_admissible_actions_wifi_grid():
@@ -96,6 +104,11 @@ def test_penalty_families():
     step = ProblemSpec(20.0, 3, 10.0, StepPenalty(100000.0))
     assert step.penalty(10.0) == 100000.0
     assert step.penalty(0.0) == 0.0
+    below = math.nextafter(0.0, -1.0)
+    message = raised(DomainError, QuadraticPenalty, below)
+    assert message == "quadratic penalty coefficient must be >= 0"
+    assert raised(DomainError, StepPenalty, below) == "step penalty amount must be >= 0"
+    assert QuadraticPenalty(0.0)(5.0) == 0.0 and StepPenalty(0.0)(5.0) == 0.0
 
 
 def test_penalty_off_grid_rejected():
@@ -118,6 +131,12 @@ def test_tabulated_penalty_validation():
         TabulatedPenalty((1.0, 2.0), 1.0)  # must start at zero
     with pytest.raises(DomainError):
         TabulatedPenalty((0.0, 2.0, 1.0), 1.0)  # must be non-decreasing
+    message = raised(DomainError, TabulatedPenalty, (), 1.0)
+    assert message == "tabulated penalty needs at least the value at 0"
+    for step in (0.0, -1.0):
+        message = raised(DomainError, TabulatedPenalty, (0.0, 1.0), step)
+        assert message == "tabulated penalty grid step must be > 0"
+    assert TabulatedPenalty((0.0,), math.nextafter(0.0, 1.0))(0.0) == 0.0
     pen = TabulatedPenalty((0.0, 1.0, 5.0), 1.0)
     assert pen(2.0) == 5.0
     with pytest.raises(DomainError):
@@ -228,6 +247,30 @@ def test_network_model_validation():
         NetworkModel(L, frozenset({5}), np.eye(L), good_price, good_rate)
     with pytest.raises(DomainError, match="non-negative"):
         NetworkModel(L, frozenset(), np.eye(L), good_price, good_rate - 1.0)
+    empty = (np.zeros((0, 0)), np.zeros((0, 3)), np.zeros((0, 3)))
+    assert raised(DomainError, NetworkModel, 0, frozenset(), *empty) == "need at least one location"
+    for name, shape in (("price", (2, 2)), ("rate", (3, 3))):
+        tables = {"price": good_price, "rate": good_rate, name: np.zeros(shape)}
+        message = raised(DomainError, NetworkModel, L, frozenset(), np.eye(L), *tables.values())
+        assert message == f"{name} must have shape (2, 3), got {shape}"
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (0, 0)])
+def test_share_mobility_rejects_a_matrix_that_is_not_square(shape):
+    message = raised(DomainError, share_mobility, np.full(shape, 1.0 / 3))
+    assert message == f"mobility must be a square matrix of at least 1x1, got {shape}"
+
+
+@pytest.mark.parametrize("size", [math.inf, -math.inf, math.nan])
+def test_grid_index_rejects_a_non_finite_size(size):
+    assert raised(DomainError, grid_index, size, 10.0, 3) == f"size {size!r} outside [0, 30.0]"
+
+
+def test_transition_dist_rejects_an_inadmissible_action():
+    spec = ProblemSpec(20.0, 3, 10.0, QuadraticPenalty(1.0))
+    wifi_off_coverage = (simple_model(), spec, State(10.0, 1), Action.WIFI)
+    message = raised(DomainError, transition_dist, *wifi_off_coverage)
+    assert message == "action WIFI not admissible at location 1"
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

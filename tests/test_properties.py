@@ -9,7 +9,8 @@ from offloadsim.config import PROPERTY_NAMES, ScenarioConfig
 from offloadsim.dp import ValueTable, solve
 from offloadsim.model import Action, NetworkModel, ProblemSpec, QuadraticPenalty, State
 from offloadsim.oracle import expectimax
-from offloadsim.sim import build_grid_mobility, sample_instance
+from offloadsim import properties
+from offloadsim.sim import build_grid_mobility, sample_runs
 from offloadsim.properties import (
     CheckResult,
     check_oracle,
@@ -256,6 +257,38 @@ def test_check_oracle_small_instance():
         assert check_oracle(model, spec).status == "pass"
 
 
+def one_cell_instance():
+    """One location without Wi-Fi: sending the 10-unit file over cellular
+    costs 2.5 and idling a penalty of 100, so the start value is 2.5 and
+    the planner's root action is cellular."""
+    rate = np.zeros((1, 3))
+    price = np.zeros((1, 3))
+    rate[0, Action.CELLULAR] = 10.0
+    price[0, Action.CELLULAR] = 0.25
+    model = NetworkModel(1, frozenset(), np.ones((1, 1)), price, rate)
+    return model, ProblemSpec(10.0, 1, 10.0, QuadraticPenalty(1.0), initial_location=1)
+
+
+def test_check_oracle_reports_a_start_value_mismatch(monkeypatch):
+    def off_by_one(*args, **kw):
+        res = expectimax(*args, **kw)
+        return dataclasses.replace(res, optimal_value=res.optimal_value + 1.0)
+
+    monkeypatch.setattr(properties, "expectimax", off_by_one)
+    detail = "planner start value 2.5 vs brute force 3.5 (relative error 2.86e-01)"
+    assert check_oracle(*one_cell_instance()) == CheckResult("oracle", "fail", detail)
+
+
+def test_check_oracle_reports_a_root_action_outside_the_optima(monkeypatch):
+    def idle_optimal(*args, **kw):
+        res = expectimax(*args, **kw)
+        return dataclasses.replace(res, optimal_action_at_root=frozenset({Action.IDLE}))
+
+    monkeypatch.setattr(properties, "expectimax", idle_optimal)
+    detail = "planner root action CELLULAR not among brute-force optima ['IDLE']"
+    assert check_oracle(*one_cell_instance()) == CheckResult("oracle", "fail", detail)
+
+
 # Scenario keys for verify's oracle instance: a deadline under 4 slots, an
 # empty file, a file off its grid, and slots and grid steps that are not
 # whole numbers of seconds or Mbit.
@@ -275,7 +308,7 @@ def test_oracle_instance_is_the_scenario_shrunk(over):
     cfg = ScenarioConfig(**over)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the shrunk file is on its grid
-        model, spec = sample_instance(oracle_config(cfg), np.random.default_rng(3))
+        model, spec, _ = next(sample_runs(oracle_config(cfg), (0,)))  # what verify checks
     assert model.num_locations == 4
     assert spec.horizon == min(cfg.horizon, 4)
     assert spec.grid_points == max(1, min(round(cfg.file_mbit / cfg.grid_step_mbit), 4))

@@ -147,6 +147,24 @@ def test_run_episode_empty_file():
     assert ep.trajectory == ()
 
 
+def test_run_episode_rejects_a_trajectory_shorter_than_the_horizon():
+    cfg = small_cfg()
+    model, spec, path = next(sim.sample_runs(cfg, [0]))
+    (otso,) = plan_run(["otso"], model, spec, cfg, path)
+    assert run_episode(otso, model, spec, trajectory=path).trajectory  # the whole path walks
+    with pytest.raises(ValueError) as exc:
+        run_episode(otso, model, spec, trajectory=path[:-1])
+    assert str(exc.value) == "trajectory shorter than the horizon"
+
+
+def test_plan_rejects_a_scheme_that_does_not_plan():
+    cfg = small_cfg()
+    model, spec, _ = next(sim.sample_runs(cfg, [0]))
+    with pytest.raises(ConfigError) as exc:
+        sim.plan("otso", cfg, model, spec)
+    assert str(exc.value) == "unknown solver 'otso'; expected one of ('general', 'monotone')"
+
+
 def test_no_offload_closed_form_payment():
     # deterministic rates on a single cell: payment is exactly size * price
     cfg = small_cfg(grid_rows=1, grid_cols=1, rate_std_mbps=0.0, file_mbytes=625.0)
@@ -686,6 +704,22 @@ def test_run_streams_match_numpy_generators(seed, first, size):
         assert [g.bit_generator.state for g in children] == [
             g.bit_generator.state for g in ref_children
         ]
+
+
+def test_streams_reject_what_they_cannot_reproduce():
+    for seed, runs in ((-1, [0]), (0, [0, -1])):
+        with pytest.raises(ValueError) as exc:
+            seed_states(seed, runs)
+        assert str(exc.value) == "seeds and run indices must be >= 0, got -1"
+    inst, _ = next(run_streams(5, [0]))
+    for n_words, dtype in ((8, np.uint64), (4, np.uint32)):
+        with pytest.raises(ValueError) as exc:
+            inst.bit_generator.seed_seq.generate_state(n_words, dtype)
+        assert str(exc.value) == "only the 4-word uint64 state of PCG64 is precomputed"
+    inst.spawn(4)
+    with pytest.raises(ValueError) as exc:
+        inst.spawn(1)
+    assert str(exc.value) == "no more precomputed children to spawn"
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 no unused imports, an ``__all__`` that resolves, no module-level
 function or class that nothing names, one home for the grid
 tolerance and the lattice budget, and one for the list rule's messages.
-README's Python example is run, so that it cannot name a removed API."""
+Commands sample and plan only through ``sim``.  README's Python example is
+run, so that it cannot name a removed API."""
 
 import ast
 import os
@@ -146,6 +147,52 @@ def test_list_rule_messages_are_raised_only_in_config():
         "config.py: given; expected some of",
         "config.py: repeated in",
     ]
+
+
+def naming(word, paths):
+    """The names of the files in ``paths`` whose source names ``word``."""
+    return [path.name for path in paths if word in WORD.findall(path.read_text(encoding="utf-8"))]
+
+
+def test_only_sim_and_streams_name_the_run_streams():
+    assert naming("run_streams", MODULES) == ["sim.py", "streams.py"]
+
+
+def package_imports(path):
+    """The package modules that ``path`` imports from, anywhere in it: by
+    ``from . import m``, ``from .m import ...``, ``import offloadsim.m`` or
+    ``from offloadsim.m import ...``."""
+    found = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            names = [a.name.split(".") for a in node.names]
+            found.update(n[1] for n in names if n[0] == "offloadsim" and len(n) > 1)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                if module.split(".")[0] != "offloadsim":
+                    continue
+                module = module[len("offloadsim.") :]
+            found.update([module.split(".")[0]] if module else (a.name for a in node.names))
+    return found
+
+
+def test_package_import_finder_sees_every_form(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import os\n"
+        "from numpy import random\n"
+        "from . import dp, sim\n"
+        "from .threshold import solve_monotone\n"
+        "import offloadsim.streams\n"
+        "def f():\n"
+        "    from offloadsim.model import Action\n"
+    )
+    assert package_imports(module) == {"dp", "sim", "threshold", "streams", "model"}
+
+
+def test_cli_samples_and_plans_only_through_sim():
+    assert package_imports(PACKAGE / "cli.py") & {"dp", "threshold", "streams"} == set()
 
 
 README_PYTHON = re.compile(r"^```python\n(.*?)^```$", re.DOTALL | re.MULTILINE)

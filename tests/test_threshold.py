@@ -66,6 +66,25 @@ def test_from_network_model_strict_errors():
         MonotoneModel.from_network_model(model, step_spec)
 
 
+@pytest.mark.parametrize(
+    "mu_cellular, mu_wifi, cost, message",
+    [
+        (-1.0, 1.0, 0.0, "rates must be >= 0"),
+        (1.0, -1.0, 0.0, "rates must be >= 0"),
+        (1.0, 1.0, -1.0, "cellular slot cost must be >= 0"),
+        (0.0, 1.0, 1.0, "cellular slot cost must be 0 when the cellular rate is 0"),
+    ],
+)
+def test_monotone_model_preconditions(mu_cellular, mu_wifi, cost, message):
+    def build(mu_cellular, mu_wifi, cost):
+        return MonotoneModel(2, {1}, np.eye(2), mu_cellular, mu_wifi, cost, QuadraticPenalty(1.0))
+
+    with pytest.raises(PreconditionError) as exc:
+        build(mu_cellular, mu_wifi, cost)
+    assert str(exc.value) == message
+    assert build(0.0, 0.0, 0.0).to_network_model().rate.max() == 0.0  # every boundary at once
+
+
 def test_solve_monotone_rejects_nonconvex_penalty():
     model, _ = threshold_demo()
     mm = monotone_view(model, ProblemSpec(20.0, 20, 1.0, QuadraticPenalty(10.0)))
