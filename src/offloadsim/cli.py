@@ -23,12 +23,11 @@ from .config import (
     PROPERTY_NAMES,
     SWEEP_AXES,
     ScenarioConfig,
-    check_names,
     parse_config,
     serialize_config,
 )
 from .errors import ConfigError, OffloadError
-from .sim import SCHEMES, SOLVERS, plan, run_experiment, sample_runs, worker_count
+from .sim import SCHEMES, SOLVERS, check_plannable, check_sweep, plan, run_experiment, sample_runs
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -46,8 +45,8 @@ def _load_config(args) -> ScenarioConfig:
 
 
 def _out_dir(path: Path) -> Path:
-    """Create directory ``path`` and its parents; called before any planning,
-    so that an output location that cannot be written fails first."""
+    """Create directory ``path`` and its parents, after the checks that need
+    no sampling and before any planning: a rejected command makes nothing."""
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -70,6 +69,7 @@ def _text_writer(text: str):
 
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
+    check_plannable((args.solver,), (cfg,))
     outdir = _out_dir(Path(args.out))
     model, spec, _ = next(sample_runs(cfg, (0,)))  # run 0 of simulate
     table, vt = plan(args.solver, cfg, model, spec, values=True)
@@ -115,11 +115,7 @@ def _parse_sweep(arg: str):
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    axis, values, _ = cfg.resolve_sweep(*_parse_sweep(args.sweep))
-    # checked before the output directory is made, so a rejected command
-    # leaves nothing behind
-    schemes = check_names(args.schemes, "scheme", SCHEMES)
-    worker_count(args.jobs, cfg.runs, None)
+    schemes, axis, values, _ = check_sweep(cfg, args.schemes, *_parse_sweep(args.sweep), args.jobs)
     out = Path(args.out)
     _out_dir(out.parent)
     result = run_experiment(cfg, schemes, sweep_axis=axis, sweep_values=values, jobs=args.jobs)
@@ -136,6 +132,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_policy_map(args) -> int:
     cfg = _load_config(args)
+    check_plannable((args.solver,), (cfg,))
     model, spec, _ = next(sample_runs(cfg, (0,)))
     l = args.location
     model.check_location(l)

@@ -51,7 +51,7 @@ DEFAULT_SWEEP_VALUES = {
 def check_names(names, noun: str, known=None) -> tuple:
     """``names`` as a tuple once it is non-empty, each entry is in ``known``
     (or ``known`` is None) and none repeats, else a :class:`ConfigError`: the
-    one rule for schemes, properties, sweep axes, sweep values and penalties."""
+    one rule for schemes, solvers, properties, sweep axes, sweep values and penalties."""
     names = tuple(names)
     if not names:
         raise ConfigError(

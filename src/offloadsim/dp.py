@@ -59,18 +59,23 @@ def write_table(path, header, shape, row) -> None:
         w.writerows(itertools.starmap(row, itertools.product(*map(range, shape))))
 
 
-def cost_lattice(spec: ProblemSpec, num_locations: int, values: bool) -> np.ndarray:
-    """Both planners' cost buffer ``v``, epoch ``t`` at ``v[t % len(v)]``:
-    every epoch's costs, or with ``values=False`` only the two being used,
-    with the terminal penalty filled in.  The whole lattice must fit
-    ``MAX_LATTICE_CELLS`` either way, checked before any allocation."""
-    T, N = spec.horizon, spec.grid_points
-    cells = (T + 1) * (N + 1) * num_locations
+def check_lattice(spec: ProblemSpec, num_locations: int) -> None:
+    """Both planners' budget: ``spec``'s whole cost lattice fits ``MAX_LATTICE_CELLS``."""
+    cells = (spec.horizon + 1) * (spec.grid_points + 1) * num_locations
     if cells > MAX_LATTICE_CELLS:
         raise ResourceLimitError(
             f"value lattice needs {cells} cells ({cells * 8} bytes), "
             f"budget is {MAX_LATTICE_CELLS} cells"
         )
+
+
+def cost_lattice(spec: ProblemSpec, num_locations: int, values: bool) -> np.ndarray:
+    """Both planners' cost buffer ``v``, epoch ``t`` at ``v[t % len(v)]``:
+    every epoch's costs, or with ``values=False`` only the two being used,
+    with the terminal penalty filled in.  The whole lattice must fit the
+    budget either way (``check_lattice``), checked before any allocation."""
+    check_lattice(spec, num_locations)
+    T, N = spec.horizon, spec.grid_points
     m = T + 1 if values else 2
     v = np.empty((m, num_locations, N + 1))
     v[T % m] = penalty_on_grid(spec.penalty, spec.grid_values)

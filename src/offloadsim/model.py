@@ -337,7 +337,7 @@ class ProblemSpec:
             warnings.warn(
                 f"file size {self.file_size!r} rounded up to {rounded!r} "
                 f"(next multiple of {self.grid_step!r})",
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__, to the code building the spec
             )
         object.__setattr__(self, "file_size", float(rounded))
 

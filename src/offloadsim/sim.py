@@ -49,13 +49,15 @@ import numpy as np
 
 from . import dp
 from .config import ScenarioConfig, check_names
-from .errors import ConfigError, SchemeError
+from .errors import ConfigError, PreconditionError, SchemeError
 from .model import (
     Action,
     NetworkModel,
     ProblemSpec,
     admissible_actions,
     check_location,
+    is_convex_on_grid,
+    penalty_on_grid,
     share_mobility,
     transfer_steps,
     walk_rows,
@@ -149,14 +151,13 @@ def sample_instance(cfg: ScenarioConfig, rng):
         price=price,
         rate=rate,
     )
-    spec = ProblemSpec(
-        file_size=cfg.file_mbit,
-        horizon=cfg.horizon,
-        grid_step=cfg.grid_step_mbit,
-        penalty=cfg.make_penalty(),
-        initial_location=int(g_init.integers(1, L + 1)),
-    )
-    return model, spec
+    return model, problem_spec(cfg, int(g_init.integers(1, L + 1)))
+
+
+def problem_spec(cfg: ScenarioConfig, initial_location: int = 1) -> ProblemSpec:
+    """The transfer task of a scenario, starting at ``initial_location``."""
+    penalty = cfg.make_penalty()
+    return ProblemSpec(cfg.file_mbit, cfg.horizon, cfg.grid_step_mbit, penalty, initial_location)
 
 
 def sample_trajectory(model: NetworkModel, spec: ProblemSpec, rng) -> list:
@@ -205,11 +206,27 @@ def plan(solver: str, cfg: ScenarioConfig, model: NetworkModel, spec: ProblemSpe
     """``solver``'s ``(table, value table or None)`` for a sampled instance:
     ``general`` is the exact planner on its rates (``dp.solve``), and
     ``monotone`` the frontier planner on ``means_model`` (``solve_monotone``)."""
+    check_names((solver,), "solver", SOLVERS)
     if solver == "general":
         return dp.solve(model, spec, values=values)
-    if solver == "monotone":
-        return solve_monotone(means_model(cfg, model, spec), spec, values=values)
-    raise ConfigError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
+    return solve_monotone(means_model(cfg, model, spec), spec, values=values)
+
+
+def check_plannable(schemes, points) -> None:
+    """Raise, before anything is sampled, what a planner among ``schemes``
+    raises on any instance of the scenarios ``points``: a lattice over
+    budget (``dp.check_lattice``), or for ``monotone`` a penalty not convex
+    on the size grid.  Points go in ``_run_block``'s order, longest first."""
+    planners = [s for s in schemes if s in SOLVERS]
+    if not planners:
+        return
+    for cfg in sorted(points, key=lambda c: c.horizon, reverse=True):
+        spec = problem_spec(cfg)
+        dp.check_lattice(spec, cfg.num_locations)
+        if "monotone" in planners and not is_convex_on_grid(
+            penalty_on_grid(spec.penalty, spec.grid_values)
+        ):
+            raise PreconditionError("penalty must be convex on the size grid")
 
 
 class RunTables(NamedTuple):
@@ -312,6 +329,7 @@ def plan_run(schemes, model: NetworkModel, spec: ProblemSpec, cfg: ScenarioConfi
     """Each of ``schemes``' decisions for one run, planned for
     ``spec.horizon``: each planner's table from ``plan``, and Wiffler's
     encounter means along ``path``, the run's trajectory."""
+    check_names(schemes, "scheme", SCHEMES)
     run = run_tables(model, spec)
     T = spec.horizon
     plans = []
@@ -326,12 +344,10 @@ def plan_run(schemes, model: NetworkModel, spec: ProblemSpec, cfg: ScenarioConfi
             x = Decisions(run, T, actions=[_CELLULAR] * len(run.covered))
         elif scheme == "otso":  # Wi-Fi where covered, else cellular
             x = Decisions(run, T, actions=[_WIFI if c else _CELLULAR for c in run.covered])
-        elif scheme == "wiffler":
+        else:  # wiffler
             wifi_rate = [w if c else None for (_, _, w), c in zip(run.rate, run.covered)]
             means = wiffler_means(path, wifi_rate, cfg.wiffler_window)
             x = Decisions(run, T, theta=cfg.wiffler_theta, path=path, means=means)
-        else:
-            raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
         plans.append(x)
     return plans
 
@@ -646,6 +662,17 @@ def worker_count(jobs: int, runs: int, cpus) -> int:
     return min(jobs, runs, cpus or 1)
 
 
+def check_sweep(cfg: ScenarioConfig, schemes, sweep_axis=None, sweep_values=None, jobs=1):
+    """``(schemes, axis, values, points)`` of a sweep (``resolve_sweep``) once
+    the schemes, the sweep, ``jobs`` and ``check_plannable`` pass; nothing
+    is sampled, so ``simulate`` calls it before making its directory."""
+    axis, values, points = cfg.resolve_sweep(sweep_axis, sweep_values)
+    schemes = check_names(schemes, "scheme", SCHEMES)
+    worker_count(jobs, cfg.runs, None)
+    check_plannable(schemes, points)
+    return schemes, axis, values, points
+
+
 def run_experiment(
     cfg: ScenarioConfig,
     schemes,
@@ -656,10 +683,9 @@ def run_experiment(
 ) -> ExperimentResult:
     """Sweep one parameter, run ``cfg.runs`` paired episodes per point and
     scheme, and aggregate.  ``jobs > 1`` splits runs across processes
-    (see ``worker_count``); output is identical regardless of the split."""
-    schemes = check_names(schemes, "scheme", SCHEMES)
-    # Every point is validated before any episode is walked.
-    axis, values, points = cfg.resolve_sweep(sweep_axis, sweep_values)
+    (see ``worker_count``); output is identical regardless of the split.
+    Every input is checked (``check_sweep``) before any run is sampled."""
+    schemes, axis, values, points = check_sweep(cfg, schemes, sweep_axis, sweep_values, jobs)
     # points that differ only in their deadline share each run (``_run_block``)
     indices = list(range(len(points)))
     groups = [indices] if axis == "deadline" else [[i] for i in indices]

@@ -5,18 +5,19 @@ Run ``j`` of a sweep with seed ``seed`` draws its environment from
 ``sim.sample_instance`` splits into four children (keys ``(j, 0, i)``), and
 its trajectory from the stream keyed ``(j, 1)``.  Building those six
 numpy generators one ``SeedSequence`` at a time costs most of a heuristic
-run, so ``seed_states`` computes the six PCG64 states of a whole block of
-runs in one vectorized pass of numpy's own hash, and ``run_streams`` hands
-them to PCG64 through a seed sequence that only carries them.  The streams
-are numpy's, bit for bit; ``tests/test_sim.py`` checks them against
-``SeedSequence``.
+run.  numpy hashes the seed into its pool once per block of runs; from that
+pool ``seed_states`` absorbs every run's key words and reads out the six
+PCG64 states of a whole block in one vectorized pass of numpy's hash, and
+``run_streams`` hands them to PCG64 through a seed sequence that only
+carries them.  The streams are numpy's, bit for bit; ``tests/test_sim.py``
+checks them against ``SeedSequence``.
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
+from numpy.random import PCG64, Generator, SeedSequence
+from numpy.random.bit_generator import ISpawnableSeedSequence
 
 # numpy's SeedSequence hash on uint32 words (pool size 4): entropy is mixed
 # into the pool with the A constants and the state read out with the B ones.
@@ -32,26 +33,20 @@ def _words(n: int) -> list:
     significant first ([0] for 0)."""
     if n < 0:
         raise ValueError(f"seeds and run indices must be >= 0, got {n!r}")
-    words = [n & _MASK32]
-    while n >> 32 * len(words):
-        words.append(n >> 32 * len(words) & _MASK32)
-    return words
-
-
-def _const(k: int, init: int = _INIT_A, mult: int = _MULT_A) -> int:
-    """Constant ``k`` of one of numpy's hash-constant sequences."""
-    return init * pow(mult, k, 1 << 32) & _MASK32
+    return [n >> s & _MASK32 for s in range(0, max(n.bit_length(), 1), 32)]
 
 
 def _consts(start: int, n: int, init: int = _INIT_A, mult: int = _MULT_A) -> np.ndarray:
-    """Constants ``start`` to ``start + n`` as uint32: hash steps ``start``
-    to ``start + n - 1`` read ``c[:-1]`` and ``c[1:]``."""
-    return np.array([_const(k, init, mult) for k in range(start, start + n + 1)], np.uint32)
+    """Constants ``start`` to ``start + n`` of one of numpy's hash-constant
+    sequences, as uint32: hash steps ``start`` to ``start + n - 1`` read
+    ``c[:-1]`` and ``c[1:]``."""
+    ks = range(start, start + n + 1)
+    return np.array([init * pow(mult, k, 1 << 32) & _MASK32 for k in ks], np.uint32)
 
 
 def _hash(value, c, c_next):
-    """numpy's ``hashmix`` step on ints below 2**32 or uint32 arrays: xor
-    with one hash constant, multiply by the next."""
+    """numpy's ``hashmix`` step on uint32 arrays: xor with one hash
+    constant, multiply by the next."""
     value = (value ^ c) * c_next & _MASK32
     return value ^ (value >> 16)
 
@@ -67,25 +62,6 @@ def _absorb(pool: np.ndarray, words: np.ndarray, call: int) -> np.ndarray:
     ``call`` to ``call + 3``; ``words`` broadcasts against the other axes."""
     c = _consts(call, _POOL)
     return _mix(pool, _hash(words[..., None], c[:-1], c[1:]))
-
-
-def _seed_pool(seed: int):
-    """The pool of ``SeedSequence(seed, spawn_key=key)`` before the key's
-    words, as a (4,) uint32 array, and the hashmix calls made so far."""
-    words = _words(seed)
-    words += [0] * (_POOL - len(words))  # with a spawn key, zero-pad to the pool size
-    pool = [_hash(w, _const(k), _const(k + 1)) for k, w in enumerate(words[:_POOL])]
-    call = _POOL
-    for src in range(_POOL):  # mix every pool word into every other, in place
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], _const(call), _const(call + 1)))
-                call += 1
-    pool = np.array(pool, np.uint32)
-    for w in words[_POOL:]:
-        pool = _absorb(pool, np.array(w, np.uint32), call)
-        call += _POOL
-    return pool, call
 
 
 def _run_key_states(pool: np.ndarray, call: int, run_words: np.ndarray) -> np.ndarray:
@@ -110,7 +86,10 @@ def seed_states(seed: int, run_indices) -> np.ndarray:
     every stream key of the runs ``run_indices``, in one vectorized pass of
     numpy's hash.  Shape (runs, 6, 4); per run the keys are (j, 0),
     (j, 0, 0) to (j, 0, 3) and (j, 1), in that order."""
-    pool, call = _seed_pool(seed)
+    # numpy's pool of the seed alone is its pool before a spawn key's words,
+    # after 16 hashmix calls and 4 more per seed word past the pool size
+    call = _POOL * max(len(_words(seed)), _POOL)
+    pool = SeedSequence(seed).pool
     words = [_words(j) for j in run_indices]
     out = np.empty((len(words), 6, 4), np.uint64)
     # a run index of more words shifts the hash steps of its key's tail
@@ -121,32 +100,26 @@ def seed_states(seed: int, run_indices) -> np.ndarray:
     return out
 
 
-@functools.cache
-def _stream_seed_type():
+class StreamSeed(ISpawnableSeedSequence):
     """A seed sequence holding a precomputed PCG64 state and its spawned
-    children's states.  Defined on first use, because importing
-    ``numpy.random`` costs every process that samples nothing."""
-    from numpy.random.bit_generator import ISpawnableSeedSequence
+    children's states."""
 
-    class StreamSeed(ISpawnableSeedSequence):
-        def __init__(self, state, children=()):
-            self.state = state
-            self.children = list(children)
+    def __init__(self, state, children=()):
+        self.state = state
+        self.children = list(children)
 
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or np.dtype(dtype) != np.uint64:
-                raise ValueError("only the 4-word uint64 state of PCG64 is precomputed")
-            return self.state
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("only the 4-word uint64 state of PCG64 is precomputed")
+        return self.state
 
-        def spawn(self, n_children):
-            # numpy's key order: children 0, 1, ... across successive calls
-            if n_children > len(self.children):
-                raise ValueError("no more precomputed children to spawn")
-            taken = self.children[:n_children]
-            del self.children[:n_children]
-            return [StreamSeed(s) for s in taken]
-
-    return StreamSeed
+    def spawn(self, n_children):
+        # numpy's key order: children 0, 1, ... across successive calls
+        if n_children > len(self.children):
+            raise ValueError("no more precomputed children to spawn")
+        taken = self.children[:n_children]
+        del self.children[:n_children]
+        return [StreamSeed(s) for s in taken]
 
 
 def run_streams(seed: int, run_indices):
@@ -154,8 +127,5 @@ def run_streams(seed: int, run_indices):
     streams of ``default_rng(SeedSequence(seed, spawn_key=(j, 0)))`` and
     ``(j, 1)``, with the instance generator's first four spawned children,
     built from one ``seed_states`` pass."""
-    from numpy.random import PCG64, Generator
-
-    seq = _stream_seed_type()
     for s in seed_states(seed, run_indices):
-        yield Generator(PCG64(seq(s[0], s[1:5]))), Generator(PCG64(seq(s[5])))
+        yield Generator(PCG64(StreamSeed(s[0], s[1:5]))), Generator(PCG64(StreamSeed(s[5])))

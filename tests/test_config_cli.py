@@ -597,6 +597,53 @@ def test_cli_rejected_simulate_makes_no_directory(tmp_path, capsys, args, messag
     assert not (tmp_path / "nd").exists()
 
 
+NOT_CONVEX = "penalty must be convex on the size grid"
+# 31 epochs x 160,001 sizes x 16 locations: the default grid and deadline
+OVER_BUDGET = (
+    f"value lattice needs 79360496 cells (634883968 bytes), budget is {MAX_LATTICE_CELLS} cells"
+)
+
+
+STEP = SMALL + "penalty = step\n"
+HUGE = "runs = 3\nfile_mbytes = 200000\n"
+CASES = [
+    f"{cmd}-{why}" for cmd in ("simulate", "solve", "policy-map") for why in ("penalty", "lattice")
+]
+
+
+# Each used to exit 2 only once the planner ran: with run 0 sampled and the
+# output directory made.
+@pytest.mark.parametrize(
+    "text, args, message",
+    [
+        (STEP, ["simulate", "--schemes", "monotone"], NOT_CONVEX),
+        (HUGE, ["simulate", "--schemes", "otso,general", "--sweep", "deadline=5"], OVER_BUDGET),
+        (STEP, ["solve", "--solver", "monotone"], NOT_CONVEX),
+        (HUGE, ["solve"], OVER_BUDGET),
+        (STEP, ["policy-map", "--solver", "monotone", "--location", "1"], NOT_CONVEX),
+        (HUGE, ["policy-map", "--location", "1"], OVER_BUDGET),
+    ],
+    ids=CASES,
+)
+def test_cli_rejects_what_a_planner_cannot_plan_before_making_anything(
+    tmp_path, capsys, monkeypatch, text, args, message
+):
+    sampled = []
+    monkeypatch.setattr(sim, "sample_instance", lambda *a: sampled.append(a))
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "nd" / "sub" / "out"
+    assert run_cli([*args, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sampled == [] and not (tmp_path / "nd").exists()
+
+
+def test_cli_heuristics_alone_may_sweep_a_file_no_planner_could_plan(tmp_path):
+    cfg = write_cfg(tmp_path, "grid_rows = 2\ngrid_cols = 2\nruns = 2\nfile_mbytes = 200000\n")
+    args = ["simulate", "--config", cfg, "--schemes", "otso,wiffler", "--sweep", "deadline=5"]
+    assert run_cli(args + ["--out", str(tmp_path / "exp")]) == 0
+    assert len((tmp_path / "exp.csv").read_text().splitlines()) == 3
+
+
 def test_cli_sweep_axis_alone_means_the_default_points():
     assert cli._parse_sweep("deadline") == ("deadline", None)
 

@@ -374,6 +374,17 @@ def test_problem_spec_rounds_size_up_with_warning():
     assert any("rounded up" in str(w.message) for w in caught)
 
 
+# The warning used to name ``<string>:8``, the ``__init__`` that dataclass
+# generates, and the CLI printed that line.
+def test_problem_spec_rounding_warning_names_the_code_that_built_the_spec():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ProblemSpec(10.4, 3, 10.0, QuadraticPenalty(1.0))
+    (w,) = caught
+    assert str(w.message) == "file size 10.4 rounded up to 20.0 (next multiple of 10.0)"
+    assert w.filename == __file__
+
+
 def test_problem_spec_exact_multiple_no_warning():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

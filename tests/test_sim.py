@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from offloadsim import dp, model as model_module, sim
 from offloadsim.config import ScenarioConfig
-from offloadsim.errors import ConfigError, SchemeError
+from offloadsim.errors import ConfigError, PreconditionError, ResourceLimitError, SchemeError
 from offloadsim.model import (
     Action,
     NetworkModel,
@@ -163,6 +163,20 @@ def test_plan_rejects_a_scheme_that_does_not_plan():
     with pytest.raises(ConfigError) as exc:
         sim.plan("otso", cfg, model, spec)
     assert str(exc.value) == "unknown solver 'otso'; expected one of ('general', 'monotone')"
+
+
+# Both used to be raised by the planner, after run 0 was sampled.
+def test_run_experiment_checks_the_planners_on_every_point_before_sampling(monkeypatch):
+    sampled = []
+    monkeypatch.setattr(sim, "sample_instance", lambda *a: sampled.append(a))
+    with pytest.raises(PreconditionError, match="^penalty must be convex on the size grid$"):
+        run_experiment(small_cfg(penalty="step"), ("otso", "monotone"), "mu_wifi", (20.0,))
+    # the longest horizon's lattice is named, the one a deadline sweep plans on
+    cfg = ScenarioConfig(runs=2, file_mbytes=300_000.0)
+    with pytest.raises(ResourceLimitError, match="^value lattice needs 119040496 cells"):
+        run_experiment(cfg, ("general",), "deadline", (3.0, 5.0))
+    assert sampled == []
+    sim.check_plannable(("otso", "wiffler"), (cfg,))  # no planner, nothing to check
 
 
 def test_no_offload_closed_form_payment():
@@ -661,7 +675,9 @@ def stream_keys(j):
     return [(j, 0)] + [(j, 0, i) for i in range(4)] + [(j, 1)]
 
 
-seeds = st.integers(0, 2**63 - 1)
+# seeds of up to two uint32 words, and of five to nine: numpy mixes the
+# words past its pool size of four into the pool, four hash steps each
+seeds = st.integers(0, 2**63 - 1) | st.integers(2**128, 2**256)
 # run indices of one and of two uint32 words, mixed in one block
 run_index_lists = st.lists(
     st.integers(0, 2**32 - 1) | st.integers(2**32, 2**64 - 1), min_size=1, max_size=6
@@ -674,6 +690,7 @@ run_index_lists = st.lists(
 @example(2**32, [2**32 - 1, 2**32, 7])
 @example(2**64 + 1, [2**64 - 1, 0, 2**40 + 3])
 @example(2**130 + 7, [3, 2**70])  # seed words past the pool size
+@example(2**256, [2**32 - 1, 2**32])
 def test_seed_states_match_numpy_seed_sequence(seed, runs):
     states = seed_states(seed, runs)
     assert states.shape == (len(runs), 6, 4) and states.dtype == np.uint64
@@ -688,6 +705,7 @@ def test_seed_states_match_numpy_seed_sequence(seed, runs):
 @example(0, 0, 1)
 @example(2**32, 2**32 - 2, 4)
 @example(2**64 + 1, 12, 4)
+@example(2**256, 2**32 - 2, 4)
 def test_run_streams_match_numpy_generators(seed, first, size):
     runs = list(range(first, first + size))
     streams = list(run_streams(seed, runs))

@@ -1,9 +1,10 @@
 """Static checks on the package source, with the standard-library ``ast``:
 no unused imports, an ``__all__`` that resolves, no module-level
 function or class that nothing names, one home for the grid
-tolerance and the lattice budget, and one for the list rule's messages.
-Commands sample and plan only through ``sim``.  README's Python example is
-run, so that it cannot name a removed API."""
+tolerance and the lattice budget, and one for the list rule's messages
+(empty list, unknown name, repeat).  Commands sample and plan only
+through ``sim``.  README's Python example is run, so that it cannot name
+a removed API."""
 
 import ast
 import os
@@ -127,12 +128,12 @@ def test_grid_tolerance_and_lattice_budget_live_only_in_model():
     assert single_home_breaches() == []
 
 
-LIST_RULE = re.compile(r"repeated in|given; expected some of")
+LIST_RULE = re.compile(r"repeated in|given; expected some of|; expected one of")
 
 
 def list_rule_copies(paths):
-    """``file: message`` wherever one of ``paths`` writes the empty-list or
-    the repeat message of the list rule."""
+    """``file: message`` wherever one of ``paths`` writes the empty-list,
+    the unknown-name or the repeat message of the list rule."""
     copies = []
     for path in paths:
         for found in LIST_RULE.findall(path.read_text(encoding="utf-8")):
@@ -145,6 +146,7 @@ def test_list_rule_messages_are_raised_only_in_config():
     assert list_rule_copies([p for p in MODULES if p != config]) == []
     assert list_rule_copies([config]) == [
         "config.py: given; expected some of",
+        "config.py: ; expected one of",
         "config.py: repeated in",
     ]
 
