@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from .config import (
@@ -26,7 +27,7 @@ from .config import (
     parse_config,
     serialize_config,
 )
-from .errors import ConfigError, OffloadError
+from .errors import ConfigError, GridRoundingWarning, OffloadError
 from .sim import SCHEMES, SOLVERS, check_plannable, check_sweep, plan, run_experiment, sample_runs
 
 EXIT_OK = 0
@@ -244,14 +245,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    """Print a warning as one ``warning:`` line, without a source location;
+    a rounded file size names the scenario keys that set it."""
+    if issubclass(category, GridRoundingWarning):
+        message = f"{message}: the size in Mbit is 8 x file_mbytes, on a grid of grid_step_mbit"
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except OffloadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except OffloadError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
 
 
 if __name__ == "__main__":

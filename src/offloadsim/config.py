@@ -34,7 +34,7 @@ PROPERTY_NAMES = ("lemma1a", "lemma1b", "lemma2", "theorem2", "theorem3", "oracl
 
 # Size bounds: the dense L x L mobility matrix stays within the planners'
 # lattice budget ``MAX_LATTICE_CELLS``, the horizon keeps one run's path and
-# one episode's trace (about 150 bytes per slot) allocatable, and the run
+# one episode's walked locations (8 bytes per slot) allocatable, and the run
 # count keeps a sweep's per-episode records (48 bytes per run, point and
 # scheme: 1.2 GB for 5 points and 5 schemes at the bound) allocatable.
 MAX_HORIZON_SLOTS = 1_000_000

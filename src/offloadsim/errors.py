@@ -30,3 +30,7 @@ class ConfigError(OffloadError):
 class SchemeError(OffloadError):
     """A decision scheme emitted an action that is not admissible in the
     current state (diagnostic path used by the simulator)."""
+
+
+class GridRoundingWarning(UserWarning):
+    """A file size was rounded up to the next multiple of its grid step."""

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, GridRoundingWarning
 
 # Tolerance for checking that probability masses sum to one.
 PROB_TOL = 1e-9
@@ -337,6 +337,7 @@ class ProblemSpec:
             warnings.warn(
                 f"file size {self.file_size!r} rounded up to {rounded!r} "
                 f"(next multiple of {self.grid_step!r})",
+                GridRoundingWarning,
                 stacklevel=3,  # past the generated __init__, to the code building the spec
             )
         object.__setattr__(self, "file_size", float(rounded))

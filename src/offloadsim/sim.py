@@ -124,14 +124,14 @@ def truncated_normals(rng, mean: float, std: float, size: int) -> np.ndarray:
     return kept[:size]
 
 
-def sample_instance(cfg: ScenarioConfig, rng):
+def sample_instance(cfg: ScenarioConfig, streams):
     """Draw one environment: Wi-Fi set, per-location rates, start location.
 
-    Consumes fixed substreams (coverage, cellular rates, Wi-Fi rates,
-    start location) so changing one distribution parameter leaves the
-    other draws untouched.
+    Consumes four fixed substreams, ``streams``: coverage, cellular rates,
+    Wi-Fi rates and start location, so changing one distribution parameter
+    leaves the other draws untouched.
     """
-    g_wifi, g_cell, g_wrate, g_init = rng.spawn(4)
+    g_wifi, g_cell, g_wrate, g_init = streams
     L = cfg.num_locations
     covered = g_wifi.random(L) < cfg.wifi_prob
     mu_c = cfg.rate_mbit_per_slot(cfg.mu_cellular_mbps)
@@ -193,12 +193,12 @@ def means_model(cfg: ScenarioConfig, model: NetworkModel, spec: ProblemSpec) -> 
 
 def sample_runs(cfg: ScenarioConfig, run_indices):
     """Per run of ``run_indices``, in order, its ``(model, spec, path)``
-    drawn from the run's pair of ``streams.run_streams``.  Every command
-    samples here, so ``solve``, ``policy-map`` and ``verify`` see run 0."""
+    drawn from the run's ``streams.run_streams``.  Every command samples
+    here, so ``solve``, ``policy-map`` and ``verify`` see run 0."""
     from .streams import run_streams  # imported here: a process that samples nothing never needs it
 
-    for inst_rng, traj_rng in run_streams(cfg.seed, run_indices):
-        model, spec = sample_instance(cfg, inst_rng)
+    for inst_streams, traj_rng in run_streams(cfg.seed, run_indices):
+        model, spec = sample_instance(cfg, inst_streams)
         yield model, spec, sample_trajectory(model, spec, traj_rng)
 
 
@@ -216,13 +216,14 @@ def check_plannable(schemes, points) -> None:
     """Raise, before anything is sampled, what a planner among ``schemes``
     raises on any instance of the scenarios ``points``: a lattice over
     budget (``dp.check_lattice``), or for ``monotone`` a penalty not convex
-    on the size grid.  Points go in ``_run_block``'s order, longest first."""
+    on the size grid.  Points go in ``_run_block``'s order, longest first.
+    Each point's spec is built even with no planner, so a rounded file size
+    warns here, once, and not again in each worker of the sweep."""
     planners = [s for s in schemes if s in SOLVERS]
-    if not planners:
-        return
     for cfg in sorted(points, key=lambda c: c.horizon, reverse=True):
         spec = problem_spec(cfg)
-        dp.check_lattice(spec, cfg.num_locations)
+        if planners:
+            dp.check_lattice(spec, cfg.num_locations)
         if "monotone" in planners and not is_convex_on_grid(
             penalty_on_grid(spec.penalty, spec.grid_values)
         ):
@@ -360,7 +361,7 @@ class EpisodeResult(NamedTuple):
     slots_cellular: int
     slots_wifi: int
     slots_waiting: int
-    trajectory: tuple  # (t, location, size before acting, action) per slot used
+    trajectory: tuple  # the location of each slot walked
 
 
 _ACTIONS_WITH_WIFI = (0, 1, 2)
@@ -409,7 +410,6 @@ def run_episode(
     n = spec.grid_points
     pay = 0.0
     counts = [0, 0, 0]
-    trace = []
     for t, l in enumerate(path, 1):
         if not n:
             break
@@ -432,7 +432,6 @@ def run_episode(
                 f"scheme chose action {a} at location {l}, which only admits "
                 f"{[x.name for x in admissible_actions(model, l)]}"
             )
-        trace.append((t, l, k, a))
         counts[a] += 1
         if a:
             r = rate[i][a]
@@ -449,7 +448,7 @@ def run_episode(
         slots_cellular=counts[Action.CELLULAR],
         slots_wifi=counts[Action.WIFI],
         slots_waiting=counts[Action.IDLE],
-        trajectory=tuple(trace),
+        trajectory=tuple(path[: sum(counts)]),
     )
 
 

@@ -1,23 +1,24 @@
 """Per-run random streams of the Monte-Carlo harness.
 
-Run ``j`` of a sweep with seed ``seed`` draws its environment from
-``default_rng(SeedSequence(seed, spawn_key=(j, 0)))``, which
-``sim.sample_instance`` splits into four children (keys ``(j, 0, i)``), and
-its trajectory from the stream keyed ``(j, 1)``.  Building those six
-numpy generators one ``SeedSequence`` at a time costs most of a heuristic
-run.  numpy hashes the seed into its pool once per block of runs; from that
-pool ``seed_states`` absorbs every run's key words and reads out the six
-PCG64 states of a whole block in one vectorized pass of numpy's hash, and
-``run_streams`` hands them to PCG64 through a seed sequence that only
-carries them.  The streams are numpy's, bit for bit; ``tests/test_sim.py``
-checks them against ``SeedSequence``.
+Run ``j`` of a sweep with seed ``seed`` draws its environment from four
+streams, ``default_rng(SeedSequence(seed, spawn_key=(j, 0, i)))`` for
+``i < 4`` (coverage, cellular rates, Wi-Fi rates and start location, as
+``sim.sample_instance`` reads them), and its trajectory from the stream
+keyed ``(j, 1)``.  Building those five numpy generators one
+``SeedSequence`` at a time costs most of a heuristic run.  numpy hashes the
+seed into its pool once per block of runs; from that pool ``seed_states``
+absorbs every run's key words and reads out the five PCG64 states of a
+whole block in one vectorized pass of numpy's hash, and ``run_streams``
+hands them to PCG64 through a seed sequence that only carries them.  The
+streams are numpy's, bit for bit; ``tests/test_sim.py`` checks them
+against ``SeedSequence``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
-from numpy.random.bit_generator import ISpawnableSeedSequence
+from numpy.random.bit_generator import ISeedSequence
 
 # numpy's SeedSequence hash on uint32 words (pool size 4): entropy is mixed
 # into the pool with the A constants and the state read out with the B ones.
@@ -66,14 +67,14 @@ def _absorb(pool: np.ndarray, words: np.ndarray, call: int) -> np.ndarray:
 
 def _run_key_states(pool: np.ndarray, call: int, run_words: np.ndarray) -> np.ndarray:
     """States for runs whose indices have the words ``run_words`` (one row
-    per word): the keys (j, 0), (j, 0, i) for i < 4 and (j, 1) extend a
-    shared prefix, so each word is hashed once."""
+    per word): the keys (j, 0, i) for i < 4 and (j, 1) extend a shared
+    prefix, so each word is hashed once."""
     for w in run_words:
         pool = _absorb(pool, w, call)
         call += _POOL
     ends = _absorb(pool[:, None], np.arange(2, dtype=np.uint32), call)  # (j, 0) and (j, 1)
     children = _absorb(ends[:, :1], np.arange(4, dtype=np.uint32), call + _POOL)
-    pool = np.concatenate((ends[:, :1], children, ends[:, 1:]), axis=1)
+    pool = np.concatenate((children, ends[:, 1:]), axis=1)
     # generate_state(4, np.uint64): eight words cycling over the pool, read
     # in pairs as little-endian uint64
     c = _consts(0, 2 * _POOL, _INIT_B, _MULT_B)
@@ -84,14 +85,14 @@ def _run_key_states(pool: np.ndarray, call: int, run_words: np.ndarray) -> np.nd
 def seed_states(seed: int, run_indices) -> np.ndarray:
     """``SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)`` for
     every stream key of the runs ``run_indices``, in one vectorized pass of
-    numpy's hash.  Shape (runs, 6, 4); per run the keys are (j, 0),
-    (j, 0, 0) to (j, 0, 3) and (j, 1), in that order."""
+    numpy's hash.  Shape (runs, 5, 4); per run the keys are (j, 0, 0) to
+    (j, 0, 3) and (j, 1), in that order."""
     # numpy's pool of the seed alone is its pool before a spawn key's words,
     # after 16 hashmix calls and 4 more per seed word past the pool size
     call = _POOL * max(len(_words(seed)), _POOL)
     pool = SeedSequence(seed).pool
     words = [_words(j) for j in run_indices]
-    out = np.empty((len(words), 6, 4), np.uint64)
+    out = np.empty((len(words), 5, 4), np.uint64)
     # a run index of more words shifts the hash steps of its key's tail
     for width in set(map(len, words)):
         rows = [r for r, w in enumerate(words) if len(w) == width]
@@ -100,32 +101,22 @@ def seed_states(seed: int, run_indices) -> np.ndarray:
     return out
 
 
-class StreamSeed(ISpawnableSeedSequence):
-    """A seed sequence holding a precomputed PCG64 state and its spawned
-    children's states."""
+class StreamSeed(ISeedSequence):
+    """A seed sequence holding a precomputed PCG64 state."""
 
-    def __init__(self, state, children=()):
+    def __init__(self, state):
         self.state = state
-        self.children = list(children)
 
     def generate_state(self, n_words, dtype=np.uint32):
         if n_words != 4 or np.dtype(dtype) != np.uint64:
             raise ValueError("only the 4-word uint64 state of PCG64 is precomputed")
         return self.state
 
-    def spawn(self, n_children):
-        # numpy's key order: children 0, 1, ... across successive calls
-        if n_children > len(self.children):
-            raise ValueError("no more precomputed children to spawn")
-        taken = self.children[:n_children]
-        del self.children[:n_children]
-        return [StreamSeed(s) for s in taken]
-
 
 def run_streams(seed: int, run_indices):
-    """Per run, in order, its instance and trajectory generators: the
-    streams of ``default_rng(SeedSequence(seed, spawn_key=(j, 0)))`` and
-    ``(j, 1)``, with the instance generator's first four spawned children,
-    built from one ``seed_states`` pass."""
+    """Per run, in order, its four instance generators and its trajectory
+    generator: the streams of ``default_rng(SeedSequence(seed, spawn_key=
+    key))`` for the keys ``(j, 0, i)``, ``i < 4``, and ``(j, 1)``, built
+    from one ``seed_states`` pass."""
     for s in seed_states(seed, run_indices):
-        yield Generator(PCG64(StreamSeed(s[0], s[1:5]))), Generator(PCG64(StreamSeed(s[5])))
+        yield [Generator(PCG64(StreamSeed(x))) for x in s[:4]], Generator(PCG64(StreamSeed(s[4])))

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -8,7 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from offloadsim import cli, sim
 from offloadsim.config import (
@@ -809,3 +811,139 @@ def test_rate_step_count_must_fit_the_planners_indices():
     with pytest.raises(ConfigError, match="mu_cellular_mbps too large"):
         parse_config_text("mu_cellular_mbps = 1e19\n")
     parse_config_text("mu_cellular_mbps = 1e14\n")
+
+
+# The rounding warning used to print as ``.../sim.py:<line>: UserWarning:``
+# followed by that source line, named no scenario key, and came once per
+# worker of a sweep that plans nothing.
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--schemes", "otso", "--sweep", "deadline=1", "--out", "exp"],
+        ["simulate", "--schemes", "otso", "--sweep", "deadline=1,2", "--jobs", "2", "--out", "exp"],
+        ["solve", "--out", "solved"],
+    ],
+)
+def test_cli_prints_a_rounded_file_size_as_one_warning_naming_its_keys(tmp_path, args):
+    cfg = write_cfg(tmp_path, "grid_rows = 2\ngrid_cols = 2\nfile_mbytes = 1.3\nruns = 3\n")
+    # two CPUs whatever the host has, so that --jobs 2 starts two workers
+    code = (
+        "import sys; from offloadsim import cli, sim; "
+        "sim.available_cpus = lambda: 2; sys.exit(cli.main(sys.argv[1:]))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    argv = [sys.executable, "-c", code, *args, "--config", cfg]
+    out = subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == (
+        "warning: file size 10.4 rounded up to 20.0 (next multiple of 10.0): "
+        "the size in Mbit is 8 x file_mbytes, on a grid of grid_step_mbit\n"
+    )
+    assert out.stdout.startswith(("swept deadline", "wrote policy.csv"))
+    with pytest.warns(UserWarning, match="^file size 10.4 rounded up"):  # what library callers get
+        sim.problem_spec(parse_config(cfg))
+
+
+# Bad input on generated scenario files, through every command in-process.
+# An earlier one-off fuzz of 320 such files through every command, run as
+# subprocesses, found no fault, so this is a guard.  The base scenario is tiny.  Sizes past
+# their bounds (lattice, horizon, runs) stay past them under every other edit
+# the strategy can draw, so a missing check would allocate and run for long.
+MAX_FLOAT = sys.float_info.max
+FUZZ_BASE = {"grid_rows": "2", "grid_cols": "2", "file_mbytes": "12.5", "runs": "2", "seed": "7"}
+FUZZ_VALID = ["0", "-0.0", repr(TINY), repr(MAX_FLOAT), "1", "2", "0.5"]  # and boundaries
+FUZZ_BAD = ["nan", "inf", "-inf", "-1", "-2.5", "", "1.2.3", "ten", "0x10", "1 2", "1e"]
+FUZZ_KEY_VALUES = {  # per key, valid values and bad ones
+    "penalty": (["quadratic", "step"], ["cubic"]),
+    "sweep_axis": (list(SWEEP_AXES), ["bogus"]),
+    "sweep_values": (["1, 2", "0.5"], ["1, 1", "0.5, nan", "1, inf", "-2"]),
+    "seed": ([str(2**256)], []),
+    "wiffler_window": ([str(10**12)], []),
+}
+FUZZ_OVER_BOUND = [
+    ("grid_cols", "7072"),  # 7072**2 mobility cells, past MAX_LATTICE_CELLS with any grid_rows
+    ("deadline_minutes", repr((MAX_HORIZON_SLOTS + 1) / 6)),  # slots of at most 10 s
+    ("runs", str(MAX_RUNS + 1)),
+]
+FUZZ_COMMANDS = [
+    ["dump-config"],
+    ["solve", "--out", "out/solved"],
+    ["solve", "--solver", "monotone", "--out", "out/solved"],
+    ["policy-map", "--location", "1", "--out", "out/map.csv"],
+    ["verify"],
+    ["simulate", "--out", "out/exp"],
+]
+NAN = re.compile(r"\bnan\b", re.IGNORECASE)
+
+
+@st.composite
+def fuzzed_scenarios(draw):
+    """A scenario file: the tiny base with up to three keys given drawn
+    values, perhaps one size past its bound, a repeated key, an unknown key
+    or a line that is not ``key = value``."""
+    lines = dict(FUZZ_BASE)
+    keys = [f.name for f in dataclasses.fields(ScenarioConfig)]
+    for key in draw(st.lists(st.sampled_from(keys), max_size=3)):
+        valid, bad = FUZZ_KEY_VALUES.get(key, ([], []))
+        lines[key] = draw(st.sampled_from(FUZZ_VALID + valid) | st.sampled_from(FUZZ_BAD + bad))
+    # one file in four each has a size past its bound and a bad extra line
+    over = draw(st.sampled_from([None] * 9 + FUZZ_OVER_BOUND))
+    if over:
+        lines[over[0]] = over[1]
+    text = "".join(f"{k} = {v}\n" for k, v in lines.items())
+    text += draw(st.sampled_from([""] * 9 + ["runs = 2\n", "no_such_key = 1\n", "a line\n"]))
+    return text, over is not None
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(fuzzed_scenarios(), st.sampled_from(FUZZ_COMMANDS))
+# 16 Mbit rounds up to 20 with a warning, and then a step penalty is not convex
+@example(("file_mbytes = 2\npenalty = step\n", False), FUZZ_COMMANDS[2])
+def test_generated_bad_scenarios_end_in_an_exit_code_through_every_command(
+    tmp_path_factory, scenario, command
+):
+    text, over_bound = scenario
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "scenario.cfg").write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([*command, "--config", "scenario.cfg"])  # no exception may escape
+    finally:
+        os.chdir(cwd)
+    stderr = err.getvalue()
+    assert code in (0, 2, 3), (code, stderr)
+    assert code == 2 or not over_bound, text
+    if code == 2:
+        # a spec's rounding warning may come before a planner check fails
+        lines = [line for line in stderr.splitlines() if not line.startswith("warning: ")]
+        assert len(lines) == 1 and lines[0].startswith("error: "), stderr
+        assert stderr.endswith("\n") and not (root / "out").exists()
+    if code == 0:
+        written = [p.read_text() for p in (root / "out").rglob("*") if p.is_file()]
+        for content in written + ([out.getvalue()] if command == ["dump-config"] else []):
+            assert not NAN.search(content), (text, command)
+
+
+# Every command once with numpy's and the standard library's deprecations
+# as errors, so a call deprecated in the installed numpy fails Tier-1.
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["dump-config"],
+        ["solve", "--out", "solved"],
+        ["solve", "--solver", "monotone", "--out", "solved"],
+        ["policy-map", "--location", "2", "--out", "map.csv"],
+        ["verify"],
+        ["simulate", "--sweep", "deadline=0.5,1", "--out", "exp"],
+    ],
+)
+def test_every_command_runs_with_deprecations_as_errors(tmp_path, args):
+    cfg = write_cfg(tmp_path, SMALL)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    warn = ["-W", "error::DeprecationWarning", "-W", "error::FutureWarning"]
+    argv = [sys.executable, *warn, "-m", "offloadsim.cli", *args, "--config", cfg]
+    out = subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr

@@ -1,6 +1,7 @@
 """Both planners on generated instances: the decisions-only path against the
 full solve, the frontier planner's early stop, and the exact planner with
-full-slot billing against the frontier planner, cell for cell."""
+full-slot billing against the frontier planner, cell for cell, also on the
+benchmark's sampled runs."""
 
 import tracemalloc
 
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from offloadsim import dp
+from offloadsim import dp, sim
+from offloadsim.config import ScenarioConfig
 from offloadsim.model import ProblemSpec, QuadraticPenalty
 from offloadsim.threshold import MonotoneModel, solve_monotone
 
@@ -64,6 +66,29 @@ def test_exact_flat_planner_matches_frontier_planner(instance):
     policy, exact_values = dp.solve(model, spec, flat_payment=True)
     np.testing.assert_allclose(frontier_values.values, exact_values.values, rtol=2e-9, atol=0)
     assert np.array_equal(tp.to_policy().actions, policy.actions)
+
+
+# ``perfbench/run.py``'s workloads at their longest deadline, as (file
+# Mbytes, minutes), at its default seed; heuristics-only sweeps the same
+# scenario as stringent-deadline and plans nothing.
+BENCHMARK_SCENARIOS = {
+    "stringent-deadline": (750.0, 5.0),
+    "small-file-relaxed": (92.5, 5.0),
+    "frontier-long-horizon": (750.0, 10.0),
+}
+
+
+# The planning inputs the ``monotone`` scheme is given in the benchmark's
+# sweeps (``sim.means_model`` of sampled runs), not generated networks.
+@pytest.mark.parametrize("name", sorted(BENCHMARK_SCENARIOS))
+def test_exact_flat_planner_matches_frontier_planner_on_benchmark_runs(name):
+    file_mbytes, minutes = BENCHMARK_SCENARIOS[name]
+    cfg = ScenarioConfig(file_mbytes=file_mbytes, deadline_minutes=minutes, seed=12345)
+    for model, spec, _ in sim.sample_runs(cfg, range(8)):
+        mm = sim.means_model(cfg, model, spec)
+        tp, _ = solve_monotone(mm, spec)
+        policy, _ = dp.solve(mm.to_network_model(), spec, flat_payment=True)
+        assert np.array_equal(tp.to_policy().actions, policy.actions), (name, spec.initial_location)
 
 
 @pytest.mark.parametrize("instance", edge_flatcost_instances())

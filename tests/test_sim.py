@@ -92,11 +92,11 @@ def test_truncated_normal_nonnegative():
 
 def test_sample_instance_wifi_extremes_and_units():
     cfg = small_cfg(wifi_prob=0.0)
-    model, spec = sample_instance(cfg, np.random.default_rng(1))
+    model, spec = sample_instance(cfg, np.random.default_rng(1).spawn(4))
     assert model.wifi_locations == frozenset()
 
     cfg = small_cfg(wifi_prob=1.0, rate_std_mbps=0.0)
-    model, spec = sample_instance(cfg, np.random.default_rng(1))
+    model, spec = sample_instance(cfg, np.random.default_rng(1).spawn(4))
     assert model.wifi_locations == frozenset({1, 2, 3, 4})
     # 90 Mbps over a 10 s slot = 900 Mbit; 20 Mbps = 200 Mbit
     assert model.rate_of(1, Action.CELLULAR) == pytest.approx(900.0)
@@ -108,8 +108,8 @@ def test_sample_instance_wifi_extremes_and_units():
 
 def test_sample_instance_deterministic_per_rng_seed():
     cfg = small_cfg()
-    m1, s1 = sample_instance(cfg, np.random.default_rng(7))
-    m2, s2 = sample_instance(cfg, np.random.default_rng(7))
+    m1, s1 = sample_instance(cfg, np.random.default_rng(7).spawn(4))
+    m2, s2 = sample_instance(cfg, np.random.default_rng(7).spawn(4))
     assert m1.wifi_locations == m2.wifi_locations
     assert np.array_equal(m1.rate, m2.rate)
     assert s1.initial_location == s2.initial_location
@@ -129,7 +129,7 @@ def test_sampled_specs_differ_only_in_the_initial_location(penalty):
 
 def test_trajectory_starts_at_initial_location():
     cfg = small_cfg()
-    model, spec = sample_instance(cfg, np.random.default_rng(3))
+    model, spec = sample_instance(cfg, np.random.default_rng(3).spawn(4))
     traj = sample_trajectory(model, spec, np.random.default_rng(4))
     assert len(traj) == spec.horizon
     assert traj[0] == spec.initial_location
@@ -138,7 +138,7 @@ def test_trajectory_starts_at_initial_location():
 
 def test_run_episode_empty_file():
     cfg = small_cfg(file_mbytes=0.0)
-    model, spec = sample_instance(cfg, np.random.default_rng(5))
+    model, spec = sample_instance(cfg, np.random.default_rng(5).spawn(4))
     agent = make_agent("no-offload", model, spec, cfg)
     traj = sample_trajectory(model, spec, np.random.default_rng(6))
     ep = run_episode(agent, model, spec, trajectory=traj)
@@ -182,7 +182,7 @@ def test_run_experiment_checks_the_planners_on_every_point_before_sampling(monke
 def test_no_offload_closed_form_payment():
     # deterministic rates on a single cell: payment is exactly size * price
     cfg = small_cfg(grid_rows=1, grid_cols=1, rate_std_mbps=0.0, file_mbytes=625.0)
-    model, spec = sample_instance(cfg, np.random.default_rng(8))
+    model, spec = sample_instance(cfg, np.random.default_rng(8).spawn(4))
     agent = make_agent("no-offload", model, spec, cfg)
     traj = sample_trajectory(model, spec, np.random.default_rng(9))
     ep = run_episode(agent, model, spec, trajectory=traj)
@@ -197,7 +197,7 @@ def test_episode_counts_and_penalty_flag():
     cfg = small_cfg(runs=20)
     rng = np.random.default_rng(10)
     for scheme in SCHEMES:
-        model, spec = sample_instance(cfg, np.random.default_rng(11))
+        model, spec = sample_instance(cfg, np.random.default_rng(11).spawn(4))
         traj = sample_trajectory(model, spec, np.random.default_rng(12))
         agent = make_agent(scheme, model, spec, cfg, traj)
         ep = run_episode(agent, model, spec, trajectory=traj)
@@ -209,7 +209,7 @@ def test_episode_counts_and_penalty_flag():
 def test_episode_rejects_inadmissible_scheme():
     # decision data that sends over Wi-Fi where there is none
     cfg = small_cfg(wifi_prob=0.0)
-    model, spec = sample_instance(cfg, np.random.default_rng(13))
+    model, spec = sample_instance(cfg, np.random.default_rng(13).spawn(4))
     otso = make_agent("otso", model, spec, cfg)
     bad = otso._replace(actions=[int(Action.WIFI)] * model.num_locations)
     traj = sample_trajectory(model, spec, np.random.default_rng(14))
@@ -219,7 +219,7 @@ def test_episode_rejects_inadmissible_scheme():
 
 def test_episode_rejects_decisions_for_another_instance():
     cfg = small_cfg()
-    model, spec = sample_instance(cfg, np.random.default_rng(13))
+    model, spec = sample_instance(cfg, np.random.default_rng(13).spawn(4))
     otso = make_agent("otso", model, spec, cfg)
     other_model = dataclasses.replace(model, rate=model.rate * 0.5)
     traj = sample_trajectory(other_model, spec, np.random.default_rng(14))
@@ -236,16 +236,13 @@ def test_common_random_numbers_across_schemes():
     res = run_experiment(cfg, ("no-offload", "otso"), "deadline", (1.0,))
     # same environments: both schemes saw identical location paths, which
     # shows up as identical run counts and, for run 0, identical traces
-    model, spec = sample_instance(
-        cfg, np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0, 0)))
-    )
-    traj = sample_trajectory(
-        model, spec, np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0, 1)))
-    )
+    inst_streams, traj_rng = _run_rngs(cfg, 0)
+    model, spec = sample_instance(cfg, inst_streams)
+    traj = sample_trajectory(model, spec, traj_rng)
     a = run_episode(make_agent("no-offload", model, spec, cfg), model, spec, trajectory=traj)
     b = run_episode(make_agent("otso", model, spec, cfg), model, spec, trajectory=traj)
-    assert [x[1] for x in a.trajectory] == traj[: len(a.trajectory)]
-    assert [x[1] for x in b.trajectory] == traj[: len(b.trajectory)]
+    assert a.trajectory == tuple(traj[: len(a.trajectory)])
+    assert b.trajectory == tuple(traj[: len(b.trajectory)])
 
 
 def test_experiment_deterministic_output():
@@ -364,12 +361,9 @@ def test_single_run_aggregate_equals_episode():
     cfg = small_cfg(runs=1)
     res = run_experiment(cfg, ("no-offload",), "deadline", (1.0,))
     m = res.metrics[(1.0, "no-offload")]
-    model, spec = sample_instance(
-        cfg, np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0, 0)))
-    )
-    traj = sample_trajectory(
-        model, spec, np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0, 1)))
-    )
+    inst_streams, traj_rng = _run_rngs(cfg, 0)
+    model, spec = sample_instance(cfg, inst_streams)
+    traj = sample_trajectory(model, spec, traj_rng)
     ep = run_episode(make_agent("no-offload", model, spec, cfg), model, spec, trajectory=traj)
     assert m.mean_total_cost == pytest.approx(ep.total_cost)
     assert m.mean_payment == pytest.approx(ep.total_payment)
@@ -400,7 +394,7 @@ def test_experiment_json_mirror(tmp_path):
 def test_monotone_agent_plans_from_mean_rates():
     # the threshold agent must not depend on the sampled per-location rates
     cfg = small_cfg(runs=1, rate_std_mbps=5.0)
-    model, spec = sample_instance(cfg, np.random.default_rng(15))
+    model, spec = sample_instance(cfg, np.random.default_rng(15).spawn(4))
     mm = means_model(cfg, model, spec)
     tp, _ = solve_monotone(mm, spec)
     assert tp.horizon == spec.horizon
@@ -672,7 +666,7 @@ def test_sweep_builds_and_checks_each_grid_once(monkeypatch):
 
 
 def stream_keys(j):
-    return [(j, 0)] + [(j, 0, i) for i in range(4)] + [(j, 1)]
+    return [(j, 0, i) for i in range(4)] + [(j, 1)]
 
 
 # seeds of up to two uint32 words, and of five to nine: numpy mixes the
@@ -693,7 +687,7 @@ run_index_lists = st.lists(
 @example(2**256, [2**32 - 1, 2**32])
 def test_seed_states_match_numpy_seed_sequence(seed, runs):
     states = seed_states(seed, runs)
-    assert states.shape == (len(runs), 6, 4) and states.dtype == np.uint64
+    assert states.shape == (len(runs), 5, 4) and states.dtype == np.uint64
     for j, row in zip(runs, states):
         for key, state in zip(stream_keys(j), row):
             ref = np.random.SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)
@@ -711,17 +705,12 @@ def test_run_streams_match_numpy_generators(seed, first, size):
     streams = list(run_streams(seed, runs))
     assert len(streams) == size
     for j, (inst, traj) in zip(runs, streams):
-        ref_inst, ref_traj = (
-            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(j, k))) for k in (0, 1)
-        )
-        assert inst.bit_generator.state == ref_inst.bit_generator.state
-        assert traj.bit_generator.state == ref_traj.bit_generator.state
-        # sample_instance spawns once; a second spawn continues numpy's key order
-        children = inst.spawn(3) + inst.spawn(1)
-        ref_children = ref_inst.spawn(4)
-        assert [g.bit_generator.state for g in children] == [
-            g.bit_generator.state for g in ref_children
+        ref_inst = np.random.SeedSequence(seed, spawn_key=(j, 0)).spawn(4)
+        ref_traj = np.random.SeedSequence(seed, spawn_key=(j, 1))
+        assert [g.bit_generator.state for g in inst] == [
+            np.random.default_rng(s).bit_generator.state for s in ref_inst
         ]
+        assert traj.bit_generator.state == np.random.default_rng(ref_traj).bit_generator.state
 
 
 def test_streams_reject_what_they_cannot_reproduce():
@@ -732,12 +721,8 @@ def test_streams_reject_what_they_cannot_reproduce():
     inst, _ = next(run_streams(5, [0]))
     for n_words, dtype in ((8, np.uint64), (4, np.uint32)):
         with pytest.raises(ValueError) as exc:
-            inst.bit_generator.seed_seq.generate_state(n_words, dtype)
+            inst[0].bit_generator.seed_seq.generate_state(n_words, dtype)
         assert str(exc.value) == "only the 4-word uint64 state of PCG64 is precomputed"
-    inst.spawn(4)
-    with pytest.raises(ValueError) as exc:
-        inst.spawn(1)
-    assert str(exc.value) == "no more precomputed children to spawn"
 
 
 # ---------------------------------------------------------------------------
@@ -749,8 +734,8 @@ def test_streams_reject_what_they_cannot_reproduce():
 # ---------------------------------------------------------------------------
 
 
-def reference_sample_instance(cfg, rng):
-    g_wifi, g_cell, g_wrate, g_init = rng.spawn(4)
+def reference_sample_instance(cfg, streams):
+    g_wifi, g_cell, g_wrate, g_init = streams
     L = cfg.num_locations
     wifi = frozenset(l + 1 for l in range(L) if g_wifi.random() < cfg.wifi_prob)
     mu_c = cfg.rate_mbit_per_slot(cfg.mu_cellular_mbps)
@@ -832,7 +817,7 @@ def reference_run_episode(agent, model, spec, trajectory):
         a = Action(agent.decide(k, l, t))
         if a not in admissible_actions(model, l):
             raise SchemeError(f"{a.name} at location {l}")
-        trace.append((t, l, k, int(a)))
+        trace.append(l)
         counts[a] += 1
         if a is not Action.IDLE:
             pay += payment(model, spec, State(k, l), a)
@@ -851,8 +836,10 @@ def reference_run_episode(agent, model, spec, trajectory):
 
 
 def _run_rngs(cfg, j):
+    """Run ``j``'s four instance streams and its trajectory stream, from
+    numpy's ``SeedSequence``."""
     return (
-        np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(j, 0))),
+        np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(j, 0))).spawn(4),
         np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(j, 1))),
     )
 
@@ -917,6 +904,8 @@ def test_walk_matches_reference(name):
             want = reference_run_episode(reference[scheme](), model, spec, traj)
             assert got == want, (name, j, scheme)
             assert repr(got) == repr(want), (name, j, scheme)
+            slots = got.slots_cellular + got.slots_wifi + got.slots_waiting
+            assert got.trajectory == tuple(traj[:slots]), (name, j, scheme)
 
 
 # A config's own deadline and points one to four slots long: location-only
@@ -1007,6 +996,6 @@ def test_rejection_heavy_draws_are_exercised():
     cfg = small_cfg(**SAMPLER_CONFIGS["rejecting"])
     rejected = 0
     for j in range(40):
-        g_wrate = _run_rngs(cfg, j)[0].spawn(4)[2]
+        g_wrate = _run_rngs(cfg, j)[0][2]
         rejected += int((g_wrate.normal(10.0, 50.0, size=16) < 0).sum())
     assert rejected > 100
