@@ -26,6 +26,7 @@ from .config import (
     ScenarioConfig,
     parse_config,
     serialize_config,
+    split_list,
 )
 from .errors import ConfigError, GridRoundingWarning, OffloadError
 from .sim import SCHEMES, SOLVERS, check_plannable, check_sweep, plan, run_experiment, sample_runs
@@ -94,17 +95,12 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _split_list(text: str) -> tuple:
-    """The stripped, non-blank entries of comma-separated ``text``."""
-    return tuple(v.strip() for v in text.split(",") if v.strip())
-
-
 def _parse_sweep(arg: str):
     if arg is None:
         return None, None
     axis, eq, rest = arg.partition("=")
     values = []
-    for v in _split_list(rest):
+    for v in split_list(rest):
         try:
             values.append(float(v))
         except ValueError:
@@ -203,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument(
         "--schemes",
-        type=_split_list,
+        type=split_list,
         default=",".join(SCHEMES),
         help=f"comma-separated subset of {','.join(SCHEMES)}",
     )
@@ -232,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument(
         "--properties",
-        type=_split_list,
+        type=split_list,
         default=None,
         help="comma-separated subset of " + ",".join(PROPERTY_NAMES),
     )

@@ -226,8 +226,13 @@ class ScenarioConfig:
         return d
 
 
+def split_list(text: str) -> tuple:
+    """The stripped, non-blank entries of comma-separated ``text``."""
+    return tuple(v.strip() for v in text.split(",") if v.strip())
+
+
 def _float_list(raw: str) -> tuple:
-    return tuple(float(v) for v in raw.split(",") if v.strip())
+    return tuple(map(float, split_list(raw)))
 
 
 # The parser of each key, by its field's annotation (a string, since the

@@ -49,20 +49,19 @@ import numpy as np
 
 from . import dp
 from .config import ScenarioConfig, check_names
-from .errors import ConfigError, PreconditionError, SchemeError
+from .errors import ConfigError, SchemeError
 from .model import (
     Action,
     NetworkModel,
     ProblemSpec,
     admissible_actions,
     check_location,
-    is_convex_on_grid,
     penalty_on_grid,
     share_mobility,
     transfer_steps,
     walk_rows,
 )
-from .threshold import MonotoneModel, solve_monotone
+from .threshold import MonotoneModel, check_convex, solve_monotone
 
 SCHEMES = ("general", "monotone", "no-offload", "otso", "wiffler")
 SOLVERS = SCHEMES[:2]  # the schemes that plan: ``plan``'s solver names
@@ -224,15 +223,13 @@ def check_plannable(schemes, points) -> None:
         spec = problem_spec(cfg)
         if planners:
             dp.check_lattice(spec, cfg.num_locations)
-        if "monotone" in planners and not is_convex_on_grid(
-            penalty_on_grid(spec.penalty, spec.grid_values)
-        ):
-            raise PreconditionError("penalty must be convex on the size grid")
+        if "monotone" in planners:
+            check_convex(penalty_on_grid(spec.penalty, spec.grid_values))
 
 
 class RunTables(NamedTuple):
     """What every episode of one run reads, built once per run by
-    ``run_tables``: per location (index ``l - 1``) each action's rate, price
+    ``plan_run``: per location (index ``l - 1``) each action's rate, price
     and grid steps per slot, and whether the location has Wi-Fi."""
 
     model: NetworkModel
@@ -241,19 +238,6 @@ class RunTables(NamedTuple):
     price: list
     steps: list
     covered: list
-
-
-def run_tables(model: NetworkModel, spec: ProblemSpec) -> RunTables:
-    wifi = model.wifi_locations
-    return RunTables(
-        model,
-        spec.grid_step,
-        model.rate.tolist(),
-        model.price.tolist(),
-        # idle, cellular and Wi-Fi; idle and Wi-Fi off coverage have rate 0
-        transfer_steps(spec, model.rate).tolist(),
-        [l in wifi for l in range(1, model.num_locations + 1)],
-    )
 
 
 def wiffler_means(path, wifi_rate, window: int) -> list:
@@ -301,12 +285,12 @@ class Decisions(NamedTuple):
     deadline reads the last ``T`` epochs; the action is given by the fields
     set besides ``run`` and ``horizon``:
 
-    - ``table`` (general): ``table(e, l - 1, n)``, the exact planner's
-      action table;
-    - ``frontier`` and ``actions`` (monotone): cellular when
-      ``n >= frontier[l - 1][e]``, the frontier planner's ``k_star_idx``,
-      else ``actions[l - 1]``: Wi-Fi where covered, idle elsewhere;
-    - ``actions`` alone (no-offload, OTSO): ``actions[l - 1]``;
+    - ``actions`` (no-offload, OTSO): ``actions[l - 1]``, one action per
+      location whatever the epoch;
+    - ``table`` (general, monotone): ``table(e, l - 1, n)``, the exact
+      planner's action table, or the frontier planner's rule read the same
+      way: cellular when ``n`` is at or above the frontier ``k_star_idx``,
+      else Wi-Fi where covered and idle elsewhere;
     - ``theta``, ``path`` and ``means`` (Wiffler): Wi-Fi where covered;
       elsewhere idle when the Wi-Fi capacity predicted from
       ``means[t - 1]`` (``wiffler_means`` along ``path``) covers ``theta``
@@ -316,7 +300,6 @@ class Decisions(NamedTuple):
     run: RunTables
     horizon: int
     table: object = None
-    frontier: list = None
     actions: list = None
     theta: float = None
     path: list = None
@@ -331,22 +314,35 @@ def plan_run(schemes, model: NetworkModel, spec: ProblemSpec, cfg: ScenarioConfi
     ``spec.horizon``: each planner's table from ``plan``, and Wiffler's
     encounter means along ``path``, the run's trajectory."""
     check_names(schemes, "scheme", SCHEMES)
-    run = run_tables(model, spec)
+    covered = [l in model.wifi_locations for l in range(1, model.num_locations + 1)]
+    run = RunTables(
+        model,
+        spec.grid_step,
+        model.rate.tolist(),
+        model.price.tolist(),
+        # idle, cellular and Wi-Fi; idle and Wi-Fi off coverage have rate 0
+        transfer_steps(spec, model.rate).tolist(),
+        covered,
+    )
     T = spec.horizon
     plans = []
     for scheme in schemes:
         if scheme == "general":
             x = Decisions(run, T, table=plan(scheme, cfg, model, spec)[0].actions.item)
         elif scheme == "monotone":
-            tp = plan(scheme, cfg, model, spec)[0]
-            below = [_WIFI if c else _IDLE for c in run.covered]
-            x = Decisions(run, T, frontier=tp.k_star_idx.tolist(), actions=below)
+            ks = plan(scheme, cfg, model, spec)[0].k_star_idx.tolist()
+            below = [_WIFI if c else _IDLE for c in covered]
+
+            def table(e, i, n):
+                return _CELLULAR if n >= ks[i][e] else below[i]
+
+            x = Decisions(run, T, table=table)
         elif scheme == "no-offload":  # cellular everywhere while something is left
-            x = Decisions(run, T, actions=[_CELLULAR] * len(run.covered))
+            x = Decisions(run, T, actions=[_CELLULAR] * len(covered))
         elif scheme == "otso":  # Wi-Fi where covered, else cellular
-            x = Decisions(run, T, actions=[_WIFI if c else _CELLULAR for c in run.covered])
+            x = Decisions(run, T, actions=[_WIFI if c else _CELLULAR for c in covered])
         else:  # wiffler
-            wifi_rate = [w if c else None for (_, _, w), c in zip(run.rate, run.covered)]
+            wifi_rate = [w if c else None for (_, _, w), c in zip(run.rate, covered)]
             means = wiffler_means(path, wifi_rate, cfg.wiffler_window)
             x = Decisions(run, T, theta=cfg.wiffler_theta, path=path, means=means)
         plans.append(x)
@@ -354,13 +350,16 @@ def plan_run(schemes, model: NetworkModel, spec: ProblemSpec, cfg: ScenarioConfi
 
 
 class EpisodeResult(NamedTuple):
-    completed: bool
-    total_payment: float
-    penalty_paid: float
+    """One walk's totals; the first six are a sweep record's columns, in
+    ``SchemeSamples``' order."""
+
     total_cost: float
+    total_payment: float
+    completed: bool
     slots_cellular: int
     slots_wifi: int
     slots_waiting: int
+    penalty_paid: float
     trajectory: tuple  # the location of each slot walked
 
 
@@ -403,7 +402,7 @@ def run_episode(
 
     step = spec.grid_step
     rate, price, steps, covered = run.rate, run.price, run.steps, run.covered
-    table, frontier, actions = decisions.table, decisions.frontier, decisions.actions
+    table, actions = decisions.table, decisions.actions
     theta, horizon = decisions.theta, spec.horizon
     shift = decisions.horizon - horizon - 1  # slot t reads epoch index t + shift
 
@@ -416,7 +415,7 @@ def run_episode(
         i = l - 1
         k = n * step
         if actions is not None:
-            a = 1 if frontier is not None and n >= frontier[i][t + shift] else actions[i]
+            a = actions[i]
         elif table is not None:
             a = table(t + shift, i, n)
         elif covered[i]:
@@ -441,13 +440,13 @@ def run_episode(
                 n = 0
     pen = float(spec.penalty(n * step)) if n else 0.0
     return EpisodeResult(
-        completed=n == 0,
-        total_payment=pay,
-        penalty_paid=pen,
         total_cost=pay + pen,
+        total_payment=pay,
+        completed=n == 0,
         slots_cellular=counts[Action.CELLULAR],
         slots_wifi=counts[Action.WIFI],
         slots_waiting=counts[Action.IDLE],
+        penalty_paid=pen,
         trajectory=tuple(path[: sum(counts)]),
     )
 
@@ -564,12 +563,6 @@ class ExperimentResult:
             fh.write("\n")
 
 
-def _location_only(x: Decisions) -> bool:
-    """Whether ``x`` takes one action per location, whatever the epoch:
-    no-offload and OTSO."""
-    return x.actions is not None and x.frontier is None and x.table is None and x.means is None
-
-
 def _run_block(cfgs: tuple, schemes: tuple, run_indices) -> np.ndarray:
     """Walk runs ``run_indices`` at the sweep points ``cfgs``, which differ
     only in their deadline, sampling and planning each run once at the
@@ -578,10 +571,10 @@ def _run_block(cfgs: tuple, schemes: tuple, run_indices) -> np.ndarray:
     and waiting slots, the columns ``SchemeSamples`` reads.
 
     Points are walked from the longest horizon down.  A plan that takes one
-    action per location (``_location_only``) whose longest walk finished
-    within a point's T slots is not walked again there: its walk over T
-    slots is the first T slots of the longest one, and it pays the same
-    amounts and no penalty."""
+    action per location (``Decisions.actions``) whose walk finished within
+    a point's T slots is not walked again there: its walk over T slots is
+    the first T slots of the longer one, and it pays the same amounts and
+    no penalty."""
     horizons = [c.horizon for c in cfgs]
     order = sorted(range(len(cfgs)), key=horizons.__getitem__, reverse=True)
     top = cfgs[order[0]]
@@ -593,9 +586,7 @@ def _run_block(cfgs: tuple, schemes: tuple, run_indices) -> np.ndarray:
     specs = {}
     for r, (model, spec, traj) in enumerate(sample_runs(top, run_indices)):
         plans = plan_run(schemes, model, spec, top, traj)
-        # per scheme whose longest walk carries over: the slots that walk
-        # took to finish, and its totals
-        finished = [None] * len(plans)
+        finished = [None] * len(plans)  # per scheme, a finished walk that carries over
         for p in order:
             horizon = horizons[p]
             spec_t = spec
@@ -606,22 +597,12 @@ def _run_block(cfgs: tuple, schemes: tuple, run_indices) -> np.ndarray:
                     spec_t = specs[key] = dataclasses.replace(spec, horizon=horizon)
             point = []
             for s, x in enumerate(plans):
-                f = finished[s]
-                if f is not None and f[0] <= horizon:
-                    point.append(f[1])
-                    continue
-                ep = run_episode(x, model, spec_t, trajectory=traj)
-                row = (
-                    ep.total_cost,
-                    ep.total_payment,
-                    1.0 if ep.completed else 0.0,
-                    ep.slots_cellular,
-                    ep.slots_wifi,
-                    ep.slots_waiting,
-                )
-                if horizon == spec.horizon and ep.completed and _location_only(x):
-                    finished[s] = (len(ep.trajectory), row)
-                point.append(row)
+                ep = finished[s]
+                if ep is None or len(ep.trajectory) > horizon:
+                    ep = run_episode(x, model, spec_t, trajectory=traj)
+                    if ep.completed and x.actions is not None:
+                        finished[s] = ep
+                point.append(ep[:6])
             rows[p] = point
         out[:, :, r] = rows
         del plans  # the next run's planners then allocate without this run's tables

@@ -118,8 +118,7 @@ class MonotoneModel:
         mu2 = float(wifi_rates[0]) if wifi else 0.0
         p1 = float(cell_prices[0])
 
-        if not is_convex_on_grid(penalty_on_grid(spec.penalty, spec.grid_values)):
-            raise PreconditionError("penalty must be convex on the size grid")
+        check_convex(penalty_on_grid(spec.penalty, spec.grid_values))
 
         return cls(
             num_locations=L,
@@ -130,6 +129,13 @@ class MonotoneModel:
             cellular_cost=mu1 * p1,
             penalty=spec.penalty,
         )
+
+
+def check_convex(penalty_values: np.ndarray) -> None:
+    """Raise the planner's convexity precondition unless ``penalty_values``,
+    the penalty at every size of the grid, are convex there."""
+    if not is_convex_on_grid(penalty_values):
+        raise PreconditionError("penalty must be convex on the size grid")
 
 
 def _spread(values: np.ndarray) -> float:
@@ -233,8 +239,7 @@ def solve_monotone(mm: MonotoneModel, spec: ProblemSpec, *, values: bool = True)
     T = spec.horizon
     v = cost_lattice(spec, L, values)
     m = len(v)  # epoch t is stored at v[t % m]
-    if not is_convex_on_grid(v[T % m, 0]):
-        raise PreconditionError("penalty must be convex on the size grid")
+    check_convex(v[T % m, 0])
 
     d1 = transfer_steps(spec, mm.mu_cellular)
     d2 = transfer_steps(spec, mm.mu_wifi)

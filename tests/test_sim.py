@@ -404,11 +404,18 @@ def test_monotone_agent_plans_from_mean_rates():
     assert tp.grid_step == spec.grid_step
     agent = make_agent("monotone", model, spec, cfg)
     other = make_agent("monotone", dataclasses.replace(model, rate=model.rate * 0.5), spec, cfg)
-    assert agent.frontier == other.frontier
-    assert agent.actions == other.actions
+    assert np.array_equal(table_cells(agent, spec), table_cells(other, spec))
     traj = sample_trajectory(model, spec, np.random.default_rng(16))
     ep = run_episode(agent, model, spec, trajectory=traj)
     assert ep.total_cost >= 0.0
+
+
+def table_cells(x, spec):
+    """Every cell ``x.table(e, l - 1, n)`` of a planned scheme's decisions
+    with ``n >= 1`` grid steps left, as an (epochs, locations, N) array."""
+    sizes, locations = range(1, spec.grid_points + 1), range(x.run.model.num_locations)
+    cells = [[[x.table(e, i, n) for n in sizes] for i in locations] for e in range(x.horizon)]
+    return np.array(cells, dtype=np.int8)
 
 
 def test_longest_plan_walks_every_deadline_like_a_plan_for_it():
@@ -908,6 +915,22 @@ def test_walk_matches_reference(name):
             assert got.trajectory == tuple(traj[:slots]), (name, j, scheme)
 
 
+@pytest.mark.parametrize("name", sorted(WALK_CONFIGS))
+def test_planned_schemes_read_their_planners_tables(name):
+    # general reads dp.solve's table; monotone's frontier rule reads as the
+    # table ThresholdPolicy.to_policy writes out
+    cfg = small_cfg(**WALK_CONFIGS[name])
+    schemes = SCHEMES[: 1 if cfg.penalty == "step" else 2]
+    for j in range(3):
+        model, spec = sample_instance(cfg, _run_rngs(cfg, j)[0])
+        want = [dp.solve(model, spec)[0].actions]
+        if "monotone" in schemes:
+            want.append(solve_monotone(means_model(cfg, model, spec), spec)[0].to_policy().actions)
+        for scheme, x, table in zip(schemes, plan_run(schemes, model, spec, cfg, ()), want):
+            assert x.actions is None and x.horizon == spec.horizon
+            assert np.array_equal(table_cells(x, spec), table[:, :, 1:]), (name, j, scheme)
+
+
 # A config's own deadline and points one to four slots long: location-only
 # walks that finish before a point's horizon, exactly at it, and after it.
 SHORT_DEADLINES = tuple(k / 6 for k in (4, 3, 2, 1))
@@ -937,14 +960,7 @@ def test_sweep_records_equal_each_points_own_walks(monkeypatch, name):
             traj = sample_trajectory(model, spec, traj_rng)
             for scheme, x in zip(schemes, plan_run(schemes, model, spec, point, traj)):
                 ep = walk(x, model, spec, trajectory=traj)
-                want = (
-                    ep.total_cost,
-                    ep.total_payment,
-                    float(ep.completed),
-                    ep.slots_cellular,
-                    ep.slots_wifi,
-                    ep.slots_waiting,
-                )
+                want = tuple(map(float, ep[:6]))
                 got = tuple(float(c[j]) for c in dataclasses.astuple(res.samples[(d, scheme)]))
                 assert got == want, (d, j, scheme)
                 top = longest.setdefault(scheme, ep)

@@ -1,10 +1,11 @@
 """Static checks on the package source, with the standard-library ``ast``:
 no unused imports, an ``__all__`` that resolves, no module-level
 function or class that nothing names, one home for the grid
-tolerance and the lattice budget, and one for the list rule's messages
-(empty list, unknown name, repeat).  Commands sample and plan only
-through ``sim``.  README's Python example is run, so that it cannot name
-a removed API."""
+tolerance and the lattice budget, one for the list rule's messages
+(empty list, unknown name, repeat) and one for the frontier planner's
+convexity precondition.  Every Python file parses as Python 3.10.
+Commands sample and plan only through ``sim``.  README's Python example
+is run, so that it cannot name a removed API."""
 
 import ast
 import os
@@ -13,6 +14,8 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import offloadsim
 from offloadsim.model import MAX_LATTICE_CELLS
@@ -131,24 +134,50 @@ def test_grid_tolerance_and_lattice_budget_live_only_in_model():
 LIST_RULE = re.compile(r"repeated in|given; expected some of|; expected one of")
 
 
-def list_rule_copies(paths):
-    """``file: message`` wherever one of ``paths`` writes the empty-list,
-    the unknown-name or the repeat message of the list rule."""
+def message_copies(pattern, paths):
+    """``file: message`` wherever one of ``paths`` writes a message that
+    ``pattern`` matches."""
     copies = []
     for path in paths:
-        for found in LIST_RULE.findall(path.read_text(encoding="utf-8")):
+        for found in pattern.findall(path.read_text(encoding="utf-8")):
             copies.append(f"{path.name}: {found}")
     return copies
 
 
 def test_list_rule_messages_are_raised_only_in_config():
+    # the empty-list, the unknown-name and the repeat message
     config = PACKAGE / "config.py"
-    assert list_rule_copies([p for p in MODULES if p != config]) == []
-    assert list_rule_copies([config]) == [
+    assert message_copies(LIST_RULE, [p for p in MODULES if p != config]) == []
+    assert message_copies(LIST_RULE, [config]) == [
         "config.py: given; expected some of",
         "config.py: ; expected one of",
         "config.py: repeated in",
     ]
+
+
+CONVEXITY = re.compile(r'"penalty must be convex on the size grid"')
+
+
+def test_convexity_precondition_is_raised_only_in_threshold():
+    threshold = PACKAGE / "threshold.py"
+    assert message_copies(CONVEXITY, [p for p in MODULES if p != threshold]) == []
+    assert message_copies(CONVEXITY, [threshold]) == [
+        'threshold.py: "penalty must be convex on the size grid"'
+    ]
+
+
+def test_every_python_file_parses_as_python_3_10():
+    # the oldest Python that CI runs; feature_version rejects newer syntax
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+    failed = []
+    for path in _corpus_files():
+        if path.suffix == ".py":
+            try:
+                ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+            except SyntaxError as exc:
+                failed.append(f"{path.relative_to(ROOT)}:{exc.lineno}: {exc.msg}")
+    assert failed == []
 
 
 def naming(word, paths):
