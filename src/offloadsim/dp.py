@@ -179,26 +179,36 @@ def solve(
     delta = np.zeros((T, L, N + 1), dtype=np.int8)
 
     # Per (location, action): next-size index row and immediate-payment row,
-    # both constant over time.
+    # both constant over time.  Rows equal by construction are one array:
+    # an index row per grid-step count, and one zero row for idling and for
+    # a price of exactly +0.0 (a -0.0 price keeps its computed row, whose
+    # signed zeros could differ in a sum).
+    arange = np.arange(N + 1)
+    index_rows = {}
+    zero = np.zeros(N + 1)
     plans = []
     for li in range(L):
         order = preference_order(admissible_actions(model, li + 1))
         rows = []
         for a in order:
             steps = transfer_steps(spec, model.rate[li, a])
-            idx = np.maximum(np.arange(N + 1) - steps, 0)
-            if a is Action.IDLE:
-                cost = np.zeros(N + 1)
+            idx = index_rows.get(steps)
+            if idx is None:
+                idx = index_rows[steps] = np.maximum(arange - steps, 0)
+            price = model.price[li, a]
+            if a is Action.IDLE or (price == 0.0 and not np.signbit(price)):
+                cost = zero
             elif a is Action.CELLULAR and flat_payment:
-                cost = np.full(N + 1, model.rate[li, a] * model.price[li, a])
+                cost = np.full(N + 1, model.rate[li, a] * price)
             else:
-                cost = np.minimum(grid, model.rate[li, a]) * model.price[li, a]
+                cost = np.minimum(grid, model.rate[li, a]) * price
             rows.append((a, idx, cost))
         plans.append(rows)
 
     mobility = model.mobility
+    w_all = np.empty((L, N + 1))  # each epoch's expectation, reused
     for t in range(T - 1, -1, -1):
-        w_all = mobility @ v[(t + 1) % m]
+        np.matmul(mobility, v[(t + 1) % m], out=w_all)
         for li in range(L):
             w = w_all[li]
             rows = plans[li]

@@ -262,6 +262,56 @@ def general_instances(draw, max_steps=12):
     return model, ProblemSpec(float(N), T, 1.0, draw(penalties(N)))
 
 
+def _signed_amounts(hi):
+    """``+0.0``, ``-0.0``, a whole number or a float in (0.01, hi]."""
+    return st.one_of(
+        st.sampled_from((0.0, -0.0)),
+        st.integers(1, max(int(hi), 1)).map(float),
+        st.floats(0.01, hi),
+    )
+
+
+@st.composite
+def bitwise_instances(draw, max_steps=12):
+    """``general_instances`` where the exact planner's arithmetic has edges:
+    prices and penalty coefficients of ``+0.0`` or ``-0.0``, tabulated
+    penalties whose later entries may be infinite, and mobility rows with
+    zero entries (so an infinite cost can meet a zero weight)."""
+    L = draw(st.integers(1, 4))
+    N = draw(st.integers(0, max_steps))
+    T = draw(st.integers(1, 6))
+    wifi = draw(st.sets(st.integers(1, L)))
+    rate = np.zeros((L, 3))
+    price = np.zeros((L, 3))
+    for l in range(1, L + 1):
+        price[l - 1, Action.IDLE] = draw(st.sampled_from((0.0, -0.0)))
+        actions = (Action.CELLULAR, Action.WIFI) if l in wifi else (Action.CELLULAR,)
+        for a in actions:
+            rate[l - 1, a] = draw(_signed_amounts(N + 3))
+            price[l - 1, a] = draw(_signed_amounts(2.0))
+    weights = draw(
+        st.lists(
+            st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=L, max_size=L),
+            min_size=L,
+            max_size=L,
+        )
+    )
+    P = np.array(weights) + np.eye(L) * 0.01  # every row has a positive weight
+    P /= P.sum(axis=1, keepdims=True)
+    kind = draw(st.sampled_from(("quadratic", "step", "tabulated")))
+    if kind == "quadratic":
+        pen = QuadraticPenalty(draw(_signed_amounts(5.0)))
+    elif kind == "step":
+        pen = StepPenalty(draw(_signed_amounts(50.0)))
+    else:
+        steps = draw(
+            st.lists(st.one_of(_signed_amounts(5.0), st.just(np.inf)), min_size=N, max_size=N)
+        )
+        pen = TabulatedPenalty(tuple(np.concatenate([[0.0], np.cumsum(steps)])), 1.0)
+    model = NetworkModel(L, frozenset(wifi), P, price, rate)
+    return model, ProblemSpec(float(N), T, 1.0, pen)
+
+
 def _amounts(hi):
     """Zero, a whole number (exact ties are likely between these) or a float
     in (0.01, hi]."""

@@ -5,7 +5,8 @@ walks in batches.  The functions here are the same rules written one
 state or one draw at a time, on the public model primitives: the three
 heuristics' decision rules with Wiffler's encounter history, the monotone
 rule read off a frontier table one state at a time, the exact
-planner's action value, the rejection sampler for the rates, and the
+planner's action value and its backward induction with a row per
+(location, action), the rejection sampler for the rates, and the
 trajectory walk on whole cumulative mobility rows.  It also holds
 ``make_agent``, one scheme's ``sim.plan_run`` decisions, and two order
 checks on value tables that hold only under uniform coverage, so
@@ -25,6 +26,7 @@ from offloadsim.model import (
     NetworkModel,
     ProblemSpec,
     State,
+    admissible_actions,
     check_location,
     grid_index,
     payment,
@@ -182,6 +184,65 @@ def q_value(
     n = spec.index_of(s.k)
     n_next = max(0, n - transfer_steps(spec, model.rate_of(s.l, a)))
     return pay + float(model.mobility[s.l - 1] @ v_next[:, n_next])
+
+
+def reference_solve(
+    model: NetworkModel,
+    spec: ProblemSpec,
+    *,
+    flat_payment: bool = False,
+    values: bool = True,
+):
+    """``dp.solve`` with its own next-size index row and payment row per
+    (location, action), and a new expectation array per epoch: the
+    arithmetic ``dp.solve`` must reproduce bit for bit."""
+    L = model.num_locations
+    N = spec.grid_points
+    T = spec.horizon
+    v = dp.cost_lattice(spec, L, values)
+    m = len(v)  # epoch t is stored at v[t % m]
+    grid = spec.grid_values
+    delta = np.zeros((T, L, N + 1), dtype=np.int8)
+
+    # Per (location, action): next-size index row and immediate-payment row,
+    # both constant over time.
+    plans = []
+    for li in range(L):
+        order = dp.preference_order(admissible_actions(model, li + 1))
+        rows = []
+        for a in order:
+            steps = transfer_steps(spec, model.rate[li, a])
+            idx = np.maximum(np.arange(N + 1) - steps, 0)
+            if a is Action.IDLE:
+                cost = np.zeros(N + 1)
+            elif a is Action.CELLULAR and flat_payment:
+                cost = np.full(N + 1, model.rate[li, a] * model.price[li, a])
+            else:
+                cost = np.minimum(grid, model.rate[li, a]) * model.price[li, a]
+            rows.append((a, idx, cost))
+        plans.append(rows)
+
+    mobility = model.mobility
+    for t in range(T - 1, -1, -1):
+        w_all = mobility @ v[(t + 1) % m]
+        for li in range(L):
+            w = w_all[li]
+            rows = plans[li]
+            a0, idx0, cost0 = rows[0]
+            best = cost0 + w[idx0]
+            act = np.full(N + 1, int(a0), dtype=np.int8)
+            for a, idx, cost in rows[1:]:
+                psi = cost + w[idx]
+                act[psi < best * (1.0 - dp.TIE_REL_TOL)] = int(a)
+                best = np.minimum(best, psi)
+            act[0] = int(Action.IDLE)
+            v[t % m, li] = best
+            delta[t, li] = act
+
+    return (
+        dp.Policy(delta, spec.grid_step, T),
+        dp.ValueTable(v, spec.grid_step, T) if values else None,
+    )
 
 
 def truncated_normal(rng, mean: float, std: float) -> float:

@@ -1,7 +1,9 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from offloadsim.dp import solve
 from offloadsim.errors import DomainError, ResourceLimitError
@@ -16,8 +18,8 @@ from offloadsim.model import (
 from offloadsim.oracle import expectimax
 from offloadsim.threshold import MonotoneModel, solve_monotone
 
-from instances import random_general_instance
-from reference import q_value
+from instances import bitwise_instances, grid_demo_model, random_general_instance
+from reference import q_value, reference_solve
 
 
 def one_location_model(rate_cell=1.0, price_cell=2.5):
@@ -171,3 +173,51 @@ def test_frontier_planner_lattice_budget():
     for values in (True, False):
         with pytest.raises(ResourceLimitError, match="200000002 cells"):
             solve_monotone(mm, spec, values=values)
+
+
+# ---------------------------------------------------------------------------
+# Bit for bit: ``dp.solve`` shares rows that are equal by construction and
+# reuses one expectation buffer; its tables must stay those of a row per
+# (location, action) and a new expectation per epoch.
+# ---------------------------------------------------------------------------
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(bitwise_instances(), st.booleans(), st.booleans())
+def test_solve_is_bitwise_the_reference(instance, flat_payment, values):
+    model, spec = instance
+    with np.errstate(invalid="ignore"):  # an infinite penalty times a zero weight
+        got = solve(model, spec, flat_payment=flat_payment, values=values)
+        want = reference_solve(model, spec, flat_payment=flat_payment, values=values)
+    assert got[0].actions.tobytes() == want[0].actions.tobytes()
+    if values:
+        assert np.array_equal(got[1].values.view(np.int64), want[1].values.view(np.int64))
+    else:
+        assert got[1] is None and want[1] is None
+
+
+def test_decisions_only_solve_holds_about_its_decision_table():
+    # The benchmark's plan shape: 16 locations, 601 grid points, 30 slots.
+    # What a decisions-only solve needs is the int8 table, two cost epochs,
+    # one expectation buffer, a payment row per priced (location, action)
+    # and an index row per distinct step count.  Twelve rows of slack cover
+    # the grid, the zero row and the loop's temporaries.  An index and a
+    # payment row per (location, action) and a new expectation per epoch
+    # peaked at about 968 KB here.
+    model = grid_demo_model(mu_cellular=5.3, mu_wifi=2.7)
+    T, N = 30, 600
+    spec = ProblemSpec(float(N), T, 1.0, QuadraticPenalty(0.01))
+    L = model.num_locations
+    solve(model, spec, values=False)  # first-use imports and caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        policy, _ = solve(model, spec, values=False)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    row = (N + 1) * 8
+    priced = int((model.price > 0).sum())
+    step_counts = 3  # idle, cellular and Wi-Fi move 0, 5 and 2 steps
+    bound = policy.actions.nbytes + (2 * L + L + priced + step_counts + 12) * row
+    assert peak < bound
