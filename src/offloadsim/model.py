@@ -290,8 +290,19 @@ class TabulatedPenalty(PenaltyFn):
 
 
 def penalty_on_grid(pen: PenaltyFn, grid: np.ndarray) -> np.ndarray:
-    """Terminal penalty at every size of the grid, as one float array."""
-    return pen.on_grid(np.asarray(grid, dtype=float))
+    """Terminal penalty at every size of the grid, as one float array.
+
+    A penalty that is not finite there raises :class:`DomainError`, naming
+    the first such size: the planners' expectation ``P @ v`` would turn an
+    infinite penalty and a zero mobility weight into NaN.  A large finite
+    penalty still expresses a hard deadline."""
+    grid = np.asarray(grid, dtype=float)
+    vals = pen.on_grid(grid)
+    finite = np.isfinite(vals)
+    if not finite.all():
+        n = int(finite.argmin())
+        raise DomainError(f"penalty {float(vals[n])!r} at size {float(grid[n])!r} is not finite")
+    return vals
 
 
 def is_convex_on_grid(vals: np.ndarray) -> bool:

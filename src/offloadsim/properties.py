@@ -138,7 +138,9 @@ def check_single_switch(policy: dp.Policy, model: NetworkModel) -> CheckResult:
 
 
 def check_threshold_monotone(tp: ThresholdPolicy) -> CheckResult:
-    """Size frontiers never grow as time advances.  Scans location, epoch.
+    """Size frontiers never grow as time advances (Theorem 3), which
+    ``solve_monotone`` assumes but does not force on the frontiers it
+    returns.  Scans location, epoch.
 
     The time frontiers a frontier table induces (the first epoch at which a
     size takes cellular) never grow with the size by construction: the

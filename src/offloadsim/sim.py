@@ -40,6 +40,7 @@ import dataclasses
 import functools
 import math
 import os
+import warnings
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
@@ -49,7 +50,7 @@ import numpy as np
 
 from . import dp
 from .config import ScenarioConfig, check_names
-from .errors import ConfigError, SchemeError
+from .errors import ConfigError, GridRoundingWarning, SchemeError
 from .model import (
     Action,
     NetworkModel,
@@ -217,7 +218,8 @@ def check_plannable(schemes, points) -> None:
     budget (``dp.check_lattice``), or for ``monotone`` a penalty not convex
     on the size grid.  Points go in ``_run_block``'s order, longest first.
     Each point's spec is built even with no planner, so a rounded file size
-    warns here, once, and not again in each worker of the sweep."""
+    warns here, once; the sweep's workers ignore that warning
+    (``_ignore_rounding``)."""
     planners = [s for s in schemes if s in SOLVERS]
     for cfg in sorted(points, key=lambda c: c.horizon, reverse=True):
         spec = problem_spec(cfg)
@@ -229,11 +231,12 @@ def check_plannable(schemes, points) -> None:
 
 class RunTables(NamedTuple):
     """What every episode of one run reads, built once per run by
-    ``plan_run``: per location (index ``l - 1``) each action's rate, price
-    and grid steps per slot, and whether the location has Wi-Fi."""
+    ``plan_run``: the model and spec the run was planned for, and per
+    location (index ``l - 1``) each action's rate, price and grid steps per
+    slot, and whether the location has Wi-Fi."""
 
     model: NetworkModel
-    grid_step: float
+    spec: ProblemSpec
     rate: list
     price: list
     steps: list
@@ -279,11 +282,11 @@ def wiffler_means(path, wifi_rate, window: int) -> list:
 
 class Decisions(NamedTuple):
     """One scheme's decisions for a run, as data that ``run_episode`` reads
-    inline, planned for ``horizon`` slots.  With ``n > 0`` grid steps left
-    at location ``l`` in slot ``t`` of a walk over ``T <= horizon`` slots,
-    the plans' epoch index is ``e = t - 1 + horizon - T``, so a shorter
-    deadline reads the last ``T`` epochs; the action is given by the fields
-    set besides ``run`` and ``horizon``:
+    inline, planned for the ``H = run.spec.horizon`` slots.  With ``n > 0``
+    grid steps left at location ``l`` in slot ``t`` of a walk over
+    ``T <= H`` slots, the plans' epoch index is ``e = t - 1 + H - T``, so a
+    shorter deadline reads the last ``T`` epochs; the action is given by
+    the fields set besides ``run``:
 
     - ``actions`` (no-offload, OTSO): ``actions[l - 1]``, one action per
       location whatever the epoch;
@@ -298,7 +301,6 @@ class Decisions(NamedTuple):
     """
 
     run: RunTables
-    horizon: int
     table: object = None
     actions: list = None
     theta: float = None
@@ -317,18 +319,17 @@ def plan_run(schemes, model: NetworkModel, spec: ProblemSpec, cfg: ScenarioConfi
     covered = [l in model.wifi_locations for l in range(1, model.num_locations + 1)]
     run = RunTables(
         model,
-        spec.grid_step,
+        spec,
         model.rate.tolist(),
         model.price.tolist(),
         # idle, cellular and Wi-Fi; idle and Wi-Fi off coverage have rate 0
         transfer_steps(spec, model.rate).tolist(),
         covered,
     )
-    T = spec.horizon
     plans = []
     for scheme in schemes:
         if scheme == "general":
-            x = Decisions(run, T, table=plan(scheme, cfg, model, spec)[0].actions.item)
+            x = Decisions(run, table=plan(scheme, cfg, model, spec)[0].actions.item)
         elif scheme == "monotone":
             ks = plan(scheme, cfg, model, spec)[0].k_star_idx.tolist()
             below = [_WIFI if c else _IDLE for c in covered]
@@ -336,15 +337,15 @@ def plan_run(schemes, model: NetworkModel, spec: ProblemSpec, cfg: ScenarioConfi
             def table(e, i, n):
                 return _CELLULAR if n >= ks[i][e] else below[i]
 
-            x = Decisions(run, T, table=table)
+            x = Decisions(run, table=table)
         elif scheme == "no-offload":  # cellular everywhere while something is left
-            x = Decisions(run, T, actions=[_CELLULAR] * len(covered))
+            x = Decisions(run, actions=[_CELLULAR] * len(covered))
         elif scheme == "otso":  # Wi-Fi where covered, else cellular
-            x = Decisions(run, T, actions=[_WIFI if c else _CELLULAR for c in covered])
+            x = Decisions(run, actions=[_WIFI if c else _CELLULAR for c in covered])
         else:  # wiffler
             wifi_rate = [w if c else None for (_, _, w), c in zip(run.rate, covered)]
             means = wiffler_means(path, wifi_rate, cfg.wiffler_window)
-            x = Decisions(run, T, theta=cfg.wiffler_theta, path=path, means=means)
+            x = Decisions(run, theta=cfg.wiffler_theta, path=path, means=means)
         plans.append(x)
     return plans
 
@@ -379,19 +380,27 @@ def run_episode(
     does, and is billed for at most what was left, as ``payment`` is.
     Decisions are read only while ``n > 0``, and every action is checked
     against the location's coverage.  Decisions planned for a longer
-    horizon are read from their last ``spec.horizon`` epochs."""
+    horizon are read from their last ``spec.horizon`` epochs; a spec that
+    differs from the planned one in file size, size grid or penalty is
+    refused."""
     if len(trajectory) < spec.horizon:
         raise ValueError("trajectory shorter than the horizon")
     path = trajectory[: spec.horizon]
     check_location(min(path), model.num_locations)
     check_location(max(path), model.num_locations)
     run = decisions.run
-    if run.model is not model or run.grid_step != spec.grid_step:
-        raise ValueError("decisions were built for another model or size grid")
-    if decisions.horizon < spec.horizon:
-        raise ValueError(
-            f"decisions were planned for {decisions.horizon} slots, not {spec.horizon}"
+    planned = run.spec
+    if run.model is not model or (
+        planned is not spec
+        and (
+            planned.file_size != spec.file_size
+            or planned.grid_step != spec.grid_step
+            or (planned.penalty is not spec.penalty and planned.penalty != spec.penalty)
         )
+    ):
+        raise ValueError("decisions were built for another model, file size, size grid or penalty")
+    if planned.horizon < spec.horizon:
+        raise ValueError(f"decisions were planned for {planned.horizon} slots, not {spec.horizon}")
     means = decisions.means
     if (
         means is not None
@@ -404,7 +413,7 @@ def run_episode(
     rate, price, steps, covered = run.rate, run.price, run.steps, run.covered
     table, actions = decisions.table, decisions.actions
     theta, horizon = decisions.theta, spec.horizon
-    shift = decisions.horizon - horizon - 1  # slot t reads epoch index t + shift
+    shift = planned.horizon - horizon - 1  # slot t reads epoch index t + shift
 
     n = spec.grid_points
     pay = 0.0
@@ -613,6 +622,14 @@ def _run_block_star(args):
     return _run_block(*args)
 
 
+def _ignore_rounding():
+    """Pool initializer: a sweep worker ignores the rounding warning.
+    ``check_plannable`` gave it once in the caller; a worker started by
+    ``spawn`` or ``forkserver`` does not inherit the caller's warnings
+    registry, and would print it again, unformatted, for its own specs."""
+    warnings.simplefilter("ignore", GridRoundingWarning)
+
+
 def _place(tasks, blocks, shape) -> np.ndarray:
     """The sweep's records, shape ``shape``, from the ``_run_block`` output
     of each ``(points, runs)`` task in ``tasks``.  Each block is placed as
@@ -679,7 +696,7 @@ def run_experiment(
     if workers > 1:
         from multiprocessing import Pool  # imported here: a serial run never needs it
 
-        with Pool(processes=workers) as pool:
+        with Pool(processes=workers, initializer=_ignore_rounding) as pool:
             records = _place(tasks, pool.imap(_run_block_star, blocks), shape)
     else:
         records = _place(tasks, map(_run_block_star, blocks), shape)

@@ -4,8 +4,8 @@ Under a simplified cost model (free Wi-Fi, location-independent cellular
 price and rates, convex penalty, full-slot cellular billing) the optimal
 decision switches at most once along the remaining-size axis and at most
 once along the time axis.  This planner computes only those switch points
-per (location, epoch), searching for each one only at or above the
-frontier found one epoch later, instead of minimizing over the whole
+per (location, epoch), searching each epoch only from the lowest frontier
+found one epoch later (Theorem 3), instead of minimizing over the whole
 action set at every lattice point.  The frontiers plus the Wi-Fi set are
 the whole rule; ``ThresholdPolicy.to_policy`` writes it out as the
 decision table the exact planner returns.
@@ -226,13 +226,14 @@ def solve_monotone(mm: MonotoneModel, spec: ProblemSpec, *, values: bool = True)
 
     Each epoch shifts the idle continuation ``P @ v[t+1]`` by the cellular
     and Wi-Fi transfers, then takes each location's switch as the first
-    size at or above its own frontier one epoch later where cellular wins
-    (Theorem 3: going back in time, frontiers only rise).  The cellular
-    option enters the costs only from the lowest of those frontiers up.
+    size where cellular wins, searched from the lowest of the frontiers one
+    epoch later: the cellular option enters the costs only from there up.
     Once every frontier is past the file size, cellular is never chosen
     again: no location is searched, and ``values=False`` stops, so that
     the earlier epochs keep ``grid_points + 1`` and their costs are never
-    computed.
+    computed.  Theorem 3 (going back in time, frontiers only rise) is what
+    that mask and that stop assume; nothing forces it on the frontiers
+    returned, so ``verify theorem3`` checks the planner's own output.
     """
     L = mm.num_locations
     N = spec.grid_points
@@ -243,11 +244,8 @@ def solve_monotone(mm: MonotoneModel, spec: ProblemSpec, *, values: bool = True)
 
     d1 = transfer_steps(spec, mm.mu_cellular)
     d2 = transfer_steps(spec, mm.mu_wifi)
-    covered = np.zeros(L, dtype=bool)
-    covered[[l - 1 for l in mm.wifi_locations]] = True
-    wifi_rows = np.flatnonzero(covered)
+    wifi_rows = np.array(sorted(l - 1 for l in mm.wifi_locations), dtype=np.int64)
     nw = wifi_rows.size
-    shift_wifi = nw > 0 and d2 > 0
     # Flat index of the idle cost that a Wi-Fi slot reaches from each
     # covered cell: column max(n - d2, 0) of the same row.
     wifi_src = wifi_rows[:, None] * (N + 1) + np.maximum(np.arange(N + 1) - d2, 0)
@@ -256,8 +254,7 @@ def solve_monotone(mm: MonotoneModel, spec: ProblemSpec, *, values: bool = True)
     omt = 1.0 - TIE_REL_TOL
 
     ks_idx = np.full((L, T), N + 1, dtype=np.int64)
-    ks_next = np.zeros(L, dtype=np.int64)  # frontiers one epoch later
-    lo = 0  # the lowest of them
+    lo = 0  # the lowest frontier one epoch later
     wifi_searched = nw > 0  # some covered location's frontier is at most N
     # Whole-row work buffers.  Each switch test carries an always-true
     # column N + 1, so that argmax lands on N + 1 when nothing switches.
@@ -276,9 +273,8 @@ def solve_monotone(mm: MonotoneModel, spec: ProblemSpec, *, values: bool = True)
         np.matmul(P, v[(t + 1) % m], out=v_t)  # v_t holds the idle continuation
         if lo <= N:
             _cellular_values(cell, v_t, d1, lo, q)
-        if shift_wifi:
-            # Free-action value at covered locations is the Wi-Fi one.
-            v_t[wifi_rows] = v_t.reshape(-1)[wifi_src]
+        # Free-action value at covered locations is the Wi-Fi one.
+        v_t[wifi_rows] = v_t.reshape(-1)[wifi_src]
         if lo > N:
             # Every frontier is above the file size one epoch later, hence
             # now too: cellular is never chosen.
@@ -300,17 +296,10 @@ def solve_monotone(mm: MonotoneModel, spec: ProblemSpec, *, values: bool = True)
             ks[wifi_rows] = wifi_switch.argmax(axis=1)
         elif nw:
             ks[wifi_rows] = N + 1
-        for r in (ks < ks_next).nonzero()[0]:
-            # A switch below the row's own later frontier: search the row
-            # only from that frontier.
-            k = ks_next[r]
-            row = wifi_switch[np.searchsorted(wifi_rows, r)] if covered[r] else switch[r]
-            ks[r] = k + row[k:].argmax()
         if wifi_searched:
             wifi_searched = ks[wifi_rows].min() <= N
         ks_idx[:, t] = ks
         np.minimum(cell, v_t, out=v_t)
-        ks_next = ks
         lo = min(ks.tolist())
 
     tp = ThresholdPolicy(

@@ -275,8 +275,8 @@ def _signed_amounts(hi):
 def bitwise_instances(draw, max_steps=12):
     """``general_instances`` where the exact planner's arithmetic has edges:
     prices and penalty coefficients of ``+0.0`` or ``-0.0``, tabulated
-    penalties whose later entries may be infinite, and mobility rows with
-    zero entries (so an infinite cost can meet a zero weight)."""
+    penalties whose later entries may be so large that a payment added to
+    them is lost, and mobility rows with zero entries."""
     L = draw(st.integers(1, 4))
     N = draw(st.integers(0, max_steps))
     T = draw(st.integers(1, 6))
@@ -305,7 +305,7 @@ def bitwise_instances(draw, max_steps=12):
         pen = StepPenalty(draw(_signed_amounts(50.0)))
     else:
         steps = draw(
-            st.lists(st.one_of(_signed_amounts(5.0), st.just(np.inf)), min_size=N, max_size=N)
+            st.lists(st.one_of(_signed_amounts(5.0), st.just(1e300)), min_size=N, max_size=N)
         )
         pen = TabulatedPenalty(tuple(np.concatenate([[0.0], np.cumsum(steps)])), 1.0)
     model = NetworkModel(L, frozenset(wifi), P, price, rate)

@@ -815,20 +815,36 @@ def test_rate_step_count_must_fit_the_planners_indices():
 
 # The rounding warning used to print as ``.../sim.py:<line>: UserWarning:``
 # followed by that source line, named no scenario key, and came once per
-# worker of a sweep that plans nothing.
+# worker of a sweep that plans nothing.  Workers started by ``spawn`` (the
+# macOS default) or ``forkserver`` do not inherit the caller's warnings
+# registry, so the sweep with workers runs under each start method.
+_SWEEP_WITH_WORKERS = [
+    "simulate", "--schemes", "otso", "--sweep", "deadline=1,2", "--jobs", "2", "--out", "exp"
+]
+
+
 @pytest.mark.parametrize(
-    "args",
+    "args, start_method",
     [
-        ["simulate", "--schemes", "otso", "--sweep", "deadline=1", "--out", "exp"],
-        ["simulate", "--schemes", "otso", "--sweep", "deadline=1,2", "--jobs", "2", "--out", "exp"],
-        ["solve", "--out", "solved"],
+        pytest.param(
+            ["simulate", "--schemes", "otso", "--sweep", "deadline=1", "--out", "exp"],
+            "fork",
+            id="args0",
+        ),
+        pytest.param(_SWEEP_WITH_WORKERS, "fork", id="args1"),
+        pytest.param(["solve", "--out", "solved"], "fork", id="args2"),
+        pytest.param(_SWEEP_WITH_WORKERS, "spawn", id="args1-spawn"),
+        pytest.param(_SWEEP_WITH_WORKERS, "forkserver", id="args1-forkserver"),
     ],
 )
-def test_cli_prints_a_rounded_file_size_as_one_warning_naming_its_keys(tmp_path, args):
+def test_cli_prints_a_rounded_file_size_as_one_warning_naming_its_keys(
+    tmp_path, args, start_method
+):
     cfg = write_cfg(tmp_path, "grid_rows = 2\ngrid_cols = 2\nfile_mbytes = 1.3\nruns = 3\n")
     # two CPUs whatever the host has, so that --jobs 2 starts two workers
     code = (
-        "import sys; from offloadsim import cli, sim; "
+        "import multiprocessing, sys; from offloadsim import cli, sim; "
+        f"multiprocessing.set_start_method({start_method!r}); "
         "sim.available_cpus = lambda: 2; sys.exit(cli.main(sys.argv[1:]))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))

@@ -13,6 +13,7 @@ from offloadsim.model import (
     ProblemSpec,
     QuadraticPenalty,
     State,
+    TabulatedPenalty,
     admissible_actions,
 )
 from offloadsim.oracle import expectimax
@@ -175,6 +176,29 @@ def test_frontier_planner_lattice_budget():
             solve_monotone(mm, spec, values=values)
 
 
+# Two locations that never move, one slot, and a penalty infinite at the
+# full file: ``P @ v`` would meet the infinite penalty with a zero weight,
+# and both planners wrote ``0 * inf = NaN`` into their value tables.
+def test_planners_refuse_an_infinite_penalty():
+    pen = TabulatedPenalty((0.0, 1.0, np.inf), 1.0)
+    spec = ProblemSpec(2.0, 1, 1.0, pen)
+    rate = np.zeros((2, 3))
+    price = np.zeros((2, 3))
+    rate[:, Action.CELLULAR] = 1.0
+    price[:, Action.CELLULAR] = 1.0
+    model = NetworkModel(2, frozenset(), np.eye(2), price, rate)
+    mm = MonotoneModel(2, frozenset(), np.eye(2), 1.0, 0.0, 1.0, pen)
+    planners = [
+        lambda values: solve(model, spec, values=values),
+        lambda values: solve(model, spec, flat_payment=True, values=values),
+        lambda values: solve_monotone(mm, spec, values=values),
+    ]
+    for planner in planners:
+        for values in (True, False):
+            with pytest.raises(DomainError, match="penalty inf at size 2.0 is not finite"):
+                planner(values)
+
+
 # ---------------------------------------------------------------------------
 # Bit for bit: ``dp.solve`` shares rows that are equal by construction and
 # reuses one expectation buffer; its tables must stay those of a row per
@@ -186,9 +210,8 @@ def test_frontier_planner_lattice_budget():
 @given(bitwise_instances(), st.booleans(), st.booleans())
 def test_solve_is_bitwise_the_reference(instance, flat_payment, values):
     model, spec = instance
-    with np.errstate(invalid="ignore"):  # an infinite penalty times a zero weight
-        got = solve(model, spec, flat_payment=flat_payment, values=values)
-        want = reference_solve(model, spec, flat_payment=flat_payment, values=values)
+    got = solve(model, spec, flat_payment=flat_payment, values=values)
+    want = reference_solve(model, spec, flat_payment=flat_payment, values=values)
     assert got[0].actions.tobytes() == want[0].actions.tobytes()
     if values:
         assert np.array_equal(got[1].values.view(np.int64), want[1].values.view(np.int64))

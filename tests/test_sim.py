@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from offloadsim.model import (
     ProblemSpec,
     QuadraticPenalty,
     State,
+    StepPenalty,
     admissible_actions,
     next_file_size,
     payment,
@@ -229,6 +231,14 @@ def test_episode_rejects_decisions_for_another_instance():
     traj = sample_trajectory(model, coarser, np.random.default_rng(14))
     with pytest.raises(ValueError, match="size grid"):
         run_episode(otso, model, coarser, trajectory=traj)
+    # twice the file on the same grid, and another penalty: every scheme,
+    # including those whose plans would be read past their table
+    bigger = dataclasses.replace(spec, file_size=2 * spec.file_size)
+    harsher = dataclasses.replace(spec, penalty=StepPenalty(1.0))
+    for x in plan_run(SCHEMES, model, spec, cfg, traj):
+        for other, what in ((bigger, "file size"), (harsher, "penalty")):
+            with pytest.raises(ValueError, match=what):
+                run_episode(x, model, other, trajectory=traj)
 
 
 def test_common_random_numbers_across_schemes():
@@ -263,6 +273,22 @@ def test_experiment_jobs_match_serial():
     serial = run_experiment(cfg, schemes, "deadline", (2.0, 1.0))
     parallel = run_experiment(cfg, schemes, "deadline", (2.0, 1.0), jobs=2)
     assert serial.to_csv_text() == parallel.to_csv_text()
+
+
+def test_experiment_jobs_match_serial_under_spawn(tmp_path, monkeypatch):
+    # workers that import the program afresh rather than fork the caller:
+    # the default start method on macOS
+    cfg = small_cfg(runs=5, mu_cellular_mbps=10.0, mu_wifi_mbps=4.0)
+    monkeypatch.setattr(sim, "available_cpus", lambda: 2)  # two workers whatever the host has
+    outputs = []
+    for jobs in (1, 2):
+        if jobs == 2:
+            monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("spawn").Pool)
+        res = run_experiment(cfg, SCHEMES, "deadline", (2.0, 1.0), jobs=jobs)
+        res.write_csv(tmp_path / f"{jobs}.csv")
+        res.write_json(tmp_path / f"{jobs}.json")
+        outputs.append([(tmp_path / f"{jobs}.{ext}").read_bytes() for ext in ("csv", "json")])
+    assert outputs[0] == outputs[1]
 
 
 # Links slow enough that the deadline binds: cellular needs 10 of the 6-18
@@ -414,7 +440,7 @@ def table_cells(x, spec):
     """Every cell ``x.table(e, l - 1, n)`` of a planned scheme's decisions
     with ``n >= 1`` grid steps left, as an (epochs, locations, N) array."""
     sizes, locations = range(1, spec.grid_points + 1), range(x.run.model.num_locations)
-    cells = [[[x.table(e, i, n) for n in sizes] for i in locations] for e in range(x.horizon)]
+    cells = [[[x.table(e, i, n) for n in sizes] for i in locations] for e in range(x.run.spec.horizon)]
     return np.array(cells, dtype=np.int8)
 
 
@@ -449,7 +475,7 @@ def test_walk_past_the_planned_horizon_is_a_named_error():
     traj = sample_trajectory(model, longer, _run_rngs(cfg, 0)[1])
     plans = plan_run(SCHEMES, model, spec, cfg, traj)
     for scheme, x in zip(SCHEMES, plans):
-        assert x.horizon == 6
+        assert x.run.spec.horizon == 6
         assert not run_episode(x, model, spec, trajectory=traj).completed
         with pytest.raises(ValueError, match="planned for 6 slots, not 12"):
             run_episode(x, model, longer, trajectory=traj)
@@ -927,7 +953,7 @@ def test_planned_schemes_read_their_planners_tables(name):
         if "monotone" in schemes:
             want.append(solve_monotone(means_model(cfg, model, spec), spec)[0].to_policy().actions)
         for scheme, x, table in zip(schemes, plan_run(schemes, model, spec, cfg, ()), want):
-            assert x.actions is None and x.horizon == spec.horizon
+            assert x.actions is None and x.run.spec.horizon == spec.horizon
             assert np.array_equal(table_cells(x, spec), table[:, :, 1:]), (name, j, scheme)
 
 
