@@ -231,12 +231,13 @@ def check_plannable(schemes, points) -> None:
 
 class RunTables(NamedTuple):
     """What every episode of one run reads, built once per run by
-    ``plan_run``: the model and spec the run was planned for, and per
+    ``plan_run``: the model, spec and path the run was planned for, and per
     location (index ``l - 1``) each action's rate, price and grid steps per
     slot, and whether the location has Wi-Fi."""
 
     model: NetworkModel
     spec: ProblemSpec
+    path: list
     rate: list
     price: list
     steps: list
@@ -294,17 +295,16 @@ class Decisions(NamedTuple):
       planner's action table, or the frontier planner's rule read the same
       way: cellular when ``n`` is at or above the frontier ``k_star_idx``,
       else Wi-Fi where covered and idle elsewhere;
-    - ``theta``, ``path`` and ``means`` (Wiffler): Wi-Fi where covered;
-      elsewhere idle when the Wi-Fi capacity predicted from
-      ``means[t - 1]`` (``wiffler_means`` along ``path``) covers ``theta``
-      times the remaining size, else cellular.
+    - ``theta`` and ``means`` (Wiffler): Wi-Fi where covered; elsewhere
+      idle when the Wi-Fi capacity predicted from ``means[t - 1]``
+      (``wiffler_means`` along ``run.path``) covers ``theta`` times the
+      remaining size, else cellular.
     """
 
     run: RunTables
     table: object = None
     actions: list = None
     theta: float = None
-    path: list = None
     means: list = None
 
 
@@ -312,14 +312,20 @@ _IDLE, _CELLULAR, _WIFI = int(Action.IDLE), int(Action.CELLULAR), int(Action.WIF
 
 
 def plan_run(schemes, model: NetworkModel, spec: ProblemSpec, cfg: ScenarioConfig, path) -> list:
-    """Each of ``schemes``' decisions for one run, planned for
-    ``spec.horizon``: each planner's table from ``plan``, and Wiffler's
-    encounter means along ``path``, the run's trajectory."""
+    """Each of ``schemes``' decisions for one run along ``path``, the run's
+    trajectory, planned for ``spec.horizon``: each planner's table from
+    ``plan``, and Wiffler's encounter means along the path.  The path must
+    cover the horizon and stay within the model's locations."""
     check_names(schemes, "scheme", SCHEMES)
+    if len(path) < spec.horizon:
+        raise ValueError("trajectory shorter than the horizon")
+    check_location(min(path), model.num_locations)
+    check_location(max(path), model.num_locations)
     covered = [l in model.wifi_locations for l in range(1, model.num_locations + 1)]
     run = RunTables(
         model,
         spec,
+        path,
         model.rate.tolist(),
         model.price.tolist(),
         # idle, cellular and Wi-Fi; idle and Wi-Fi off coverage have rate 0
@@ -345,7 +351,7 @@ def plan_run(schemes, model: NetworkModel, spec: ProblemSpec, cfg: ScenarioConfi
         else:  # wiffler
             wifi_rate = [w if c else None for (_, _, w), c in zip(run.rate, covered)]
             means = wiffler_means(path, wifi_rate, cfg.wiffler_window)
-            x = Decisions(run, theta=cfg.wiffler_theta, path=path, means=means)
+            x = Decisions(run, theta=cfg.wiffler_theta, means=means)
         plans.append(x)
     return plans
 
@@ -368,12 +374,10 @@ _ACTIONS_WITH_WIFI = (0, 1, 2)
 _ACTIONS_WITHOUT_WIFI = (0, 1)
 
 
-def run_episode(
-    decisions: Decisions, model: NetworkModel, spec: ProblemSpec, *, trajectory
-) -> EpisodeResult:
-    """Walk one transfer: location from the trajectory, action from the
-    ``decisions``, size and payment from the model's rates and prices,
-    penalty on whatever is left at the horizon.
+def run_episode(decisions: Decisions, *, spec: ProblemSpec) -> EpisodeResult:
+    """Walk one transfer along the first ``spec.horizon`` slots of the run's
+    path: action from the ``decisions``, size and payment from the run's
+    rates and prices, penalty on whatever is left at the horizon.
 
     The remaining size is kept as its grid index ``n``: a send moves it
     down by ``transfer_steps`` of the slot's rate, as ``next_file_size``
@@ -383,37 +387,23 @@ def run_episode(
     horizon are read from their last ``spec.horizon`` epochs; a spec that
     differs from the planned one in file size, size grid or penalty is
     refused."""
-    if len(trajectory) < spec.horizon:
-        raise ValueError("trajectory shorter than the horizon")
-    path = trajectory[: spec.horizon]
-    check_location(min(path), model.num_locations)
-    check_location(max(path), model.num_locations)
     run = decisions.run
     planned = run.spec
-    if run.model is not model or (
-        planned is not spec
-        and (
-            planned.file_size != spec.file_size
-            or planned.grid_step != spec.grid_step
-            or (planned.penalty is not spec.penalty and planned.penalty != spec.penalty)
-        )
+    if planned is not spec and (
+        planned.file_size != spec.file_size
+        or planned.grid_step != spec.grid_step
+        or (planned.penalty is not spec.penalty and planned.penalty != spec.penalty)
     ):
-        raise ValueError("decisions were built for another model, file size, size grid or penalty")
+        raise ValueError("decisions were built for another file size, size grid or penalty")
     if planned.horizon < spec.horizon:
         raise ValueError(f"decisions were planned for {planned.horizon} slots, not {spec.horizon}")
-    means = decisions.means
-    if (
-        means is not None
-        and trajectory is not decisions.path
-        and tuple(decisions.path[: len(path)]) != tuple(path)
-    ):
-        raise ValueError("Wiffler decisions were built for another path")
 
     step = spec.grid_step
     rate, price, steps, covered = run.rate, run.price, run.steps, run.covered
     table, actions = decisions.table, decisions.actions
-    theta, horizon = decisions.theta, spec.horizon
+    theta, means, horizon = decisions.theta, decisions.means, spec.horizon
     shift = planned.horizon - horizon - 1  # slot t reads epoch index t + shift
+    path = run.path[:horizon]
 
     n = spec.grid_points
     pay = 0.0
@@ -438,7 +428,7 @@ def run_episode(
         if a not in (_ACTIONS_WITH_WIFI if covered[i] else _ACTIONS_WITHOUT_WIFI):
             raise SchemeError(
                 f"scheme chose action {a} at location {l}, which only admits "
-                f"{[x.name for x in admissible_actions(model, l)]}"
+                f"{[x.name for x in admissible_actions(run.model, l)]}"
             )
         counts[a] += 1
         if a:
@@ -608,7 +598,8 @@ def _run_block(cfgs: tuple, schemes: tuple, run_indices) -> np.ndarray:
             for s, x in enumerate(plans):
                 ep = finished[s]
                 if ep is None or len(ep.trajectory) > horizon:
-                    ep = run_episode(x, model, spec_t, trajectory=traj)
+                    # spec by keyword: perfbench/tracer.py reads it as kwargs["spec"]
+                    ep = run_episode(x, spec=spec_t)
                     if ep.completed and x.actions is not None:
                         finished[s] = ep
                 point.append(ep[:6])

@@ -41,7 +41,9 @@ class MonotoneModel:
 
     ``cellular_cost`` is the flat price of one cellular slot
     (per-slot rate times unit price); Wi-Fi is free.  Rates are the same
-    at every location.  The penalty must be convex on the size grid.
+    at every location.  ``penalty`` records the penalty the input was
+    derived with; ``solve_monotone`` does not read it, but reads the
+    spec's penalty and checks that it is convex on the size grid.
     """
 
     num_locations: int

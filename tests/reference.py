@@ -271,8 +271,8 @@ def sample_trajectory_full_rows(model: NetworkModel, spec: ProblemSpec, rng) -> 
     return locs
 
 
-def make_agent(scheme: str, model: NetworkModel, spec: ProblemSpec, cfg, path=()):
-    """``scheme``'s decisions for one run; Wiffler's are for walks on ``path``."""
+def make_agent(scheme: str, model: NetworkModel, spec: ProblemSpec, cfg, path):
+    """``scheme``'s decisions for one run along ``path``."""
     return plan_run((scheme,), model, spec, cfg, path)[0]
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 import multiprocessing
 import os
@@ -13,7 +14,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from offloadsim import dp, model as model_module, sim
 from offloadsim.config import ScenarioConfig
-from offloadsim.errors import ConfigError, PreconditionError, ResourceLimitError, SchemeError
+from offloadsim.errors import (
+    ConfigError,
+    DomainError,
+    PreconditionError,
+    ResourceLimitError,
+    SchemeError,
+)
 from offloadsim.model import (
     Action,
     NetworkModel,
@@ -141,22 +148,34 @@ def test_trajectory_starts_at_initial_location():
 def test_run_episode_empty_file():
     cfg = small_cfg(file_mbytes=0.0)
     model, spec = sample_instance(cfg, np.random.default_rng(5).spawn(4))
-    agent = make_agent("no-offload", model, spec, cfg)
     traj = sample_trajectory(model, spec, np.random.default_rng(6))
-    ep = run_episode(agent, model, spec, trajectory=traj)
+    ep = run_episode(make_agent("no-offload", model, spec, cfg, traj), spec=spec)
     assert ep.completed
     assert ep.total_cost == 0.0
     assert ep.trajectory == ()
 
 
-def test_run_episode_rejects_a_trajectory_shorter_than_the_horizon():
+def test_plan_run_rejects_a_path_shorter_than_the_horizon():
     cfg = small_cfg()
     model, spec, path = next(sim.sample_runs(cfg, [0]))
     (otso,) = plan_run(["otso"], model, spec, cfg, path)
-    assert run_episode(otso, model, spec, trajectory=path).trajectory  # the whole path walks
+    assert run_episode(otso, spec=spec).trajectory  # the whole path walks
     with pytest.raises(ValueError) as exc:
-        run_episode(otso, model, spec, trajectory=path[:-1])
+        plan_run(["otso"], model, spec, cfg, path[:-1])
     assert str(exc.value) == "trajectory shorter than the horizon"
+
+
+@pytest.mark.parametrize("bad", [0, 5])
+def test_plan_run_rejects_a_path_off_the_locations(bad):
+    cfg = small_cfg()  # a 2x2 grid: locations 1..4
+    model, spec, path = next(sim.sample_runs(cfg, [0]))
+    # the first slot, the last one walked, and one past the horizon
+    for at in (0, spec.horizon - 1, spec.horizon):
+        off = list(path) + [1]
+        off[at] = bad
+        with pytest.raises(DomainError) as exc:
+            plan_run(["otso", "wiffler"], model, spec, cfg, off)
+        assert str(exc.value) == f"location {bad} out of range 1..4"
 
 
 def test_plan_rejects_a_scheme_that_does_not_plan():
@@ -185,9 +204,8 @@ def test_no_offload_closed_form_payment():
     # deterministic rates on a single cell: payment is exactly size * price
     cfg = small_cfg(grid_rows=1, grid_cols=1, rate_std_mbps=0.0, file_mbytes=625.0)
     model, spec = sample_instance(cfg, np.random.default_rng(8).spawn(4))
-    agent = make_agent("no-offload", model, spec, cfg)
     traj = sample_trajectory(model, spec, np.random.default_rng(9))
-    ep = run_episode(agent, model, spec, trajectory=traj)
+    ep = run_episode(make_agent("no-offload", model, spec, cfg, traj), spec=spec)
     assert ep.completed
     assert ep.total_payment == pytest.approx(5000.0 * 6.0 / 8000.0, rel=1e-12)
     assert ep.penalty_paid == 0.0
@@ -201,8 +219,7 @@ def test_episode_counts_and_penalty_flag():
     for scheme in SCHEMES:
         model, spec = sample_instance(cfg, np.random.default_rng(11).spawn(4))
         traj = sample_trajectory(model, spec, np.random.default_rng(12))
-        agent = make_agent(scheme, model, spec, cfg, traj)
-        ep = run_episode(agent, model, spec, trajectory=traj)
+        ep = run_episode(make_agent(scheme, model, spec, cfg, traj), spec=spec)
         assert ep.slots_cellular + ep.slots_wifi + ep.slots_waiting <= spec.horizon
         assert ep.total_cost == pytest.approx(ep.total_payment + ep.penalty_paid)
         assert ep.completed == (ep.penalty_paid == 0.0)
@@ -212,25 +229,21 @@ def test_episode_rejects_inadmissible_scheme():
     # decision data that sends over Wi-Fi where there is none
     cfg = small_cfg(wifi_prob=0.0)
     model, spec = sample_instance(cfg, np.random.default_rng(13).spawn(4))
-    otso = make_agent("otso", model, spec, cfg)
-    bad = otso._replace(actions=[int(Action.WIFI)] * model.num_locations)
     traj = sample_trajectory(model, spec, np.random.default_rng(14))
+    otso = make_agent("otso", model, spec, cfg, traj)
+    bad = otso._replace(actions=[int(Action.WIFI)] * model.num_locations)
     with pytest.raises(SchemeError):
-        run_episode(bad, model, spec, trajectory=traj)
+        run_episode(bad, spec=spec)
 
 
 def test_episode_rejects_decisions_for_another_instance():
     cfg = small_cfg()
     model, spec = sample_instance(cfg, np.random.default_rng(13).spawn(4))
-    otso = make_agent("otso", model, spec, cfg)
-    other_model = dataclasses.replace(model, rate=model.rate * 0.5)
-    traj = sample_trajectory(other_model, spec, np.random.default_rng(14))
-    with pytest.raises(ValueError, match="another model"):
-        run_episode(otso, other_model, spec, trajectory=traj)
+    traj = sample_trajectory(model, spec, np.random.default_rng(14))
+    otso = make_agent("otso", model, spec, cfg, traj)
     coarser = dataclasses.replace(spec, grid_step=20.0)
-    traj = sample_trajectory(model, coarser, np.random.default_rng(14))
     with pytest.raises(ValueError, match="size grid"):
-        run_episode(otso, model, coarser, trajectory=traj)
+        run_episode(otso, spec=coarser)
     # twice the file on the same grid, and another penalty: every scheme,
     # including those whose plans would be read past their table
     bigger = dataclasses.replace(spec, file_size=2 * spec.file_size)
@@ -238,7 +251,7 @@ def test_episode_rejects_decisions_for_another_instance():
     for x in plan_run(SCHEMES, model, spec, cfg, traj):
         for other, what in ((bigger, "file size"), (harsher, "penalty")):
             with pytest.raises(ValueError, match=what):
-                run_episode(x, model, other, trajectory=traj)
+                run_episode(x, spec=other)
 
 
 def test_common_random_numbers_across_schemes():
@@ -249,8 +262,8 @@ def test_common_random_numbers_across_schemes():
     inst_streams, traj_rng = _run_rngs(cfg, 0)
     model, spec = sample_instance(cfg, inst_streams)
     traj = sample_trajectory(model, spec, traj_rng)
-    a = run_episode(make_agent("no-offload", model, spec, cfg), model, spec, trajectory=traj)
-    b = run_episode(make_agent("otso", model, spec, cfg), model, spec, trajectory=traj)
+    a = run_episode(make_agent("no-offload", model, spec, cfg, traj), spec=spec)
+    b = run_episode(make_agent("otso", model, spec, cfg, traj), spec=spec)
     assert a.trajectory == tuple(traj[: len(a.trajectory)])
     assert b.trajectory == tuple(traj[: len(b.trajectory)])
 
@@ -321,13 +334,13 @@ def test_experiment_validates_every_point_before_walking(monkeypatch):
 
 def test_sweep_calls_each_layer_once_per_unit_of_work(monkeypatch):
     # The benchmark's tracer wraps these three functions where the sweep
-    # looks them up and reads the spec from run_episode's third argument.
-    episodes, solves = [], {"general": 0, "monotone": 0}
-    walk, exact, frontier = sim.run_episode, dp.solve, sim.solve_monotone
+    # looks them up and reads the spec from run_episode's keyword "spec".
+    episodes, solves, planned = [], {"general": 0, "monotone": 0}, []
+    walk, exact, frontier, plan = sim.run_episode, dp.solve, sim.solve_monotone, sim.plan_run
 
     def counted_walk(*args, **kwargs):
         ep = walk(*args, **kwargs)
-        episodes.append((args, ep))
+        episodes.append((args, kwargs, ep))
         return ep
 
     def counted(name, fn):
@@ -341,22 +354,24 @@ def test_sweep_calls_each_layer_once_per_unit_of_work(monkeypatch):
     monkeypatch.setattr(sim, "run_episode", counted_walk)
     monkeypatch.setattr(dp, "solve", counted("general", exact))
     monkeypatch.setattr(sim, "solve_monotone", counted("monotone", frontier))
+    monkeypatch.setattr(sim, "plan_run", lambda *a: planned.append(plan(*a)) or planned[-1])
     # 6, 1 and 2 slots: no-offload finishes in 2
     cfg = small_cfg(runs=3)
     run_experiment(cfg, SCHEMES, "deadline", (1.0, 1 / 6, 2 / 6))
 
     assert solves == {"general": 3, "monotone": 3}
+    assert len(planned) == cfg.runs
     expected = []  # run-major: per run, points from the longest down, per scheme walked
     carried = rewalked = 0
-    for j in range(cfg.runs):
+    for j, plans in enumerate(planned):
         inst_rng, traj_rng = _run_rngs(cfg, j)
         model, spec = sample_instance(cfg, inst_rng)
-        traj = sample_trajectory(model, spec, traj_rng)
-        plans = plan_run(SCHEMES, model, spec, cfg, traj)
-        longest = [walk(x, model, spec, trajectory=traj) for x in plans]
+        assert plans[0].run.spec == spec
+        assert plans[0].run.path == sample_trajectory(model, spec, traj_rng)
+        longest = [walk(x, spec=spec) for x in plans]
         for horizon in (6, 2, 1):
             spec_t = dataclasses.replace(spec, horizon=horizon)
-            for scheme, ep in zip(SCHEMES, longest):
+            for scheme, x, ep in zip(SCHEMES, plans, longest):
                 # one action per location: a walk that finished within the
                 # point's slots is not walked again
                 if horizon < 6 and scheme in ("no-offload", "otso"):
@@ -364,11 +379,11 @@ def test_sweep_calls_each_layer_once_per_unit_of_work(monkeypatch):
                         carried += 1
                         continue
                     rewalked += 1
-                expected.append(spec_t)
+                expected.append((x, spec_t))
     assert carried > 0 and rewalked > 0
     assert len(episodes) == len(expected) == 3 * 3 * len(SCHEMES) - carried
-    for (args, ep), spec in zip(episodes, expected):
-        assert len(args) == 3 and args[2] == spec
+    for (args, kwargs, ep), (x, spec) in zip(episodes, expected):
+        assert args == (x,) and kwargs == {"spec": spec}
         assert isinstance(ep, EpisodeResult)
 
 
@@ -383,6 +398,46 @@ def test_benchmark_tracer_finds_every_layer_it_wraps():
     assert json.loads(out.stdout) == []
 
 
+def _perfbench_tracer():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_counts_every_layer_of_a_sweep(tmp_path):
+    # The tracer reads run_episode's spec keyword, both planners' arguments
+    # and the walk's result; a change to any of them must fail here, not
+    # only in the benchmark's self-test.
+    tracer = _perfbench_tracer()
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text("grid_rows = 2\ngrid_cols = 2\nfile_mbytes = 125\nruns = 2\nseed = 7\n")
+    args = ["simulate", "--config", str(scenario), "--sweep", "deadline=1,2", "--out"]
+    env = dict(os.environ, PYTHONPATH=str(Path(sim.__file__).parents[1]))
+    spans = tmp_path / "spans.json"
+    for name, cmd in (
+        ("traced", [sys.executable, tracer.__file__, str(spans)]),
+        ("plain", [sys.executable, "-m", "offloadsim.cli"]),
+    ):
+        out = subprocess.run(cmd + args + [str(tmp_path / name)], env=env, capture_output=True)
+        assert out.returncode == 0, out.stderr.decode()
+    for ext in ("csv", "json"):
+        assert (tmp_path / f"traced.{ext}").read_bytes() == (tmp_path / f"plain.{ext}").read_bytes()
+
+    layers = tracer.summarize(json.loads(spans.read_text())["spans"])
+    counts = {
+        "sim.run_episode": {"slots", "horizon_slots"},
+        "dp.solve": {"action_cells"},
+        "threshold.solve_monotone": {"lattice_cells", "band_cells"},
+        "sim.output": {"bytes"},
+    }
+    for name, keys in counts.items():
+        assert layers[name]["calls"] > 0, name
+        assert set(layers[name]["counts"]) == keys, name
+        assert all(v > 0 for v in layers[name]["counts"].values()), name
+
+
 def test_single_run_aggregate_equals_episode():
     cfg = small_cfg(runs=1)
     res = run_experiment(cfg, ("no-offload",), "deadline", (1.0,))
@@ -390,7 +445,7 @@ def test_single_run_aggregate_equals_episode():
     inst_streams, traj_rng = _run_rngs(cfg, 0)
     model, spec = sample_instance(cfg, inst_streams)
     traj = sample_trajectory(model, spec, traj_rng)
-    ep = run_episode(make_agent("no-offload", model, spec, cfg), model, spec, trajectory=traj)
+    ep = run_episode(make_agent("no-offload", model, spec, cfg, traj), spec=spec)
     assert m.mean_total_cost == pytest.approx(ep.total_cost)
     assert m.mean_payment == pytest.approx(ep.total_payment)
     assert m.completion_probability == (1.0 if ep.completed else 0.0)
@@ -428,11 +483,12 @@ def test_monotone_agent_plans_from_mean_rates():
     mu_c = cfg.rate_mbit_per_slot(cfg.mu_cellular_mbps)
     assert mm.mu_cellular == mu_c == 900.0
     assert tp.grid_step == spec.grid_step
-    agent = make_agent("monotone", model, spec, cfg)
-    other = make_agent("monotone", dataclasses.replace(model, rate=model.rate * 0.5), spec, cfg)
-    assert np.array_equal(table_cells(agent, spec), table_cells(other, spec))
     traj = sample_trajectory(model, spec, np.random.default_rng(16))
-    ep = run_episode(agent, model, spec, trajectory=traj)
+    agent = make_agent("monotone", model, spec, cfg, traj)
+    halved = dataclasses.replace(model, rate=model.rate * 0.5)
+    other = make_agent("monotone", halved, spec, cfg, traj)
+    assert np.array_equal(table_cells(agent, spec), table_cells(other, spec))
+    ep = run_episode(agent, spec=spec)
     assert ep.total_cost >= 0.0
 
 
@@ -453,15 +509,15 @@ def test_longest_plan_walks_every_deadline_like_a_plan_for_it():
     assert mm.mu_wifi > mm.mu_cellular and 0 < len(tp.wifi_locations) < 4
     assert all((tp.k_star_idx[l - 1] == spec.grid_points + 1).all() for l in tp.wifi_locations)
     for scheme in ("general", "monotone"):
-        longest = make_agent(scheme, model, spec, cfg)
         completed = set()
         for j in range(4):
             traj = sample_trajectory(model, spec, _run_rngs(cfg, j)[1])
+            longest = make_agent(scheme, model, spec, cfg, traj)
             for offset in range(spec.horizon):
                 tail = dataclasses.replace(spec, horizon=spec.horizon - offset)
-                own = make_agent(scheme, model, tail, cfg)
-                want = run_episode(own, model, tail, trajectory=traj)
-                got = run_episode(longest, model, tail, trajectory=traj)
+                own = make_agent(scheme, model, tail, cfg, traj)
+                want = run_episode(own, spec=tail)
+                got = run_episode(longest, spec=tail)
                 assert got == want, (scheme, j, offset)
                 completed.add(want.completed)
         assert completed == {True, False}, scheme  # finished and penalised walks
@@ -476,29 +532,11 @@ def test_walk_past_the_planned_horizon_is_a_named_error():
     plans = plan_run(SCHEMES, model, spec, cfg, traj)
     for scheme, x in zip(SCHEMES, plans):
         assert x.run.spec.horizon == 6
-        assert not run_episode(x, model, spec, trajectory=traj).completed
+        assert not run_episode(x, spec=spec).completed
         with pytest.raises(ValueError, match="planned for 6 slots, not 12"):
-            run_episode(x, model, longer, trajectory=traj)
+            run_episode(x, spec=longer)
         own = make_agent(scheme, model, longer, cfg, traj)
-        assert not run_episode(own, model, longer, trajectory=traj).completed
-
-
-def test_wiffler_decisions_walk_only_their_own_path():
-    cfg = small_cfg(**WALK_CONFIGS["slow-links"])
-    model, spec = sample_instance(cfg, _run_rngs(cfg, 2)[0])
-    traj = sample_trajectory(model, spec, _run_rngs(cfg, 2)[1])
-    wiffler = make_agent("wiffler", model, spec, cfg, traj)
-    want = run_episode(wiffler, model, spec, trajectory=traj)
-    # the same locations in a tuple walk like the planned list
-    assert run_episode(wiffler, model, spec, trajectory=tuple(traj)) == want
-    assert run_episode(wiffler, model, spec, trajectory=list(traj)) == want
-    other = sample_trajectory(model, spec, _run_rngs(cfg, 3)[1])
-    assert other != traj
-    with pytest.raises(ValueError, match="built for another path"):
-        run_episode(wiffler, model, spec, trajectory=other)
-    # a plan made without a path walks none
-    with pytest.raises(ValueError, match="built for another path"):
-        run_episode(make_agent("wiffler", model, spec, cfg), model, spec, trajectory=traj)
+        assert not run_episode(own, spec=longer).completed
 
 
 def test_worker_count_caps_at_runs_and_cpus():
@@ -933,7 +971,7 @@ def test_walk_matches_reference(name):
             ),
         }
         for scheme in schemes:
-            got = run_episode(make_agent(scheme, model, spec, cfg, traj), model, spec, trajectory=traj)
+            got = run_episode(make_agent(scheme, model, spec, cfg, traj), spec=spec)
             want = reference_run_episode(reference[scheme](), model, spec, traj)
             assert got == want, (name, j, scheme)
             assert repr(got) == repr(want), (name, j, scheme)
@@ -948,11 +986,13 @@ def test_planned_schemes_read_their_planners_tables(name):
     cfg = small_cfg(**WALK_CONFIGS[name])
     schemes = SCHEMES[: 1 if cfg.penalty == "step" else 2]
     for j in range(3):
-        model, spec = sample_instance(cfg, _run_rngs(cfg, j)[0])
+        inst_rng, traj_rng = _run_rngs(cfg, j)
+        model, spec = sample_instance(cfg, inst_rng)
+        traj = sample_trajectory(model, spec, traj_rng)
         want = [dp.solve(model, spec)[0].actions]
         if "monotone" in schemes:
             want.append(solve_monotone(means_model(cfg, model, spec), spec)[0].to_policy().actions)
-        for scheme, x, table in zip(schemes, plan_run(schemes, model, spec, cfg, ()), want):
+        for scheme, x, table in zip(schemes, plan_run(schemes, model, spec, cfg, traj), want):
             assert x.actions is None and x.run.spec.horizon == spec.horizon
             assert np.array_equal(table_cells(x, spec), table[:, :, 1:]), (name, j, scheme)
 
@@ -985,7 +1025,7 @@ def test_sweep_records_equal_each_points_own_walks(monkeypatch, name):
             model, spec = sample_instance(point, inst_rng)
             traj = sample_trajectory(model, spec, traj_rng)
             for scheme, x in zip(schemes, plan_run(schemes, model, spec, point, traj)):
-                ep = walk(x, model, spec, trajectory=traj)
+                ep = walk(x, spec=spec)
                 want = tuple(map(float, ep[:6]))
                 got = tuple(float(c[j]) for c in dataclasses.astuple(res.samples[(d, scheme)]))
                 assert got == want, (d, j, scheme)

@@ -5,9 +5,12 @@ tolerance and the lattice budget, one for the list rule's messages
 (empty list, unknown name, repeat) and one for the frontier planner's
 convexity precondition.  Every Python file parses as Python 3.10.
 Commands sample and plan only through ``sim``.  README's Python example
-is run, so that it cannot name a removed API."""
+is run, so that it cannot name a removed API.  The console script that
+``pyproject.toml`` declares runs, and CI's oldest leg tests the oldest
+Python and numpy that it declares."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -236,3 +239,21 @@ def test_readme_python_example_runs():
     for code in blocks:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
+
+
+def _version(text):
+    return tuple(int(part) for part in text.split("."))
+
+
+def test_console_script_runs_and_ci_tests_the_declared_floors(capsys):
+    # Python 3.10 has no tomllib, so both files are read with patterns
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    module, name = re.search(r'^offloadsim = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+    assert getattr(importlib.import_module(module), name)(["dump-config"]) == 0
+    assert "seed = " in capsys.readouterr().out
+    python = re.search(r'^requires-python = ">=([\d.]+)"$', pyproject, re.M)[1]
+    numpy = re.search(r'^dependencies = \["numpy>=([\d.]+)"\]$', pyproject, re.M)[1]
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    legs = re.findall(r'- python: "([\d.]+)"\n\s+numpy: "numpy(?:==([\d.]+)\.\*)?"', workflow)
+    assert legs and len(legs) == workflow.count("- python:")  # every leg parsed
+    assert min(legs, key=lambda leg: _version(leg[0])) == (python, numpy)
