@@ -216,7 +216,9 @@ def check_plannable(schemes, points) -> None:
     """Raise, before anything is sampled, what a planner among ``schemes``
     raises on any instance of the scenarios ``points``: a lattice over
     budget (``dp.check_lattice``), or for ``monotone`` a penalty not convex
-    on the size grid.  Points go in ``_run_block``'s order, longest first.
+    on the size grid.  Points go longest first, the order in which
+    ``_run_block`` walks each group of points that differ only in their
+    deadline.
     Each point's spec is built even with no planner, so a rounded file size
     warns here, once; the sweep's workers ignore that warning
     (``_ignore_rounding``)."""
@@ -562,55 +564,54 @@ class ExperimentResult:
             fh.write("\n")
 
 
-def _run_block(cfgs: tuple, schemes: tuple, run_indices) -> np.ndarray:
-    """Walk runs ``run_indices`` at the sweep points ``cfgs``, which differ
-    only in their deadline, sampling and planning each run once at the
-    longest horizon.  Returns shape (points, schemes, runs, 6): per episode
-    its total cost, payment, completion (1.0 or 0.0) and cellular, Wi-Fi
-    and waiting slots, the columns ``SchemeSamples`` reads.
+def _run_block(points: tuple, schemes: tuple, run_indices) -> np.ndarray:
+    """Walk runs ``run_indices`` at every sweep point in ``points``.  Returns
+    shape (points, schemes, runs, 6): per episode its total cost, payment,
+    completion (1.0 or 0.0) and cellular, Wi-Fi and waiting slots, the
+    columns ``SchemeSamples`` reads.
 
-    Points are walked from the longest horizon down.  A plan that takes one
-    action per location (``Decisions.actions``) whose walk finished within
-    a point's T slots is not walked again there: its walk over T slots is
-    the first T slots of the longer one, and it pays the same amounts and
-    no penalty."""
-    horizons = [c.horizon for c in cfgs]
-    order = sorted(range(len(cfgs)), key=horizons.__getitem__, reverse=True)
-    top = cfgs[order[0]]
-    out = np.empty((len(cfgs), len(schemes), len(run_indices), 6))
-    rows = [None] * len(cfgs)
-    # (horizon, initial location) -> a shorter point's spec: the specs
-    # ``sample_instance`` draws differ only in their initial location
-    # (``test_sampled_specs_differ_only_in_the_initial_location``)
-    specs = {}
-    for r, (model, spec, traj) in enumerate(sample_runs(top, run_indices)):
-        plans = plan_run(schemes, model, spec, top, traj)
-        finished = [None] * len(plans)  # per scheme, a finished walk that carries over
-        for p in order:
-            horizon = horizons[p]
-            spec_t = spec
-            if horizon != spec.horizon:
-                key = (horizon, spec.initial_location)
-                spec_t = specs.get(key)
-                if spec_t is None:
-                    spec_t = specs[key] = dataclasses.replace(spec, horizon=horizon)
-            point = []
-            for s, x in enumerate(plans):
-                ep = finished[s]
-                if ep is None or len(ep.trajectory) > horizon:
-                    # spec by keyword: perfbench/tracer.py reads it as kwargs["spec"]
-                    ep = run_episode(x, spec=spec_t)
-                    if ep.completed and x.actions is not None:
-                        finished[s] = ep
-                point.append(ep[:6])
-            rows[p] = point
-        out[:, :, r] = rows
-        del plans  # the next run's planners then allocate without this run's tables
+    Points that differ only in their deadline form a group, which samples
+    and plans each run once, at its longest horizon, and is walked from the
+    longest horizon down.  A plan that takes one action per location
+    (``Decisions.actions``) whose walk finished within a point's T slots is
+    not walked again there: its walk over T slots is the first T slots of
+    the longer one, and it pays the same amounts and no penalty."""
+    groups = {}  # a point with the first point's deadline -> its group, longest first
+    for p in sorted(range(len(points)), key=lambda p: points[p].horizon, reverse=True):
+        same = dataclasses.replace(points[p], deadline_minutes=points[0].deadline_minutes)
+        groups.setdefault(same, []).append(p)
+    out = np.empty((len(points), len(schemes), len(run_indices), 6))
+    for order in groups.values():
+        top = points[order[0]]
+        # (horizon, initial location) -> a shorter point's spec: the specs
+        # ``sample_instance`` draws differ only in their initial location
+        # (``test_sampled_specs_differ_only_in_the_initial_location``)
+        specs = {}
+        for r, (model, spec, traj) in enumerate(sample_runs(top, run_indices)):
+            plans = plan_run(schemes, model, spec, top, traj)
+            finished = [None] * len(plans)  # per scheme, a finished walk that carries over
+            rows = []
+            for p in order:
+                horizon = points[p].horizon
+                spec_t = spec
+                if horizon != spec.horizon:
+                    key = (horizon, spec.initial_location)
+                    spec_t = specs.get(key)
+                    if spec_t is None:
+                        spec_t = specs[key] = dataclasses.replace(spec, horizon=horizon)
+                point = []
+                for s, x in enumerate(plans):
+                    ep = finished[s]
+                    if ep is None or len(ep.trajectory) > horizon:
+                        # spec by keyword: perfbench/tracer.py reads it as kwargs["spec"]
+                        ep = run_episode(x, spec=spec_t)
+                        if ep.completed and x.actions is not None:
+                            finished[s] = ep
+                    point.append(ep[:6])
+                rows.append(point)
+            out[order, :, r] = rows
+            del plans  # the next run's planners then allocate without this run's tables
     return out
-
-
-def _run_block_star(args):
-    return _run_block(*args)
 
 
 def _ignore_rounding():
@@ -619,19 +620,6 @@ def _ignore_rounding():
     ``spawn`` or ``forkserver`` does not inherit the caller's warnings
     registry, and would print it again, unformatted, for its own specs."""
     warnings.simplefilter("ignore", GridRoundingWarning)
-
-
-def _place(tasks, blocks, shape) -> np.ndarray:
-    """The sweep's records, shape ``shape``, from the ``_run_block`` output
-    of each ``(points, runs)`` task in ``tasks``.  Each block is placed as
-    it arrives and then dropped, so every episode's totals are held about
-    once; a single block is the result."""
-    if len(tasks) == 1:
-        return next(blocks)
-    records = np.empty(shape)
-    for (group, runs), block in zip(tasks, blocks):
-        records[group, :, runs] = block
-    return records
 
 
 def available_cpus():
@@ -674,23 +662,19 @@ def run_experiment(
     (see ``worker_count``); output is identical regardless of the split.
     Every input is checked (``check_sweep``) before any run is sampled."""
     schemes, axis, values, points = check_sweep(cfg, schemes, sweep_axis, sweep_values, jobs)
-    # points that differ only in their deadline share each run (``_run_block``)
-    indices = list(range(len(points)))
-    groups = [indices] if axis == "deadline" else [[i] for i in indices]
-
     workers = worker_count(jobs, cfg.runs, available_cpus())
-    tasks = [(group, slice(w, None, workers)) for group in groups for w in range(workers)]
-    blocks = [
-        (tuple(points[i] for i in group), schemes, range(cfg.runs)[runs]) for group, runs in tasks
-    ]
-    shape = (len(points), len(schemes), cfg.runs, 6)
-    if workers > 1:
+    if workers == 1:
+        records = _run_block(points, schemes, range(cfg.runs))
+    else:
         from multiprocessing import Pool  # imported here: a serial run never needs it
 
+        # worker w walks every w-th run; each block is placed as it arrives
+        records = np.empty((len(points), len(schemes), cfg.runs, 6))
+        slices = [range(w, cfg.runs, workers) for w in range(workers)]
         with Pool(processes=workers, initializer=_ignore_rounding) as pool:
-            records = _place(tasks, pool.imap(_run_block_star, blocks), shape)
-    else:
-        records = _place(tasks, map(_run_block_star, blocks), shape)
+            walk = functools.partial(_run_block, points, schemes)
+            for w, block in enumerate(pool.imap(walk, slices)):
+                records[:, :, w::workers] = block
 
     metrics = {}
     samples = {}

@@ -24,7 +24,7 @@ from offloadsim.properties import (
     check_value_monotone_in_time,
     check_wifi_preference,
 )
-from offloadsim.sim import run_experiment
+from offloadsim.sim import available_cpus, run_experiment
 from offloadsim.threshold import MonotoneModel, solve_monotone
 
 from instances import (
@@ -39,6 +39,9 @@ from instances import (
 from reference import check_cross_difference, check_increment_monotone, q_value
 
 SEED = 20260808
+# A sweep's output does not depend on its worker count, so the sweeps of
+# criteria 5-8 run on the cores the host has; one CPU runs them serially.
+JOBS = available_cpus() or 1
 
 
 def _report(passed, label, detail=""):
@@ -205,6 +208,7 @@ def completion_experiment():
         ("general", "monotone", "no-offload", "otso", "wiffler"),
         "deadline",
         (2.0, 3.0, 4.0, 5.0),
+        jobs=JOBS,
     )
     return result, time.perf_counter() - started
 
@@ -264,7 +268,7 @@ def test_criterion_6_cost_dominance(completion_experiment):
 def test_criterion_7_payment_trend():
     cfg = ScenarioConfig(file_mbytes=92.5, runs=1000, seed=SEED)
     result = run_experiment(
-        cfg, ("general", "monotone", "no-offload", "otso"), "deadline", (3.0, 4.0, 5.0)
+        cfg, ("general", "monotone", "no-offload", "otso"), "deadline", (3.0, 4.0, 5.0), jobs=JOBS
     )
     for d in result.sweep_values:
         m = {s: result.metrics[(d, s)] for s in result.schemes}
@@ -285,7 +289,7 @@ def test_criterion_7_payment_trend():
 def test_criterion_8_wifi_rate_convergence():
     cfg = ScenarioConfig(file_mbytes=625.0, deadline_minutes=1.0, runs=1000, seed=SEED)
     rates = (20.0, 60.0, 100.0, 140.0, 180.0)
-    result = run_experiment(cfg, ("general", "otso"), "mu_wifi", rates)
+    result = run_experiment(cfg, ("general", "otso"), "mu_wifi", rates, jobs=JOBS)
     gaps = []
     for mu in rates:
         g = result.metrics[(mu, "general")].completion_probability

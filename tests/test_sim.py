@@ -275,17 +275,21 @@ def test_experiment_deterministic_output():
     assert r1.to_csv_text() == r2.to_csv_text()
 
 
-def test_experiment_jobs_match_serial():
+def test_experiment_jobs_match_serial(monkeypatch):
+    monkeypatch.setattr(sim, "available_cpus", lambda: 2)  # two workers whatever the host has
     cfg = small_cfg(runs=6)
     serial = run_experiment(cfg, ("no-offload", "otso"), "deadline", (1.0,))
     parallel = run_experiment(cfg, ("no-offload", "otso"), "deadline", (1.0,), jobs=2)
     assert serial.to_csv_text() == parallel.to_csv_text()
-    # a deadline sweep shares each run's plans across its points
+    # a deadline sweep shares each run's plans across its points; a sweep on
+    # another axis plans each run once per point
     cfg = small_cfg(runs=5, mu_cellular_mbps=10.0, mu_wifi_mbps=4.0)
     schemes = ("general", "monotone", "wiffler")
-    serial = run_experiment(cfg, schemes, "deadline", (2.0, 1.0))
-    parallel = run_experiment(cfg, schemes, "deadline", (2.0, 1.0), jobs=2)
-    assert serial.to_csv_text() == parallel.to_csv_text()
+    sweeps = {"deadline": (2.0, 1.0), "mu_wifi": (4.0, 12.0), "p_stay": (0.9, 0.3)}
+    for axis, values in sweeps.items():
+        serial = run_experiment(cfg, schemes, axis, values)
+        parallel = run_experiment(cfg, schemes, axis, values, jobs=2)
+        assert serial.to_csv_text() == parallel.to_csv_text(), axis
 
 
 def test_experiment_jobs_match_serial_under_spawn(tmp_path, monkeypatch):
@@ -385,6 +389,29 @@ def test_sweep_calls_each_layer_once_per_unit_of_work(monkeypatch):
     for (args, kwargs, ep), (x, spec) in zip(episodes, expected):
         assert args == (x,) and kwargs == {"spec": spec}
         assert isinstance(ep, EpisodeResult)
+
+    # points that differ in more than their deadline share nothing: one
+    # plan per (run, point), each walked once per scheme
+    del episodes[:], planned[:]
+    solves.update(general=0, monotone=0)
+    rates = (4.0, 12.0)
+    run_experiment(cfg, SCHEMES, "mu_wifi", rates)
+    units = len(rates) * cfg.runs
+    assert solves == {"general": units, "monotone": units}
+    assert len(episodes) == units * len(SCHEMES)
+
+    def key(model, spec, path):
+        return model.rate.tobytes(), spec.initial_location, tuple(path)
+
+    want = []
+    for mu in rates:
+        point = dataclasses.replace(cfg, mu_wifi_mbps=mu)
+        for j in range(cfg.runs):
+            inst_rng, traj_rng = _run_rngs(point, j)
+            model, spec = sample_instance(point, inst_rng)
+            want.append(key(model, spec, sample_trajectory(model, spec, traj_rng)))
+    assert len(set(want)) == len(want)
+    assert sorted(key(*plans[0].run[:3]) for plans in planned) == sorted(want)
 
 
 def test_benchmark_tracer_finds_every_layer_it_wraps():
