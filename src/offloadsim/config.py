@@ -264,10 +264,7 @@ def parse_config_text(text: str) -> ScenarioConfig:
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key '{key}'")
         values[key] = _parse_value(key, raw)
-    try:
-        return ScenarioConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ScenarioConfig(**values)
 
 
 def parse_config(path) -> ScenarioConfig:

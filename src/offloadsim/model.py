@@ -64,9 +64,7 @@ class NetworkModel:
         L = self.num_locations
         if L < 1:
             raise DomainError("need at least one location")
-        wifi = frozenset(int(l) for l in self.wifi_locations)
-        if any(l < 1 or l > L for l in wifi):
-            raise DomainError(f"wifi location out of range 1..{L}: {sorted(wifi)}")
+        wifi = frozenset(check_location(l, L) for l in self.wifi_locations)
         object.__setattr__(self, "wifi_locations", wifi)
 
         mob = np.asarray(self.mobility, dtype=float)
@@ -221,7 +219,8 @@ class PenaltyFn:
     def on_grid(self, grid: np.ndarray) -> np.ndarray:
         """Penalty at every size in ``grid``.
 
-        This scalar loop is the reference; the bundled families override it
+        This scalar loop is the reference, and a tabulated penalty reads
+        its sizes through it.  The quadratic and step penalties override it
         with one array expression that gives the same values bit for bit.
         """
         return np.array([self(float(k)) for k in grid], dtype=float)
@@ -278,15 +277,6 @@ class TabulatedPenalty(PenaltyFn):
 
     def __call__(self, k: float) -> float:
         return self.values[grid_index(k, self.grid_step, len(self.values) - 1)]
-
-    def on_grid(self, grid: np.ndarray) -> np.ndarray:
-        n = np.rint(grid / self.grid_step).astype(np.int64)
-        off = np.abs(grid - n * self.grid_step) > GRID_EPS * np.maximum(1.0, np.abs(grid))
-        bad = off | (n < 0) | (n >= len(self.values))
-        if bad.any():
-            k = float(grid[np.argmax(bad)])
-            raise DomainError(f"size {k!r} not on the tabulated grid")
-        return np.asarray(self.values, dtype=float)[n]
 
 
 def penalty_on_grid(pen: PenaltyFn, grid: np.ndarray) -> np.ndarray:

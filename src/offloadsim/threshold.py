@@ -141,8 +141,6 @@ def check_convex(penalty_values: np.ndarray) -> None:
 
 
 def _spread(values: np.ndarray) -> float:
-    if values.size == 0:
-        return 0.0
     lo, hi = float(values.min()), float(values.max())
     return (hi - lo) / max(1.0, abs(hi))
 
@@ -290,16 +288,14 @@ def solve_monotone(mm: MonotoneModel, spec: ProblemSpec, *, values: bool = True)
         # strictly (ties stay free).
         np.multiply(cell, omt, out=scaled)
         np.greater_equal(v_t, scaled, out=switch[:, : N + 1])
+        ks = switch.argmax(axis=1)
         if wifi_searched:
             np.multiply(v_t[wifi_rows], omt, out=scaled[:nw])
             np.less(cell[wifi_rows], scaled[:nw], out=wifi_switch[:, : N + 1])
-        ks = switch.argmax(axis=1)
-        if wifi_searched:
             ks[wifi_rows] = wifi_switch.argmax(axis=1)
+            wifi_searched = ks[wifi_rows].min() <= N
         elif nw:
             ks[wifi_rows] = N + 1
-        if wifi_searched:
-            wifi_searched = ks[wifi_rows].min() <= N
         ks_idx[:, t] = ks
         np.minimum(cell, v_t, out=v_t)
         lo = min(ks.tolist())

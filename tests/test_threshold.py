@@ -318,6 +318,7 @@ def test_table_readers_reject_locations_outside_the_grid(l):
         lambda: values.value(1, k, l),
         lambda: tp.to_policy().action(1, k, l),
         lambda: dataclasses.replace(tp, wifi_locations={l}),  # a plan covering l
+        lambda: dataclasses.replace(model, wifi_locations={l}),  # a network covering l
     ]
     for read in readers:
         with pytest.raises(DomainError, match=f"location {l} out of range 1..16"):
