@@ -82,6 +82,19 @@ def cost_lattice(spec: ProblemSpec, num_locations: int, values: bool) -> np.ndar
     return v
 
 
+def _cell(table: np.ndarray, t: int, k: float, l: int, grid_step: float) -> tuple:
+    """The index of epoch ``t``, size ``k`` and location ``l`` in a table
+    stored as ``table[t-1, l-1, k/grid_step]``, its shape the only statement
+    of the epochs, locations and grid points it covers.  The epoch, the
+    location and the size are checked in that order, each with its own
+    :class:`DomainError`; a non-integral epoch is outside the range."""
+    epochs, num_locations, width = table.shape
+    if not 1 <= t <= epochs or t != int(t):
+        raise DomainError(f"epoch {t} outside 1..{epochs}")
+    i = check_location(l, num_locations) - 1
+    return int(t) - 1, i, grid_index(k, grid_step, width - 1)
+
+
 @dataclass(frozen=True)
 class ValueTable:
     """Expected cost-to-go ``value(t, k, l)`` for epochs 1..T+1.
@@ -92,24 +105,16 @@ class ValueTable:
 
     values: np.ndarray
     grid_step: float
-    horizon: int
 
     def __post_init__(self):
         self.values.setflags(write=False)
 
     @property
-    def num_locations(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def grid_points(self) -> int:
-        return self.values.shape[2] - 1
+    def horizon(self) -> int:
+        return self.values.shape[0] - 1
 
     def value(self, t: int, k: float, l: int) -> float:
-        if not 1 <= t <= self.horizon + 1:
-            raise DomainError(f"epoch {t} outside 1..{self.horizon + 1}")
-        i = check_location(l, self.num_locations) - 1
-        return float(self.values[t - 1, i, grid_index(k, self.grid_step, self.grid_points)])
+        return float(self.values[_cell(self.values, t, k, l, self.grid_step)])
 
     def write_csv(self, path) -> None:
         def row(t, l, n):
@@ -127,25 +132,16 @@ class Policy:
 
     actions: np.ndarray
     grid_step: float
-    horizon: int
 
     def __post_init__(self):
         self.actions.setflags(write=False)
 
     @property
-    def num_locations(self) -> int:
-        return self.actions.shape[1]
-
-    @property
-    def grid_points(self) -> int:
-        return self.actions.shape[2] - 1
+    def horizon(self) -> int:
+        return self.actions.shape[0]
 
     def action(self, t: int, k: float, l: int) -> Action:
-        if not 1 <= t <= self.horizon:
-            raise DomainError(f"epoch {t} outside 1..{self.horizon}")
-        i = check_location(l, self.num_locations) - 1
-        n = grid_index(k, self.grid_step, self.grid_points)
-        return Action(int(self.actions[t - 1, i, n]))
+        return Action(int(self.actions[_cell(self.actions, t, k, l, self.grid_step)]))
 
     def write_csv(self, path) -> None:
         def row(t, l, n):
@@ -224,6 +220,6 @@ def solve(
             delta[t, li] = act
 
     return (
-        Policy(delta, spec.grid_step, T),
-        ValueTable(v, spec.grid_step, T) if values else None,
+        Policy(delta, spec.grid_step),
+        ValueTable(v, spec.grid_step) if values else None,
     )

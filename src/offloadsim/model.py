@@ -106,6 +106,8 @@ def check_location(l: int, num_locations: int) -> int:
     else :class:`DomainError`."""
     if not 1 <= l <= num_locations:
         raise DomainError(f"location {l} out of range 1..{num_locations}")
+    if l != int(l):
+        raise DomainError(f"location {l!r} is not a whole number")
     return int(l)
 
 

@@ -161,8 +161,7 @@ class ThresholdPolicy:
     k_star_idx: np.ndarray
     wifi_locations: frozenset
     grid_step: float
-    file_size: float
-    horizon: int
+    grid_points: int
 
     def __post_init__(self):
         self.k_star_idx.setflags(write=False)
@@ -174,9 +173,8 @@ class ThresholdPolicy:
         return self.k_star_idx.shape[0]
 
     @property
-    def grid_points(self) -> int:
-        """Number of grid steps in the full file (grid has this + 1 values)."""
-        return int(round(self.file_size / self.grid_step))
+    def horizon(self) -> int:
+        return self.k_star_idx.shape[1]
 
     def to_policy(self) -> Policy:
         """The monotone rule as the exact planner's decision table: idle at
@@ -189,7 +187,7 @@ class ThresholdPolicy:
         cellular = np.arange(self.grid_points + 1) >= self.k_star_idx.T[:, :, None]
         np.copyto(actions, Action.CELLULAR, where=cellular)
         actions[:, :, 0] = Action.IDLE
-        return Policy(actions, self.grid_step, self.horizon)
+        return Policy(actions, self.grid_step)
 
     def write_csv(self, path) -> None:
         def row(l, t):
@@ -304,7 +302,6 @@ def solve_monotone(mm: MonotoneModel, spec: ProblemSpec, *, values: bool = True)
         k_star_idx=ks_idx,
         wifi_locations=mm.wifi_locations,
         grid_step=spec.grid_step,
-        file_size=spec.file_size,
-        horizon=T,
+        grid_points=N,
     )
-    return tp, ValueTable(v, spec.grid_step, T) if values else None
+    return tp, ValueTable(v, spec.grid_step) if values else None

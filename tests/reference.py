@@ -240,8 +240,8 @@ def reference_solve(
             delta[t, li] = act
 
     return (
-        dp.Policy(delta, spec.grid_step, T),
-        dp.ValueTable(v, spec.grid_step, T) if values else None,
+        dp.Policy(delta, spec.grid_step),
+        dp.ValueTable(v, spec.grid_step) if values else None,
     )
 
 

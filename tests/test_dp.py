@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from offloadsim.dp import solve
+from offloadsim.dp import Policy, solve
 from offloadsim.errors import DomainError, ResourceLimitError
 from offloadsim.model import (
     Action,
@@ -129,6 +129,11 @@ def test_value_table_accessors_validate():
         vt.value(1, 0.5 * spec.grid_step, 1)
     with pytest.raises(DomainError):
         policy.action(spec.horizon + 1, 0.0, 1)
+    # a table's epochs are its first axis, and nothing else states them
+    two = Policy(np.zeros((2, 1, 3), dtype=np.int8), 1.0)
+    assert two.horizon == 2
+    with pytest.raises(DomainError, match="epoch 3 outside 1..2"):
+        two.action(3, 1.0, 1)
 
 
 def test_csv_round_trip(tmp_path):

@@ -192,7 +192,7 @@ def test_cross_difference_reports_the_pair_at_the_running_maximum():
     steps = [0.0, 1.0, 4.0, 4.0 - 0.4 * tol, 4.0 - 1.2 * tol]
     values = np.zeros((2, 1, 5))
     values[1, 0] = np.cumsum(steps)
-    r = check_cross_difference(model, spec, ValueTable(values, 1.0, 1))
+    r = check_cross_difference(model, spec, ValueTable(values, 1.0))
     assert r.status == "fail"
     assert r.detail.endswith("(t=1, l=1, k=4.0 vs 2.0)"), r.detail
 

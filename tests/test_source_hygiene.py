@@ -3,8 +3,8 @@ no unused imports, an ``__all__`` that resolves, no module-level
 function or class that nothing names, one home for the grid
 tolerance and the lattice budget, one for the list rule's messages
 (empty list, unknown name, repeat), one for the frontier planner's
-convexity precondition, and one each for the location-range and
-off-grid messages.  Every Python file parses as Python 3.10.
+convexity precondition, and one each for the location-range, off-grid
+and table-epoch messages.  Every Python file parses as Python 3.10.
 Commands sample and plan only through ``sim``.  README's Python example
 is run, so that it cannot name a removed API.  The console script that
 ``pyproject.toml`` declares runs, and CI's oldest leg tests the oldest
@@ -172,22 +172,33 @@ def test_convexity_precondition_is_raised_only_in_threshold():
 
 LOCATION_RANGE = re.compile(r"out of range 1\.\.")
 OFF_GRID = re.compile(r"not on the")
+EPOCH_RANGE = re.compile(r"outside 1\.\.")
+
+
+def _functions(path):
+    """The source of each module-level function of ``path``, by name."""
+    text = path.read_text(encoding="utf-8")
+    return {
+        node.name: ast.get_source_segment(text, node)
+        for node in _tree(path).body
+        if isinstance(node, ast.FunctionDef)
+    }
 
 
 def test_location_and_grid_messages_are_raised_only_in_their_rules():
-    model = PACKAGE / "model.py"
-    text = model.read_text(encoding="utf-8")
-    functions = {
-        node.name: ast.get_source_segment(text, node)
-        for node in _tree(model).body
-        if isinstance(node, ast.FunctionDef)
-    }
+    functions = _functions(PACKAGE / "model.py")
     for pattern, message, rule in (
         (LOCATION_RANGE, "out of range 1..", "check_location"),
         (OFF_GRID, "not on the", "grid_index"),
     ):
         assert message_copies(pattern, MODULES) == [f"model.py: {message}"]
         assert pattern.search(functions[rule])  # the one copy is the rule's own
+
+
+def test_epoch_range_message_is_raised_only_in_the_table_cell_rule():
+    # both table readers take their epoch, location and size from dp._cell
+    assert message_copies(EPOCH_RANGE, MODULES) == ["dp.py: outside 1.."]
+    assert EPOCH_RANGE.search(_functions(PACKAGE / "dp.py")["_cell"])
 
 
 def test_every_python_file_parses_as_python_3_10():

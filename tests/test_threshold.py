@@ -192,6 +192,7 @@ def assert_table_is_the_rule(tp):
     policy = tp.to_policy()
     N = tp.grid_points
     assert policy.actions.dtype == np.int8
+    assert tp.horizon == tp.k_star_idx.shape[1]
     assert policy.actions.shape == (tp.horizon, tp.num_locations, N + 1)
     assert (policy.grid_step, policy.horizon) == (tp.grid_step, tp.horizon)
     for t in range(1, tp.horizon + 1):
@@ -295,20 +296,24 @@ def test_time_frontier_never_grows_with_size():
 
 def test_monotone_table_rejects_sizes_off_or_above_the_grid():
     model, spec = threshold_demo()
-    tp, _ = solve_monotone(monotone_view(model, spec), spec)
+    tp, values = solve_monotone(monotone_view(model, spec), spec)
     assert tp.grid_points == spec.grid_points
     policy = tp.to_policy()
     for k in (0.5 * spec.grid_step, spec.file_size + spec.grid_step, -spec.grid_step):
         with pytest.raises(DomainError, match="size"):
             policy.action(1, k, 1)
-    for t in (0, spec.horizon + 1):
-        with pytest.raises(DomainError, match="epoch"):
-            policy.action(t, spec.grid_step, 1)
+    # a non-integral epoch is refused as an out-of-range one is
+    for read, last in ((policy.action, spec.horizon), (values.value, spec.horizon + 1)):
+        read(last, spec.grid_step, 1)
+        for t in (0, 1.5, last + 1):
+            with pytest.raises(DomainError, match=f"epoch {t} outside 1..{last}"):
+                read(t, spec.grid_step, 1)
 
 
-@pytest.mark.parametrize("l", [0, 17])
+@pytest.mark.parametrize("l", [0, 17, 1.5])
 def test_table_readers_reject_locations_outside_the_grid(l):
-    # l = 0 used to read location 16's row through index -1
+    # l = 0 used to read location 16's row through index -1, and l = 1.5
+    # location 1's row
     model, spec = threshold_demo()
     policy, values = solve(model, spec)
     tp, _ = solve_monotone(monotone_view(model, spec), spec)
@@ -320,8 +325,9 @@ def test_table_readers_reject_locations_outside_the_grid(l):
         lambda: dataclasses.replace(tp, wifi_locations={l}),  # a plan covering l
         lambda: dataclasses.replace(model, wifi_locations={l}),  # a network covering l
     ]
+    message = "out of range 1..16" if l == int(l) else "is not a whole number"
     for read in readers:
-        with pytest.raises(DomainError, match=f"location {l} out of range 1..16"):
+        with pytest.raises(DomainError, match=f"location {l} {message}"):
             read()
 
 
