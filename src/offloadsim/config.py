@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -93,6 +94,12 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self) -> None:
+        for key in sorted(f.name for f in dataclasses.fields(self) if f.type == "int"):
+            v = getattr(self, key)
+            try:  # stored as an int: numpy's integers are refused by deque and bit_length
+                object.__setattr__(self, key, operator.index(v))
+            except TypeError:
+                raise ConfigError(f"{key} must be an integer, got {v!r}") from None
         for key in sorted(f.name for f in dataclasses.fields(self) if f.type == "float"):
             v = getattr(self, key)
             if not math.isfinite(v):

@@ -36,18 +36,13 @@ from .model import (
 # form (the location's free action up to one switch point, cellular after),
 # which is how the frontier-based planner reads its tables; other orders let
 # tied cells flip back and forth along the size axis.
-_TIE_RANK = {Action.WIFI: 0, Action.CELLULAR: 1, Action.IDLE: 2}
+_PREFERENCE = (Action.WIFI, Action.CELLULAR, Action.IDLE)
 
 # An action displaces a preferred one only when strictly cheaper beyond this
 # relative margin.  Exact ties in real arithmetic land within a few ulp of
 # each other in floating point; without the margin they would resolve
 # arbitrarily from cell to cell.  Stored values are exact minima regardless.
 TIE_REL_TOL = 1e-9
-
-
-def preference_order(actions) -> list:
-    """``actions`` from the most to the least preferred under a tie."""
-    return sorted((Action(a) for a in actions), key=_TIE_RANK.__getitem__)
 
 
 def write_table(path, header, shape, row) -> None:
@@ -184,9 +179,9 @@ def solve(
     zero = np.zeros(N + 1)
     plans = []
     for li in range(L):
-        order = preference_order(admissible_actions(model, li + 1))
+        admissible = admissible_actions(model, li + 1)
         rows = []
-        for a in order:
+        for a in (a for a in _PREFERENCE if a in admissible):
             steps = transfer_steps(spec, model.rate[li, a])
             idx = index_rows.get(steps)
             if idx is None:

@@ -326,9 +326,13 @@ class ProblemSpec:
             raise DomainError(f"grid step must be finite and > 0, got {self.grid_step!r}")
         if self.horizon < 1:
             raise DomainError("horizon must be >= 1 slot")
+        if not isinstance(self.horizon, (int, np.integer)):
+            raise DomainError(f"horizon must be an integer, got {self.horizon!r}")
         if not math.isfinite(self.file_size) or self.file_size < 0:
             raise DomainError(f"file size must be finite and >= 0, got {self.file_size!r}")
         n = self.file_size / self.grid_step
+        if not math.isfinite(n):
+            raise DomainError(f"file size {self.file_size!r} is not a finite number of grid steps")
         n_up = round(n)
         # A size already on the grid (n_up steps, as rounding stores it) is
         # kept; the absolute slack below is under the float spacing of n on

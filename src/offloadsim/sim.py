@@ -388,7 +388,7 @@ def run_episode(decisions: Decisions, *, spec: ProblemSpec) -> EpisodeResult:
     against the location's coverage.  Decisions planned for a longer
     horizon are read from their last ``spec.horizon`` epochs; a spec that
     differs from the planned one in file size, size grid or penalty is
-    refused."""
+    refused.  It reads only the horizon, size, grid and penalty of ``spec``."""
     run = decisions.run
     planned = run.spec
     if planned is not spec and (
@@ -572,7 +572,8 @@ def _run_block(points: tuple, schemes: tuple, run_indices) -> np.ndarray:
 
     Points that differ only in their deadline form a group, which samples
     and plans each run once, at its longest horizon, and is walked from the
-    longest horizon down.  A plan that takes one action per location
+    longest horizon down, each point with one spec (``problem_spec``) for
+    all its runs.  A plan that takes one action per location
     (``Decisions.actions``) whose walk finished within a point's T slots is
     not walked again there: its walk over T slots is the first T slots of
     the longer one, and it pays the same amounts and no penalty."""
@@ -583,28 +584,18 @@ def _run_block(points: tuple, schemes: tuple, run_indices) -> np.ndarray:
     out = np.empty((len(points), len(schemes), len(run_indices), 6))
     for order in groups.values():
         top = points[order[0]]
-        # (horizon, initial location) -> a shorter point's spec: the specs
-        # ``sample_instance`` draws differ only in their initial location
-        # (``test_sampled_specs_differ_only_in_the_initial_location``)
-        specs = {}
+        specs = [problem_spec(points[p]) for p in order]
         for r, (model, spec, traj) in enumerate(sample_runs(top, run_indices)):
             plans = plan_run(schemes, model, spec, top, traj)
             finished = [None] * len(plans)  # per scheme, a finished walk that carries over
             rows = []
-            for p in order:
-                horizon = points[p].horizon
-                spec_t = spec
-                if horizon != spec.horizon:
-                    key = (horizon, spec.initial_location)
-                    spec_t = specs.get(key)
-                    if spec_t is None:
-                        spec_t = specs[key] = dataclasses.replace(spec, horizon=horizon)
+            for spec_p in specs:
                 point = []
                 for s, x in enumerate(plans):
                     ep = finished[s]
-                    if ep is None or len(ep.trajectory) > horizon:
+                    if ep is None or len(ep.trajectory) > spec_p.horizon:
                         # spec by keyword: perfbench/tracer.py reads it as kwargs["spec"]
-                        ep = run_episode(x, spec=spec_t)
+                        ep = run_episode(x, spec=spec_p)
                         if ep.completed and x.actions is not None:
                             finished[s] = ep
                     point.append(ep[:6])

@@ -26,7 +26,6 @@ from offloadsim.model import (
     NetworkModel,
     ProblemSpec,
     State,
-    admissible_actions,
     check_location,
     grid_index,
     payment,
@@ -208,7 +207,11 @@ def reference_solve(
     # both constant over time.
     plans = []
     for li in range(L):
-        order = dp.preference_order(admissible_actions(model, li + 1))
+        # ties go to Wi-Fi, then cellular, then idle; Wi-Fi only where covered
+        if model.has_wifi(li + 1):
+            order = (Action.WIFI, Action.CELLULAR, Action.IDLE)
+        else:
+            order = (Action.CELLULAR, Action.IDLE)
         rows = []
         for a in order:
             steps = transfer_steps(spec, model.rate[li, a])

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -101,6 +102,13 @@ def test_config_count_keys_reject_zero(key, message):
         ScenarioConfig(**{key: 0})
     assert str(exc.value) == message
     assert getattr(ScenarioConfig(**{key: 1}), key) == 1
+    # a count passed from Python must be an integer; a numpy integer is
+    # stored as an int
+    for bad in (2.5, 2.0, "2"):
+        with pytest.raises(ConfigError) as exc:
+            ScenarioConfig(**{key: bad})
+        assert str(exc.value) == f"{key} must be an integer, got {bad!r}"
+    assert type(getattr(ScenarioConfig(**{key: np.int64(2)}), key)) is int
 
 
 def test_horizon_from_deadline():

@@ -424,6 +424,14 @@ def test_problem_spec_validation():
         ProblemSpec(10.0, 3, 0.0, QuadraticPenalty(1.0))
     with pytest.raises(DomainError):
         ProblemSpec(-1.0, 3, 1.0, QuadraticPenalty(1.0))
+    for horizon in (2.5, 2.0):
+        with pytest.raises(DomainError) as exc:
+            ProblemSpec(10.0, horizon, 1.0, QuadraticPenalty(1.0))
+        assert str(exc.value) == f"horizon must be an integer, got {horizon!r}"
+    with pytest.raises(DomainError) as exc:
+        ProblemSpec(1e300, 5, 1e-300, QuadraticPenalty(1.0))
+    assert str(exc.value) == "file size 1e+300 is not a finite number of grid steps"
+    assert ProblemSpec(10.0, np.int64(3), 1.0, QuadraticPenalty(1.0)).grid_points == 10
 
 
 def test_mobility_row_tolerance():

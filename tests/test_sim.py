@@ -38,6 +38,7 @@ from offloadsim.sim import (
     build_grid_mobility,
     means_model,
     plan_run,
+    problem_spec,
     run_episode,
     run_experiment,
     sample_instance,
@@ -126,8 +127,8 @@ def test_sample_instance_deterministic_per_rng_seed():
 
 @pytest.mark.parametrize("penalty", ["quadratic", "step"])
 def test_sampled_specs_differ_only_in_the_initial_location(penalty):
-    # ``_run_block`` reuses a shorter point's spec across the runs of a block
-    # keyed on (horizon, initial location): no other spec field may vary
+    # every run of a scenario plans one transfer task: only the start, which
+    # a walk takes from the run's path, varies from run to run
     cfg = small_cfg(runs=1, penalty=penalty)
     specs = [sample_instance(cfg, inst)[1] for inst, _ in run_streams(cfg.seed, range(40))]
     assert len({s.initial_location for s in specs}) > 1
@@ -361,7 +362,8 @@ def test_sweep_calls_each_layer_once_per_unit_of_work(monkeypatch):
     monkeypatch.setattr(sim, "plan_run", lambda *a: planned.append(plan(*a)) or planned[-1])
     # 6, 1 and 2 slots: no-offload finishes in 2
     cfg = small_cfg(runs=3)
-    run_experiment(cfg, SCHEMES, "deadline", (1.0, 1 / 6, 2 / 6))
+    deadlines = (1.0, 1 / 6, 2 / 6)
+    run_experiment(cfg, SCHEMES, "deadline", deadlines)
 
     assert solves == {"general": 3, "monotone": 3}
     assert len(planned) == cfg.runs
@@ -374,7 +376,6 @@ def test_sweep_calls_each_layer_once_per_unit_of_work(monkeypatch):
         assert plans[0].run.path == sample_trajectory(model, spec, traj_rng)
         longest = [walk(x, spec=spec) for x in plans]
         for horizon in (6, 2, 1):
-            spec_t = dataclasses.replace(spec, horizon=horizon)
             for scheme, x, ep in zip(SCHEMES, plans, longest):
                 # one action per location: a walk that finished within the
                 # point's slots is not walked again
@@ -383,12 +384,18 @@ def test_sweep_calls_each_layer_once_per_unit_of_work(monkeypatch):
                         carried += 1
                         continue
                     rewalked += 1
-                expected.append((x, spec_t))
+                expected.append((x, horizon))
     assert carried > 0 and rewalked > 0
     assert len(episodes) == len(expected) == 3 * 3 * len(SCHEMES) - carried
-    for (args, kwargs, ep), (x, spec) in zip(episodes, expected):
-        assert args == (x,) and kwargs == {"spec": spec}
+    # a point's walks, in every run and whatever its start, get one spec
+    # object: the point's own, not the run's
+    points = {p.horizon: p for p in cfg.resolve_sweep("deadline", deadlines)[2]}
+    handed = {}  # horizon -> the ids of the spec objects its walks got
+    for (args, kwargs, ep), (x, horizon) in zip(episodes, expected):
+        assert args == (x,) and kwargs == {"spec": problem_spec(points[horizon])}
+        handed.setdefault(horizon, set()).add(id(kwargs["spec"]))  # episodes keeps each alive
         assert isinstance(ep, EpisodeResult)
+    assert sorted(handed) == [1, 2, 6] and all(len(s) == 1 for s in handed.values())
 
     # points that differ in more than their deadline share nothing: one
     # plan per (run, point), each walked once per scheme

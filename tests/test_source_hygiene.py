@@ -5,12 +5,14 @@ tolerance and the lattice budget, one for the list rule's messages
 (empty list, unknown name, repeat), one for the frontier planner's
 convexity precondition, and one each for the location-range, off-grid
 and table-epoch messages.  Every Python file parses as Python 3.10.
-Commands sample and plan only through ``sim``.  README's Python example
+Commands sample and plan only through ``sim``, and ``sim.problem_spec``
+is the one place that builds a transfer task.  README's Python example
 is run, so that it cannot name a removed API.  The console script that
 ``pyproject.toml`` declares runs, and CI's oldest leg tests the oldest
 Python and numpy that it declares."""
 
 import ast
+import dataclasses
 import importlib
 import os
 import re
@@ -22,7 +24,8 @@ from pathlib import Path
 import pytest
 
 import offloadsim
-from offloadsim.model import MAX_LATTICE_CELLS
+from offloadsim.config import ScenarioConfig
+from offloadsim.model import MAX_LATTICE_CELLS, ProblemSpec
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "offloadsim"
@@ -259,6 +262,47 @@ def test_package_import_finder_sees_every_form(tmp_path):
 
 def test_cli_samples_and_plans_only_through_sim():
     assert package_imports(PACKAGE / "cli.py") & {"dp", "threshold", "streams"} == set()
+
+
+# the fields a ``dataclasses.replace`` of a spec would set and of a config cannot
+SPEC_ONLY = {f.name for f in dataclasses.fields(ProblemSpec)} - {
+    f.name for f in dataclasses.fields(ScenarioConfig)
+}
+
+
+def spec_sources(path):
+    """``definition: call`` for each ``ProblemSpec(...)`` in ``path``, and
+    each ``replace(...)`` that sets by name a field only a spec has, under
+    the module-level function or class it sits in."""
+    found = []
+    for top in _tree(path).body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = ast.unparse(node.func)
+            if func == "ProblemSpec" or (
+                func in ("replace", "dataclasses.replace")
+                and SPEC_ONLY & {k.arg for k in node.keywords}
+            ):
+                found.append(f"{getattr(top, 'name', '<module>')}: {func}")
+    return found
+
+
+def test_only_problem_spec_builds_a_transfer_task(tmp_path):
+    # one function turns a scenario into a spec; none is derived from another
+    assert {p.name: spec_sources(p) for p in MODULES if spec_sources(p)} == {
+        "sim.py": ["problem_spec: ProblemSpec"]
+    }
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import dataclasses\n"
+        "from dataclasses import replace\n"
+        "def f(spec, cfg):\n"
+        "    a = dataclasses.replace(spec, horizon=3)\n"
+        "    b = replace(spec, initial_location=2, **{'x': 1})\n"
+        "    return a, b, dataclasses.replace(cfg, runs=2), 'ab'.replace('a', 'c')\n"
+    )
+    assert spec_sources(module) == ["f: dataclasses.replace", "f: replace"]
 
 
 README_PYTHON = re.compile(r"^```python\n(.*?)^```$", re.DOTALL | re.MULTILINE)
