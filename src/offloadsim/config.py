@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import operator
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .model import MAX_LATTICE_CELLS, PenaltyFn, QuadraticPenalty, StepPenalty
+from .model import MAX_LATTICE_CELLS, PenaltyFn, QuadraticPenalty, StepPenalty, check_number
 
 MBIT_PER_MBYTE = 8.0
 MBIT_PER_GBYTE = 8000.0
@@ -36,10 +35,12 @@ PROPERTY_NAMES = ("lemma1a", "lemma1b", "lemma2", "theorem2", "theorem3", "oracl
 # Size bounds: the dense L x L mobility matrix stays within the planners'
 # lattice budget ``MAX_LATTICE_CELLS``, the horizon keeps one run's path and
 # one episode's walked locations (8 bytes per slot) allocatable, and the run
-# count keeps a sweep's per-episode records (48 bytes per run, point and
-# scheme: 1.2 GB for 5 points and 5 schemes at the bound) allocatable.
+# count and the sweep's size keep its per-episode records (48 bytes per run,
+# point and scheme) within ``MAX_SWEEP_RECORDS``: 1.2 GB, 5 points and 5
+# schemes at ``MAX_RUNS``.
 MAX_HORIZON_SLOTS = 1_000_000
 MAX_RUNS = 1_000_000
+MAX_SWEEP_RECORDS = 25 * MAX_RUNS
 
 DEFAULT_SWEEP_VALUES = {
     "deadline": (1.0, 2.0, 3.0, 4.0, 5.0),
@@ -48,11 +49,21 @@ DEFAULT_SWEEP_VALUES = {
     "p_stay": (0.1, 0.3, 0.5, 0.7, 0.9),
 }
 
+# Each int and float field's range where it is not ``>= 0``: ``check_number``'s bound.
+_RANGES = {
+    **dict.fromkeys(("grid_rows", "grid_cols", "wiffler_window", "runs"), dict(low=1)),
+    **dict.fromkeys(("p_stay", "wifi_prob"), dict(low=0, high=1)),
+    **dict.fromkeys(("deadline_minutes", "slot_seconds", "grid_step_mbit", "wiffler_theta"),
+                    dict(low=0, above=True)),
+}
+
 
 def check_names(names, noun: str, known=None) -> tuple:
-    """``names`` as a tuple once it is non-empty, each entry is in ``known``
-    (or ``known`` is None) and none repeats, else a :class:`ConfigError`: the
-    one rule for schemes, solvers, properties, sweep axes, sweep values and penalties."""
+    """``names`` as a tuple once it is a non-empty collection, not a string,
+    each entry is in ``known`` (or ``known`` is None) and none repeats, else a
+    :class:`ConfigError`: the one rule for every list of names or values."""
+    if isinstance(names, str) or not hasattr(names, "__iter__"):
+        raise ConfigError(f"expected a list of {noun} entries, got {names!r}")
     names = tuple(names)
     if not names:
         raise ConfigError(
@@ -94,42 +105,11 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self) -> None:
-        for key in sorted(f.name for f in dataclasses.fields(self) if f.type == "int"):
-            v = getattr(self, key)
-            try:  # stored as an int: numpy's integers are refused by deque and bit_length
-                object.__setattr__(self, key, operator.index(v))
-            except TypeError:
-                raise ConfigError(f"{key} must be an integer, got {v!r}") from None
-        for key in sorted(f.name for f in dataclasses.fields(self) if f.type == "float"):
-            v = getattr(self, key)
-            if not math.isfinite(v):
-                raise ConfigError(f"{key} must be a finite number, got {v!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
-        if self.grid_rows < 1 or self.grid_cols < 1:
-            raise ConfigError("grid_rows and grid_cols must be >= 1")
-        for key in ("p_stay", "wifi_prob"):
-            v = getattr(self, key)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{key} must be in [0, 1], got {v!r}")
-        for key in (
-            "mu_cellular_mbps",
-            "mu_wifi_mbps",
-            "rate_std_mbps",
-            "price_per_gbyte",
-            "file_mbytes",
-            "penalty_quadratic_coeff",
-            "penalty_step_amount",
-        ):
-            if getattr(self, key) < 0:
-                raise ConfigError(f"{key} must be >= 0")
-        for key in ("deadline_minutes", "slot_seconds", "grid_step_mbit", "wiffler_theta"):
-            if getattr(self, key) <= 0:
-                raise ConfigError(f"{key} must be > 0")
-        if self.runs < 1:
-            raise ConfigError("runs must be >= 1")
-        if self.wiffler_window < 1:
-            raise ConfigError("wiffler_window must be >= 1")
+        for f in dataclasses.fields(self):
+            if f.type in ("int", "float"):  # stored as checked: numpy's integers become ints
+                value = check_number(getattr(self, f.name), f.name, integer=f.type == "int",
+                                     error=ConfigError, **_RANGES.get(f.name, {"low": 0}))
+                object.__setattr__(self, f.name, value)
         check_names((self.penalty,), "penalty", ("quadratic", "step"))
         check_names((self.sweep_axis,), "sweep_axis", SWEEP_AXES)
         slots = 60.0 * self.deadline_minutes / self.slot_seconds

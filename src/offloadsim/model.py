@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import warnings
 import weakref
 from dataclasses import dataclass
@@ -61,9 +62,8 @@ class NetworkModel:
     rate: np.ndarray
 
     def __post_init__(self):
-        L = self.num_locations
-        if L < 1:
-            raise DomainError("need at least one location")
+        L = check_number(self.num_locations, "num_locations", 1, integer=True)
+        object.__setattr__(self, "num_locations", L)
         wifi = frozenset(check_location(l, L) for l in self.wifi_locations)
         object.__setattr__(self, "wifi_locations", wifi)
 
@@ -99,6 +99,31 @@ class NetworkModel:
 
     def price_of(self, l: int, a: Action) -> float:
         return float(self.price[self.check_location(l) - 1, a])
+
+
+def check_number(value, name: str, low, high=None, *, above=False, integer=False,
+                 error=DomainError):
+    """``value`` once it is a finite real number ``>= low`` (``> low`` with
+    ``above``, in ``[low, high]`` if ``high`` is given), else ``error`` naming
+    ``name``: the one rule for every count, size, rate and price.  With
+    ``integer`` it is returned as an ``int`` (``operator.index``), else as is."""
+    try:  # a non-number raises TypeError, and an int too large for a float OverflowError
+        if integer:
+            value = operator.index(value)
+        finite = integer or math.isfinite(value)
+    except (TypeError, OverflowError):
+        finite = False
+    if not finite:
+        if integer:
+            raise error(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be a finite number, got {value!r}")
+    if high is not None and not low <= value <= high:
+        raise error(f"{name} must be in [{low}, {high}], got {value!r}")
+    if above and not value > low:
+        raise error(f"{name} must be > {low}")
+    if not value >= low:
+        raise error(f"{name} must be >= {low}")
+    return value
 
 
 def check_location(l: int, num_locations: int) -> int:
@@ -233,8 +258,7 @@ class QuadraticPenalty(PenaltyFn):
     coefficient: float
 
     def __post_init__(self):
-        if self.coefficient < 0:
-            raise DomainError("quadratic penalty coefficient must be >= 0")
+        check_number(self.coefficient, "quadratic penalty coefficient", 0)
 
     def __call__(self, k: float) -> float:
         return self.coefficient * k * k
@@ -248,8 +272,7 @@ class StepPenalty(PenaltyFn):
     amount: float
 
     def __post_init__(self):
-        if self.amount < 0:
-            raise DomainError("step penalty amount must be >= 0")
+        check_number(self.amount, "step penalty amount", 0)
 
     def __call__(self, k: float) -> float:
         return self.amount if k > 0 else 0.0
@@ -273,8 +296,7 @@ class TabulatedPenalty(PenaltyFn):
             raise DomainError("penalty at zero remaining size must be 0")
         if any(b < a for a, b in zip(vals, vals[1:])):
             raise DomainError("tabulated penalty must be non-decreasing")
-        if self.grid_step <= 0:
-            raise DomainError("tabulated penalty grid step must be > 0")
+        check_number(self.grid_step, "tabulated penalty grid step", 0, above=True)
         object.__setattr__(self, "values", vals)
 
     def __call__(self, k: float) -> float:
@@ -322,14 +344,12 @@ class ProblemSpec:
     initial_location: int = 1
 
     def __post_init__(self):
-        if not math.isfinite(self.grid_step) or self.grid_step <= 0:
-            raise DomainError(f"grid step must be finite and > 0, got {self.grid_step!r}")
-        if self.horizon < 1:
-            raise DomainError("horizon must be >= 1 slot")
-        if not isinstance(self.horizon, (int, np.integer)):
-            raise DomainError(f"horizon must be an integer, got {self.horizon!r}")
-        if not math.isfinite(self.file_size) or self.file_size < 0:
-            raise DomainError(f"file size must be finite and >= 0, got {self.file_size!r}")
+        check_number(self.grid_step, "grid step", 0, above=True)
+        check_number(self.file_size, "file size", 0)
+        for name in ("horizon", "initial_location"):  # stored as ints
+            object.__setattr__(self, name, check_number(getattr(self, name), name, 1, integer=True))
+        if not isinstance(self.penalty, PenaltyFn):
+            raise DomainError(f"penalty must be a PenaltyFn, got {self.penalty!r}")
         n = self.file_size / self.grid_step
         if not math.isfinite(n):
             raise DomainError(f"file size {self.file_size!r} is not a finite number of grid steps")

@@ -49,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dp
-from .config import ScenarioConfig, check_names
+from .config import MAX_SWEEP_RECORDS, ScenarioConfig, check_names
 from .errors import ConfigError, GridRoundingWarning, SchemeError
 from .model import (
     Action,
@@ -57,6 +57,7 @@ from .model import (
     ProblemSpec,
     admissible_actions,
     check_location,
+    check_number,
     penalty_on_grid,
     share_mobility,
     transfer_steps,
@@ -75,10 +76,9 @@ def build_grid_mobility(rows: int, cols: int, p_stay: float) -> np.ndarray:
     to one of its von Neumann neighbours uniformly; cells with fewer
     neighbours split the leaving mass among those they have.
     """
-    if rows < 1 or cols < 1:
-        raise ConfigError("grid must be at least 1x1")
-    if not 0.0 <= p_stay <= 1.0:
-        raise ConfigError(f"p_stay must be in [0, 1], got {p_stay!r}")
+    rows = check_number(rows, "rows", 1, integer=True, error=ConfigError)
+    cols = check_number(cols, "cols", 1, integer=True, error=ConfigError)
+    p_stay = check_number(p_stay, "p_stay", 0, 1, error=ConfigError)
     L = rows * cols
     P = np.zeros((L, L))
     for r in range(rows):
@@ -151,7 +151,7 @@ def sample_instance(cfg: ScenarioConfig, streams):
         price=price,
         rate=rate,
     )
-    return model, problem_spec(cfg, int(g_init.integers(1, L + 1)))
+    return model, problem_spec(cfg, g_init.integers(1, L + 1))  # ProblemSpec stores an int
 
 
 def problem_spec(cfg: ScenarioConfig, initial_location: int = 1) -> ProblemSpec:
@@ -624,9 +624,7 @@ def available_cpus():
 def worker_count(jobs: int, runs: int, cpus) -> int:
     """Processes to split ``runs`` episodes over when ``jobs`` are asked
     for: at most one per run and one per CPU (``cpus`` None counts as 1)."""
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs!r}")
-    return min(jobs, runs, cpus or 1)
+    return min(check_number(jobs, "jobs", 1, integer=True, error=ConfigError), runs, cpus or 1)
 
 
 def check_sweep(cfg: ScenarioConfig, schemes, sweep_axis=None, sweep_values=None, jobs=1):
@@ -636,6 +634,8 @@ def check_sweep(cfg: ScenarioConfig, schemes, sweep_axis=None, sweep_values=None
     axis, values, points = cfg.resolve_sweep(sweep_axis, sweep_values)
     schemes = check_names(schemes, "scheme", SCHEMES)
     worker_count(jobs, cfg.runs, None)
+    records = len(points) * len(schemes) * cfg.runs  # episode records, each 48 bytes
+    check_number(records, "sweep points x schemes x runs", 1, MAX_SWEEP_RECORDS, error=ConfigError)
     check_plannable(schemes, points)
     return schemes, axis, values, points
 

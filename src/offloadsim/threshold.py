@@ -25,6 +25,7 @@ from .model import (
     PenaltyFn,
     ProblemSpec,
     check_location,
+    check_number,
     is_convex_on_grid,
     penalty_on_grid,
     transfer_steps,
@@ -55,10 +56,9 @@ class MonotoneModel:
     penalty: PenaltyFn
 
     def __post_init__(self):
-        if self.mu_cellular < 0 or self.mu_wifi < 0:
-            raise PreconditionError("rates must be >= 0")
-        if self.cellular_cost < 0:
-            raise PreconditionError("cellular slot cost must be >= 0")
+        for value, name in ((self.mu_cellular, "rates"), (self.mu_wifi, "rates"),
+                            (self.cellular_cost, "cellular slot cost")):
+            check_number(value, name, 0, error=PreconditionError)
         if self.mu_cellular == 0 and self.cellular_cost > 0:
             raise PreconditionError(
                 "cellular slot cost must be 0 when the cellular rate is 0"
@@ -70,7 +70,7 @@ class MonotoneModel:
 
     def to_network_model(self) -> NetworkModel:
         """Equivalent generic network (free Wi-Fi, uniform cellular price)."""
-        L = self.num_locations
+        L = check_number(self.num_locations, "num_locations", 1, integer=True)
         price_cell = self.cellular_cost / self.mu_cellular if self.mu_cellular > 0 else 0.0
         price = np.zeros((L, 3))
         price[:, Action.CELLULAR] = price_cell

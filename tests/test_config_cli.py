@@ -91,8 +91,8 @@ def test_config_positive_keys_reject_zero(key):
 @pytest.mark.parametrize(
     "key, message",
     [
-        ("grid_rows", "grid_rows and grid_cols must be >= 1"),
-        ("grid_cols", "grid_rows and grid_cols must be >= 1"),
+        ("grid_rows", "grid_rows must be >= 1"),
+        ("grid_cols", "grid_cols must be >= 1"),
         ("runs", "runs must be >= 1"),
         ("wiffler_window", "wiffler_window must be >= 1"),
     ],

@@ -4,8 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from offloadsim.errors import DomainError
+import offloadsim
+from offloadsim.errors import DomainError, OffloadError
 from offloadsim.model import (
     Action,
     NetworkModel,
@@ -250,7 +252,7 @@ def test_network_model_validation():
     with pytest.raises(DomainError, match="non-negative"):
         NetworkModel(L, frozenset(), np.eye(L), good_price, good_rate - 1.0)
     empty = (np.zeros((0, 0)), np.zeros((0, 3)), np.zeros((0, 3)))
-    assert raised(DomainError, NetworkModel, 0, frozenset(), *empty) == "need at least one location"
+    assert raised(DomainError, NetworkModel, 0, frozenset(), *empty) == "num_locations must be >= 1"
     for name, shape in (("price", (2, 2)), ("rate", (3, 3))):
         tables = {"price": good_price, "rate": good_rate, name: np.zeros(shape)}
         message = raised(DomainError, NetworkModel, L, frozenset(), np.eye(L), *tables.values())
@@ -432,6 +434,71 @@ def test_problem_spec_validation():
         ProblemSpec(1e300, 5, 1e-300, QuadraticPenalty(1.0))
     assert str(exc.value) == "file size 1e+300 is not a finite number of grid steps"
     assert ProblemSpec(10.0, np.int64(3), 1.0, QuadraticPenalty(1.0)).grid_points == 10
+    # a penalty that is not a PenaltyFn used to fail only when planned, in dp.solve
+    message = raised(DomainError, ProblemSpec, 10.0, 3, 1.0, None)
+    assert message == "penalty must be a PenaltyFn, got None"
+
+
+def _sweep_entry(sweep_value):
+    return offloadsim.ScenarioConfig(sweep_values=(sweep_value,))
+
+
+# Each entry point of ``offloadsim.__all__`` that takes a count, size, rate or
+# price: valid keyword arguments, and per number argument the name that its
+# messages give it.
+NUMBER_ARGUMENTS = [
+    (offloadsim.ScenarioConfig, {}, {
+        f.name: f.name for f in dataclasses.fields(offloadsim.ScenarioConfig)
+        if f.type in ("int", "float")
+    }),
+    (_sweep_entry, dict(sweep_value=1.0), dict(sweep_value="sweep_values entry")),
+    (NetworkModel, dict(num_locations=2, wifi_locations=frozenset(), mobility=np.eye(2),
+                        price=np.zeros((2, 3)), rate=np.zeros((2, 3))),
+     dict(num_locations="num_locations")),
+    (QuadraticPenalty, dict(coefficient=1.0), dict(coefficient="quadratic penalty coefficient")),
+    (StepPenalty, dict(amount=1.0), dict(amount="step penalty amount")),
+    (TabulatedPenalty, dict(values=(0.0, 1.0), grid_step=1.0),
+     dict(grid_step="tabulated penalty grid step")),
+    (ProblemSpec, dict(file_size=10.0, horizon=3, grid_step=1.0, penalty=QuadraticPenalty(1.0)),
+     dict(file_size="file size", horizon="horizon", grid_step="grid step",
+          initial_location="initial_location")),
+    (MonotoneModel, dict(num_locations=2, wifi_locations=frozenset(), mobility=np.eye(2),
+                         mu_cellular=1.0, mu_wifi=1.0, cellular_cost=1.0,
+                         penalty=QuadraticPenalty(1.0)),
+     dict(num_locations="num_locations", mu_cellular="rates", mu_wifi="rates",
+          cellular_cost="cellular slot cost")),
+    (build_grid_mobility, dict(rows=2, cols=2, p_stay=0.5), dict(rows="rows", cols="cols",
+                                                                  p_stay="p_stay")),
+    (offloadsim.run_experiment, dict(cfg=offloadsim.ScenarioConfig(runs=1), schemes=("otso",),
+                                     sweep_values=(1.0,), jobs=1), dict(jobs="jobs")),
+]
+# wrong for every count, size, rate and price: not a real number, or not finite
+NOT_NUMBERS = st.one_of(
+    st.none(),
+    st.text(max_size=3),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1j]),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=2).map(tuple),
+)
+
+
+def test_every_number_argument_has_a_valid_base_call():
+    for call, base, _ in NUMBER_ARGUMENTS:
+        call(**base)
+    named = {call.__name__ for call, _, _ in NUMBER_ARGUMENTS} - {"_sweep_entry"}
+    assert named <= set(offloadsim.__all__)
+
+
+# Each of these used to escape as a TypeError (a string size or count, None
+# for p_stay, a string horizon) or be accepted (an infinite coefficient).
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_a_bad_number_is_refused_by_its_name(data):
+    call, base, named = data.draw(st.sampled_from(NUMBER_ARGUMENTS))
+    argument = data.draw(st.sampled_from(sorted(named)))
+    bad = data.draw(NOT_NUMBERS)
+    with pytest.raises(OffloadError) as exc:
+        call(**dict(base, **{argument: bad}))
+    assert named[argument] in str(exc.value)
 
 
 def test_mobility_row_tolerance():

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from offloadsim import dp, model as model_module, sim
-from offloadsim.config import ScenarioConfig
+from offloadsim.config import MAX_RUNS, MAX_SWEEP_RECORDS, ScenarioConfig
 from offloadsim.errors import (
     ConfigError,
     DomainError,
@@ -615,6 +616,10 @@ def test_experiment_rejects_zero_jobs():
         ((), (1.0,), "no scheme"),
         (("otso", "wiffler", "otso"), (1.0,), "scheme repeated"),
         (("otso",), (1.0, 2.0, 1.0), "sweep value repeated"),
+        # a string used to be read as its letters ("unknown scheme 'g'"), and
+        # a bare number raised a TypeError
+        ("general", (1.0,), "^expected a list of scheme entries, got 'general'$"),
+        (("otso",), 5, "^expected a list of sweep value entries, got 5$"),
     ],
 )
 def test_experiment_rejects_empty_or_repeated_schemes_and_values(
@@ -625,6 +630,21 @@ def test_experiment_rejects_empty_or_repeated_schemes_and_values(
     with pytest.raises(ConfigError, match=match):
         run_experiment(small_cfg(runs=2), schemes, "deadline", values)
     assert sampled == []
+    if not isinstance(values, tuple):  # the scenario's own values take the same rule
+        with pytest.raises(ConfigError, match=match):
+            small_cfg(sweep_values=values)
+
+
+def test_sweep_records_over_their_budget_are_refused_before_anything_is_sampled():
+    # 6 points x 5 schemes x MAX_RUNS runs: 1.44 GB of per-episode records.
+    # check_sweep builds only the points' configs, so nothing is allocated.
+    cfg = small_cfg(runs=MAX_RUNS)
+    values = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+    records = 6 * 5 * MAX_RUNS
+    message = f"sweep points x schemes x runs must be in [1, {MAX_SWEEP_RECORDS}], got {records}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        sim.check_sweep(cfg, SCHEMES, "deadline", values)
+    sim.check_sweep(cfg, SCHEMES, "deadline", values[:5])  # 5 x 5 x MAX_RUNS, 1.2 GB, fits
 
 
 def test_wiffler_window_beyond_the_path_keeps_every_encounter():

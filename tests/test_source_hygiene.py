@@ -2,9 +2,10 @@
 no unused imports, an ``__all__`` that resolves, no module-level
 function or class that nothing names, one home for the grid
 tolerance and the lattice budget, one for the list rule's messages
-(empty list, unknown name, repeat), one for the frontier planner's
-convexity precondition, and one each for the location-range, off-grid
-and table-epoch messages.  Every Python file parses as Python 3.10.
+(empty list, unknown name, repeat), one for the number rule's (type,
+finiteness, range), one for the frontier planner's convexity
+precondition, and one each for the location-range, off-grid and
+table-epoch messages.  Every Python file parses as Python 3.10.
 Commands sample and plan only through ``sim``, and ``sim.problem_spec``
 is the one place that builds a transfer task.  README's Python example
 is run, so that it cannot name a removed API.  The console script that
@@ -202,6 +203,30 @@ def test_epoch_range_message_is_raised_only_in_the_table_cell_rule():
     # both table readers take their epoch, location and size from dp._cell
     assert message_copies(EPOCH_RANGE, MODULES) == ["dp.py: outside 1.."]
     assert EPOCH_RANGE.search(_functions(PACKAGE / "dp.py")["_cell"])
+
+
+NUMBER_RULE = re.compile(r"must be >=?|must be an integer|must be a finite number|must be in \[")
+
+
+def test_number_rule_messages_are_raised_only_in_check_number():
+    # streams._words keeps its own: a plain ValueError for an internal run
+    # index, whose message test_sim pins
+    streams = PACKAGE / "streams.py"
+    model = PACKAGE / "model.py"
+    assert message_copies(NUMBER_RULE, [p for p in MODULES if p not in (model, streams)]) == []
+    rule = _functions(model)["check_number"]
+    assert message_copies(NUMBER_RULE, [model]) == [
+        f"model.py: {message}" for message in NUMBER_RULE.findall(rule)
+    ]
+    assert sorted(NUMBER_RULE.findall(rule)) == [
+        "must be >",
+        "must be >=",
+        "must be a finite number",
+        "must be an integer",
+        "must be in [",
+    ]
+    assert NUMBER_RULE.findall(streams.read_text(encoding="utf-8")) == ["must be >="]
+    assert NUMBER_RULE.search(_functions(streams)["_words"])
 
 
 def test_every_python_file_parses_as_python_3_10():
