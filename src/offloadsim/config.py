@@ -125,8 +125,9 @@ class ScenarioConfig:
                 f"slot count {slots!r}"
             )
         self._check_derived()
-        if self.sweep_values:  # each point as ``run_experiment`` builds it
-            self.resolve_sweep()
+        if not isinstance(self.sweep_values, tuple) or self.sweep_values:  # () is none
+            object.__setattr__(self, "sweep_values", check_names(self.sweep_values, "sweep value"))
+            self.resolve_sweep()  # each point as ``run_experiment`` builds it
 
     def _check_derived(self) -> None:
         """Reject finite inputs whose derived quantities overflow.  Per-slot

@@ -55,7 +55,9 @@ def write_table(path, header, shape, row) -> None:
 
 
 def check_lattice(spec: ProblemSpec, num_locations: int) -> None:
-    """Both planners' budget: ``spec``'s whole cost lattice fits ``MAX_LATTICE_CELLS``."""
+    """Both planners' input check: ``spec`` starts at one of ``num_locations``
+    locations, and its whole cost lattice fits ``MAX_LATTICE_CELLS``."""
+    check_location(spec.initial_location, num_locations, "initial_location")
     cells = (spec.horizon + 1) * (spec.grid_points + 1) * num_locations
     if cells > MAX_LATTICE_CELLS:
         raise ResourceLimitError(

@@ -64,29 +64,15 @@ class NetworkModel:
     def __post_init__(self):
         L = check_number(self.num_locations, "num_locations", 1, integer=True)
         object.__setattr__(self, "num_locations", L)
-        wifi = frozenset(check_location(l, L) for l in self.wifi_locations)
-        object.__setattr__(self, "wifi_locations", wifi)
-
-        mob = np.asarray(self.mobility, dtype=float)
-        if mob.shape != (L, L):
-            raise DomainError(f"mobility must be {L}x{L}, got {mob.shape}")
-        if _shared_walk(mob) is None:  # a shared matrix was checked once, when shared
-            _check_mobility(mob)
-
-        price = np.asarray(self.price, dtype=float)
-        rate = np.asarray(self.rate, dtype=float)
-        for name, arr in (("price", price), ("rate", rate)):
-            if arr.shape != (L, 3):
-                raise DomainError(f"{name} must have shape ({L}, 3), got {arr.shape}")
-            _check_entries(name, arr)
-            if arr[:, Action.IDLE].any():
+        object.__setattr__(self, "wifi_locations", check_wifi_locations(self.wifi_locations, L))
+        arrays = {"mobility": check_mobility(self.mobility, L)}
+        for name in ("price", "rate"):
+            arrays[name] = check_array(getattr(self, name), name, (L, 3))
+            if arrays[name][:, Action.IDLE].any():
                 raise DomainError(f"{name} of the idle action must be zero")
-
-        for arr in (mob, price, rate):
+        for name, arr in arrays.items():
             arr.setflags(write=False)
-        object.__setattr__(self, "mobility", mob)
-        object.__setattr__(self, "price", price)
-        object.__setattr__(self, "rate", rate)
+            object.__setattr__(self, name, arr)
 
     def check_location(self, l: int) -> int:
         return check_location(l, self.num_locations)
@@ -126,37 +112,69 @@ def check_number(value, name: str, low, high=None, *, above=False, integer=False
     return value
 
 
-def check_location(l: int, num_locations: int) -> int:
+def check_location(l: int, num_locations: int, name: str = "location") -> int:
     """``l`` as an int if it is one of the locations ``1..num_locations``,
-    else :class:`DomainError`."""
+    else :class:`DomainError` naming ``name``."""
     if not 1 <= l <= num_locations:
-        raise DomainError(f"location {l} out of range 1..{num_locations}")
+        raise DomainError(f"{name} {l} out of range 1..{num_locations}")
     if l != int(l):
-        raise DomainError(f"location {l!r} is not a whole number")
+        raise DomainError(f"{name} {l!r} is not a whole number")
     return int(l)
 
 
-def _check_entries(name: str, arr: np.ndarray) -> None:
-    """The entries of a non-empty array are finite and non-negative.  Two
-    reductions, not elementwise masks, so that checking an L x L mobility
-    matrix allocates nothing of its size; a NaN anywhere makes the minimum NaN."""
-    lo, hi = float(arr.min()), float(arr.max())
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise DomainError(f"{name} entries must be finite")
-    if lo < 0:
-        raise DomainError(f"{name} entries must be non-negative")
+def check_wifi_locations(locations, num_locations: int) -> frozenset:
+    """A Wi-Fi set as a frozenset of ints once it is a collection, not a string, of
+    locations ``check_location`` accepts, else :class:`DomainError` naming it."""
+    try:  # a non-collection, or an entry that is no number, raises TypeError or ValueError
+        if not isinstance(locations, str):
+            return frozenset(
+                check_location(l, num_locations, "wifi_locations: location") for l in locations
+            )
+    except (TypeError, ValueError):
+        pass
+    raise DomainError(f"wifi_locations must be a collection of locations, got {locations!r}")
 
 
-def _check_mobility(mob: np.ndarray) -> None:
-    """Mobility entries are finite and non-negative, and each row sums to 1
-    within ``PROB_TOL``."""
-    _check_entries("mobility", mob)
-    rowsum = mob.sum(axis=1)
-    bad = np.where(np.abs(rowsum - 1.0) > PROB_TOL)[0]
-    if bad.size:
-        raise DomainError(
-            f"mobility row {bad[0] + 1} sums to {rowsum[bad[0]]!r}, expected 1"
-        )
+def check_array(value, name: str, shape=None) -> np.ndarray:
+    """``value`` as a float array once ``np.asarray`` converts it, it has
+    ``shape`` (None: any shape; a None length: any length) and its entries
+    are finite and non-negative, else :class:`DomainError` naming ``name``."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be an array of real numbers, got {value!r}") from None
+    if shape is not None and arr.shape != shape and (
+        arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape))
+    ):
+        raise DomainError(f"{name} must have shape {shape}, got {arr.shape}")
+    if arr.size:
+        # two reductions, so that an L x L mobility matrix is checked without
+        # allocating its size; a NaN anywhere makes the minimum NaN
+        lo, hi = float(arr.min()), float(arr.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise DomainError(f"{name} entries must be finite")
+        if lo < 0:
+            raise DomainError(f"{name} entries must be non-negative")
+    return arr
+
+
+def check_mobility(mobility, num_locations: int = None) -> np.ndarray:
+    """``mobility`` as a float array once it is a ``num_locations`` square matrix
+    (None: any square of at least 1x1) whose entries pass ``check_array`` and whose
+    rows sum to 1 within ``PROB_TOL``, else :class:`DomainError`; a matrix from
+    ``share_mobility``, checked when it was shared, has only its shape checked."""
+    mob = mobility
+    if _shared_walk(mob) is None:
+        mob = check_array(mob, "mobility")
+        if mob.ndim != 2 or mob.shape[0] != mob.shape[1] or not mob.size:
+            raise DomainError(f"mobility must be a square matrix of at least 1x1, got {mob.shape}")
+        rowsum = mob.sum(axis=1)
+        bad = np.flatnonzero(np.abs(rowsum - 1.0) > PROB_TOL)
+        if bad.size:
+            raise DomainError(f"mobility row {bad[0] + 1} sums to {rowsum[bad[0]]!r}, expected 1")
+    if num_locations is not None and mob.shape != (num_locations, num_locations):
+        raise DomainError(f"mobility must be {num_locations}x{num_locations}, got {mob.shape}")
+    return mob
 
 
 def _walk_rows(mob: np.ndarray) -> list:
@@ -181,21 +199,16 @@ def _shared_walk(mob: np.ndarray):
 
 
 def share_mobility(mobility) -> np.ndarray:
-    """Check a mobility matrix once for all the models built on it.
+    """``check_mobility`` once for all the models built on ``mobility``.
 
-    Returns ``mobility`` as a read-only float array, checked as
-    ``NetworkModel`` checks it and kept, with its ``walk_rows``, for as long
-    as the array lives.  A ``NetworkModel`` built on that very array checks
-    only its shape, and ``walk_rows`` returns the rows built here.  The
+    Returns it as a read-only float array, kept with its ``walk_rows`` for
+    as long as it lives: a model built on that very array has only its
+    shape checked, and ``walk_rows`` returns the rows built here.  The
     caller hands the array over: a float array that owns its data is not
-    copied, and must not be written to afterwards.
-    """
-    mob = np.asarray(mobility, dtype=float)
+    copied, and must not be written to afterwards."""
+    mob = check_mobility(mobility)
     if mob.base is not None:  # a view: its base could still be written
         mob = mob.copy()
-    if mob.ndim != 2 or mob.shape[0] != mob.shape[1] or not mob.size:
-        raise DomainError(f"mobility must be a square matrix of at least 1x1, got {mob.shape}")
-    _check_mobility(mob)
     mob.setflags(write=False)
     key = id(mob)
     _SHARED[key] = (weakref.ref(mob, lambda _, key=key: _SHARED.pop(key, None)), _walk_rows(mob))
@@ -289,7 +302,7 @@ class TabulatedPenalty(PenaltyFn):
     grid_step: float
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
+        vals = check_array(self.values, "tabulated penalty", (None,)).tolist()
         if not vals:
             raise DomainError("tabulated penalty needs at least the value at 0")
         if vals[0] != 0.0:
@@ -297,7 +310,7 @@ class TabulatedPenalty(PenaltyFn):
         if any(b < a for a, b in zip(vals, vals[1:])):
             raise DomainError("tabulated penalty must be non-decreasing")
         check_number(self.grid_step, "tabulated penalty grid step", 0, above=True)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", tuple(vals))
 
     def __call__(self, k: float) -> float:
         return self.values[grid_index(k, self.grid_step, len(self.values) - 1)]
@@ -403,12 +416,13 @@ def payment(model: NetworkModel, spec: ProblemSpec, s: State, a: Action) -> floa
     The transferred amount is capped by the remaining size, so finishing
     mid-slot is only billed for what was left.
     """
+    k = check_number(s.k, "size", -math.inf)  # any finite size: a payment reads no grid
     a = Action(a)
     if a not in admissible_actions(model, s.l):
         raise DomainError(f"action {a.name} not admissible at location {s.l}")
     if a is Action.IDLE:
         return 0.0
-    return min(s.k, model.rate_of(s.l, a)) * model.price_of(s.l, a)
+    return min(k, model.rate_of(s.l, a)) * model.price_of(s.l, a)
 
 
 def slot_payment(model: NetworkModel, l: int, a: Action) -> float:
@@ -433,7 +447,8 @@ def transfer_steps(spec: ProblemSpec, transfer):
 
 def next_file_size(spec: ProblemSpec, k: float, transfer: float) -> float:
     """Remaining size after one slot: grid-quantized transfer, clamped at zero."""
-    return max(0, spec.index_of(k) - transfer_steps(spec, transfer)) * spec.grid_step
+    n = spec.index_of(check_number(k, "size", -math.inf))  # grid_index checks range and grid
+    return max(0, n - transfer_steps(spec, transfer)) * spec.grid_step
 
 
 def transition_dist(model: NetworkModel, spec: ProblemSpec, s: State, a: Action):

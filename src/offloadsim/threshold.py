@@ -24,7 +24,8 @@ from .model import (
     NetworkModel,
     PenaltyFn,
     ProblemSpec,
-    check_location,
+    check_wifi_locations,
+    check_mobility,
     check_number,
     is_convex_on_grid,
     penalty_on_grid,
@@ -63,14 +64,15 @@ class MonotoneModel:
             raise PreconditionError(
                 "cellular slot cost must be 0 when the cellular rate is 0"
             )
-        # Reuse the network validation for mobility and the wifi set.
-        net = self.to_network_model()
-        object.__setattr__(self, "mobility", net.mobility)
-        object.__setattr__(self, "wifi_locations", net.wifi_locations)
+        L = check_number(self.num_locations, "num_locations", 1, integer=True)
+        object.__setattr__(self, "num_locations", L)
+        object.__setattr__(self, "wifi_locations", check_wifi_locations(self.wifi_locations, L))
+        object.__setattr__(self, "mobility", check_mobility(self.mobility, L))
+        self.mobility.setflags(write=False)
 
     def to_network_model(self) -> NetworkModel:
         """Equivalent generic network (free Wi-Fi, uniform cellular price)."""
-        L = check_number(self.num_locations, "num_locations", 1, integer=True)
+        L = self.num_locations
         price_cell = self.cellular_cost / self.mu_cellular if self.mu_cellular > 0 else 0.0
         price = np.zeros((L, 3))
         price[:, Action.CELLULAR] = price_cell
@@ -80,8 +82,8 @@ class MonotoneModel:
             rate[l - 1, Action.WIFI] = self.mu_wifi
         return NetworkModel(
             num_locations=L,
-            wifi_locations=frozenset(self.wifi_locations),
-            mobility=np.asarray(self.mobility, dtype=float),
+            wifi_locations=self.wifi_locations,
+            mobility=self.mobility,
             price=price,
             rate=rate,
         )
@@ -165,7 +167,7 @@ class ThresholdPolicy:
 
     def __post_init__(self):
         self.k_star_idx.setflags(write=False)
-        wifi = frozenset(check_location(l, self.num_locations) for l in self.wifi_locations)
+        wifi = check_wifi_locations(self.wifi_locations, self.num_locations)
         object.__setattr__(self, "wifi_locations", wifi)
 
     @property

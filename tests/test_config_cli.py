@@ -789,6 +789,16 @@ def test_size_bounds_admit_their_limits():
     assert ScenarioConfig(runs=MAX_RUNS).runs == MAX_RUNS
 
 
+# Each used to be accepted, and ``to_dict`` then raised a TypeError.  Only
+# ``()`` means "no sweep values"; other values are stored as a tuple.
+@pytest.mark.parametrize("values", [None, 0])
+def test_sweep_values_that_are_no_list_are_a_config_error(values):
+    with pytest.raises(ConfigError, match=f"^expected a list of sweep value entries, got {values}$"):
+        ScenarioConfig(sweep_values=values)
+    assert ScenarioConfig(sweep_values=()).to_dict()["sweep_values"] == []
+    assert ScenarioConfig(sweep_values=[2.0, 3.0]).sweep_values == (2.0, 3.0)
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

@@ -10,6 +10,7 @@ from offloadsim.errors import DomainError, ResourceLimitError
 from offloadsim.model import (
     Action,
     NetworkModel,
+    PenaltyFn,
     ProblemSpec,
     QuadraticPenalty,
     State,
@@ -181,11 +182,21 @@ def test_frontier_planner_lattice_budget():
             solve_monotone(mm, spec, values=values)
 
 
+class InfiniteFromTwo(PenaltyFn):
+    """0, 1, inf on the unit grid.  A tabulated penalty refuses an infinite
+    value, so this penalty of its own brings one to the planners."""
+
+    def __call__(self, k):
+        return k if k < 2 else np.inf
+
+
 # Two locations that never move, one slot, and a penalty infinite at the
 # full file: ``P @ v`` would meet the infinite penalty with a zero weight,
 # and both planners wrote ``0 * inf = NaN`` into their value tables.
 def test_planners_refuse_an_infinite_penalty():
-    pen = TabulatedPenalty((0.0, 1.0, np.inf), 1.0)
+    with pytest.raises(DomainError, match="tabulated penalty entries must be finite"):
+        TabulatedPenalty((0.0, 1.0, np.inf), 1.0)
+    pen = InfiniteFromTwo()
     spec = ProblemSpec(2.0, 1, 1.0, pen)
     rate = np.zeros((2, 3))
     price = np.zeros((2, 3))
@@ -202,6 +213,17 @@ def test_planners_refuse_an_infinite_penalty():
         for values in (True, False):
             with pytest.raises(DomainError, match="penalty inf at size 2.0 is not finite"):
                 planner(values)
+
+
+# Both used to plan from a start past the last location.
+def test_planners_refuse_a_start_past_the_last_location():
+    spec = ProblemSpec(2.0, 1, 1.0, QuadraticPenalty(1.0), initial_location=9)
+    model = one_location_model()
+    mm = MonotoneModel(1, frozenset(), np.eye(1), 1.0, 0.0, 2.5, spec.penalty)
+    for planner, network in ((solve, model), (solve_monotone, mm)):
+        for values in (True, False):
+            with pytest.raises(DomainError, match=r"^initial_location 9 out of range 1\.\.1$"):
+                planner(network, spec, values=values)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from offloadsim.model import (
     transition_dist,
 )
 from offloadsim.sim import _shared_grid_mobility, build_grid_mobility
-from offloadsim.threshold import MonotoneModel
+from offloadsim.threshold import MonotoneModel, ThresholdPolicy
 
 from instances import grid_demo_model, random_general_instance
 
@@ -499,6 +499,85 @@ def test_a_bad_number_is_refused_by_its_name(data):
     with pytest.raises(OffloadError) as exc:
         call(**dict(base, **{argument: bad}))
     assert named[argument] in str(exc.value)
+
+
+# Each entry point of ``offloadsim.__all__`` that takes an array or a
+# collection of locations: valid keyword arguments, and per such argument
+# the name that its messages give it.
+ARRAY_ARGUMENTS = [
+    (NetworkModel, dict(num_locations=2, wifi_locations=frozenset({1}), mobility=np.eye(2),
+                        price=np.zeros((2, 3)), rate=np.zeros((2, 3))),
+     dict(mobility="mobility", price="price", rate="rate", wifi_locations="wifi_locations")),
+    (share_mobility, dict(mobility=np.eye(2)), dict(mobility="mobility")),
+    (MonotoneModel, dict(num_locations=2, wifi_locations=frozenset({1}), mobility=np.eye(2),
+                         mu_cellular=1.0, mu_wifi=1.0, cellular_cost=1.0,
+                         penalty=QuadraticPenalty(1.0)),
+     dict(mobility="mobility", wifi_locations="wifi_locations")),
+    (ThresholdPolicy, dict(k_star_idx=np.zeros((2, 3), dtype=np.int64),
+                           wifi_locations=frozenset({1}), grid_step=1.0, grid_points=2),
+     dict(wifi_locations="wifi_locations")),
+    (TabulatedPenalty, dict(values=(0.0, 1.0), grid_step=1.0), dict(values="tabulated penalty")),
+]
+# wrong for every array and collection of locations: no numbers, ragged,
+# the wrong shape, or one number where a collection belongs
+NOT_ARRAYS = st.one_of(
+    st.none(),
+    st.text(max_size=3),
+    st.just([[0.0], [0.0, 1.0]]),
+    st.sampled_from([(), (1, 5), (4, 4), (2, 2, 2)]).map(np.zeros),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+# an entry that makes a valid array or Wi-Fi set wrong
+BAD_ENTRIES = st.sampled_from([math.nan, math.inf, -math.inf, -1.0])
+
+
+def with_entry(value, entry):
+    """``value`` with its first entry replaced by ``entry``."""
+    if isinstance(value, frozenset):
+        return frozenset({entry})
+    arr = np.array(value, dtype=float)
+    arr.flat[0] = entry
+    return arr
+
+
+def test_every_array_argument_has_a_valid_base_call():
+    for call, base, _ in ARRAY_ARGUMENTS:
+        call(**base)
+    named = {call.__name__ for call, _, _ in ARRAY_ARGUMENTS} - {"share_mobility"}
+    assert named <= set(offloadsim.__all__)
+
+
+# ``None`` used to escape as a TypeError and strings as numpy's ValueError,
+# and a NaN or infinite tabulated penalty was accepted.
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_a_bad_array_is_refused_by_its_name(data):
+    call, base, named = data.draw(st.sampled_from(ARRAY_ARGUMENTS))
+    argument = data.draw(st.sampled_from(sorted(named)))
+    if data.draw(st.booleans()):
+        bad = with_entry(base[argument], data.draw(BAD_ENTRIES))
+    else:
+        bad = data.draw(NOT_ARRAYS)
+    with pytest.raises(OffloadError) as exc:
+        call(**dict(base, **{argument: bad}))
+    assert named[argument] in str(exc.value)
+
+
+# Each used to raise a TypeError from inside ``grid_index`` or ``min``.
+def test_oracle_primitives_refuse_a_size_that_is_no_number():
+    model = simple_model()
+    spec = ProblemSpec(20.0, 3, 10.0, QuadraticPenalty(1.0))
+    calls = [
+        lambda k: next_file_size(spec, k, 10.0),
+        lambda k: payment(model, spec, State(k, 1), Action.CELLULAR),
+        lambda k: transition_dist(model, spec, State(k, 1), Action.CELLULAR),
+    ]
+    for call in calls:
+        for k in ("a", None, math.nan):
+            assert raised(DomainError, call, k) == f"size must be a finite number, got {k!r}"
+    # the grid rule keeps its own messages for a number off the grid or outside it
+    assert raised(DomainError, calls[0], 5.0) == "size 5.0 is not on the 10.0 grid"
+    assert raised(DomainError, calls[2], 30.0) == "size 30.0 outside [0, 20.0]"
 
 
 def test_mobility_row_tolerance():

@@ -766,20 +766,21 @@ def test_sampling_a_run_on_a_30x30_grid_allocates_little():
 def test_sweep_builds_and_checks_each_grid_once(monkeypatch):
     calls = {"build": 0, "check": 0, "walk": 0}
 
-    def counted(name, module, attr):
+    def counted(name, module, attr, counts=lambda *args: True):
         fn = getattr(module, attr)
 
         def wrapper(*args):
-            calls[name] += 1
+            calls[name] += counts(*args)
             return fn(*args)
 
         monkeypatch.setattr(module, attr, wrapper)
 
     counted("build", sim, "build_grid_mobility")
-    counted("check", model_module, "_check_mobility")
+    # the mobility rule's entries check: prices and rates are checked per run
+    counted("check", model_module, "check_array", lambda value, name, *shape: name == "mobility")
     counted("walk", model_module, "_walk_rows")
     sim._shared_grid_mobility.cache_clear()
-    # two grids; every run builds a NetworkModel, and a MonotoneModel builds another
+    # two grids; every run builds a NetworkModel and a MonotoneModel on its grid's matrix
     run_experiment(small_cfg(runs=3), SCHEMES, "p_stay", (0.3, 0.6))
     assert calls == {"build": 2, "check": 2, "walk": 2}
 

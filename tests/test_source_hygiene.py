@@ -229,6 +229,24 @@ def test_number_rule_messages_are_raised_only_in_check_number():
     assert NUMBER_RULE.search(_functions(streams)["_words"])
 
 
+ARRAY_RULE = re.compile(r"must be an array of|must have shape|entries must be [\w-]+")
+
+
+def test_array_rule_messages_are_raised_only_in_check_array():
+    model = PACKAGE / "model.py"
+    assert message_copies(ARRAY_RULE, [p for p in MODULES if p != model]) == []
+    rule = _functions(model)["check_array"]
+    assert message_copies(ARRAY_RULE, [model]) == [
+        f"model.py: {message}" for message in ARRAY_RULE.findall(rule)
+    ]
+    assert sorted(ARRAY_RULE.findall(rule)) == [
+        "entries must be finite",
+        "entries must be non-negative",
+        "must be an array of",
+        "must have shape",
+    ]
+
+
 def test_every_python_file_parses_as_python_3_10():
     # the oldest Python that CI runs; feature_version rejects newer syntax
     with pytest.raises(SyntaxError):
