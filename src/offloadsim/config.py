@@ -60,8 +60,8 @@ _RANGES = {
 
 def check_names(names, noun: str, known=None) -> tuple:
     """``names`` as a tuple once it is a non-empty collection, not a string,
-    each entry is in ``known`` (or ``known`` is None) and none repeats, else a
-    :class:`ConfigError`: the one rule for every list of names or values."""
+    of hashable entries in ``known`` (or ``known`` is None), none repeated,
+    else a :class:`ConfigError`: the one rule for every list of names or values."""
     if isinstance(names, str) or not hasattr(names, "__iter__"):
         raise ConfigError(f"expected a list of {noun} entries, got {names!r}")
     names = tuple(names)
@@ -72,6 +72,10 @@ def check_names(names, noun: str, known=None) -> tuple:
     for name in names:
         if known is not None and name not in known:
             raise ConfigError(f"unknown {noun} {name!r}; expected one of {known}")
+        try:
+            hash(name)
+        except TypeError:  # a list or another collection where one entry belongs
+            raise ConfigError(f"{noun} {name!r} is not a single entry") from None
     if len(set(names)) < len(names):
         raise ConfigError(f"{noun} repeated in {names}")
     return names

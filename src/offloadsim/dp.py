@@ -24,6 +24,7 @@ from .model import (
     admissible_actions,
     check_location,
     grid_index,
+    in_range,
     penalty_on_grid,
     transfer_steps,
 )
@@ -84,9 +85,10 @@ def _cell(table: np.ndarray, t: int, k: float, l: int, grid_step: float) -> tupl
     stored as ``table[t-1, l-1, k/grid_step]``, its shape the only statement
     of the epochs, locations and grid points it covers.  The epoch, the
     location and the size are checked in that order, each with its own
-    :class:`DomainError`; a non-integral epoch is outside the range."""
+    :class:`DomainError`; a non-integral epoch is outside the range, and one
+    that is no number is refused by the number rule."""
     epochs, num_locations, width = table.shape
-    if not 1 <= t <= epochs or t != int(t):
+    if not in_range(t, 1, epochs, "epoch") or t != int(t):
         raise DomainError(f"epoch {t} outside 1..{epochs}")
     i = check_location(l, num_locations) - 1
     return int(t) - 1, i, grid_index(k, grid_step, width - 1)

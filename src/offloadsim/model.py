@@ -112,10 +112,20 @@ def check_number(value, name: str, low, high=None, *, above=False, integer=False
     return value
 
 
+def in_range(value, low, high, name: str) -> bool:
+    """Whether ``low <= value <= high``; a ``value`` that is no number gets the
+    number rule's :class:`DomainError` naming ``name``."""
+    try:
+        return low <= value <= high
+    except TypeError:
+        check_number(value, name, low)
+        raise
+
+
 def check_location(l: int, num_locations: int, name: str = "location") -> int:
     """``l`` as an int if it is one of the locations ``1..num_locations``,
     else :class:`DomainError` naming ``name``."""
-    if not 1 <= l <= num_locations:
+    if not in_range(l, 1, num_locations, name):
         raise DomainError(f"{name} {l} out of range 1..{num_locations}")
     if l != int(l):
         raise DomainError(f"{name} {l!r} is not a whole number")
@@ -125,7 +135,7 @@ def check_location(l: int, num_locations: int, name: str = "location") -> int:
 def check_wifi_locations(locations, num_locations: int) -> frozenset:
     """A Wi-Fi set as a frozenset of ints once it is a collection, not a string, of
     locations ``check_location`` accepts, else :class:`DomainError` naming it."""
-    try:  # a non-collection, or an entry that is no number, raises TypeError or ValueError
+    try:  # a non-collection raises TypeError, and an array entry ValueError
         if not isinstance(locations, str):
             return frozenset(
                 check_location(l, num_locations, "wifi_locations: location") for l in locations
@@ -238,6 +248,7 @@ def grid_index(k: float, step: float, points: int) -> int:
     ``k`` may differ from ``n * step`` by ``GRID_EPS`` relative slack; a
     size off the grid or outside it raises :class:`DomainError`.
     """
+    in_range(k, -math.inf, math.inf, "size")  # refuses a size that is no number
     x = k / step
     if not math.isfinite(x):
         raise DomainError(f"size {k!r} outside [0, {points * step!r}]")

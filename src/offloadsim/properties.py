@@ -28,8 +28,8 @@ from .model import (
     transfer_steps,
 )
 from .oracle import expectimax
-from .sim import means_model, sample_runs
-from .threshold import ThresholdPolicy, solve_monotone
+from .sim import means_model, plan, sample_runs
+from .threshold import ThresholdPolicy
 
 _REL_TOL = 1e-9
 
@@ -198,9 +198,10 @@ def run_verification(cfg: ScenarioConfig, properties=None) -> list:
     """Run the named checks, in the order named, on run 0's instance; the
     oracle checks run 0 of ``oracle_config(cfg)``.
 
-    Checks that rely on the simplified cost model run against the
-    means-based network; they are skipped (with the reason) when the
-    configured penalty is not convex on the grid.
+    Checks that rely on the simplified cost model read both planners on
+    ``means_model``'s network: the exact one with full-slot billing and the
+    frontier one as ``plan`` runs it.  They are skipped (with the reason)
+    when the configured penalty is not convex on the grid.
     """
     names = PROPERTY_NAMES if properties is None else properties
     names = check_names(names, "property", PROPERTY_NAMES)
@@ -218,10 +219,9 @@ def run_verification(cfg: ScenarioConfig, properties=None) -> list:
     if flat_cost.keys() & set(names) and is_convex_on_grid(
         penalty_on_grid(spec.penalty, spec.grid_values)
     ):
-        mm = means_model(cfg, model, spec)
-        net = mm.to_network_model()
+        net = means_model(cfg, model)
         policy, vt = dp.solve(net, spec, flat_payment=True)
-        tp, _ = solve_monotone(mm, spec, values=False)
+        tp, _ = plan("monotone", cfg, model, spec)
         checks.update(flat_cost)
     skip = "penalty not convex on the size grid"
     return [checks[p]() if p in checks else CheckResult(p, "skip", skip) for p in names]

@@ -175,20 +175,15 @@ def sample_trajectory(model: NetworkModel, spec: ProblemSpec, rng) -> list:
     return locs
 
 
-def means_model(cfg: ScenarioConfig, model: NetworkModel, spec: ProblemSpec) -> MonotoneModel:
-    """The frontier planner's input for a sampled instance: its Wi-Fi set and
-    mobility with the configured mean rates instead of the sampled ones."""
-    mu_c = cfg.rate_mbit_per_slot(cfg.mu_cellular_mbps)
-    mu_w = cfg.rate_mbit_per_slot(cfg.mu_wifi_mbps)
-    return MonotoneModel(
-        num_locations=model.num_locations,
-        wifi_locations=model.wifi_locations,
-        mobility=model.mobility,
-        mu_cellular=mu_c,
-        mu_wifi=mu_w,
-        cellular_cost=mu_c * cfg.price_per_mbit,
-        penalty=spec.penalty,
-    )
+def means_model(cfg: ScenarioConfig, model: NetworkModel) -> NetworkModel:
+    """The frontier planner's network for a sampled instance: ``model`` with
+    the configured mean rates in place of the sampled ones.  Its prices are
+    already the configured cellular price and free Wi-Fi."""
+    rate = np.zeros_like(model.rate)
+    rate[:, Action.CELLULAR] = cfg.rate_mbit_per_slot(cfg.mu_cellular_mbps)
+    wifi_rows = [l - 1 for l in model.wifi_locations]
+    rate[wifi_rows, Action.WIFI] = cfg.rate_mbit_per_slot(cfg.mu_wifi_mbps)
+    return dataclasses.replace(model, rate=rate)
 
 
 def sample_runs(cfg: ScenarioConfig, run_indices):
@@ -205,11 +200,13 @@ def sample_runs(cfg: ScenarioConfig, run_indices):
 def plan(solver: str, cfg: ScenarioConfig, model: NetworkModel, spec: ProblemSpec, *, values=False):
     """``solver``'s ``(table, value table or None)`` for a sampled instance:
     ``general`` is the exact planner on its rates (``dp.solve``), and
-    ``monotone`` the frontier planner on ``means_model`` (``solve_monotone``)."""
+    ``monotone`` the frontier planner (``solve_monotone``) on ``means_model``'s
+    network, through the regime check ``MonotoneModel.from_network_model``."""
     check_names((solver,), "solver", SOLVERS)
     if solver == "general":
         return dp.solve(model, spec, values=values)
-    return solve_monotone(means_model(cfg, model, spec), spec, values=values)
+    mm = MonotoneModel.from_network_model(means_model(cfg, model), spec)
+    return solve_monotone(mm, spec, values=values)
 
 
 def check_plannable(schemes, points) -> None:

@@ -46,6 +46,7 @@ class MonotoneModel:
     at every location.  ``penalty`` records the penalty the input was
     derived with; ``solve_monotone`` does not read it, but reads the
     spec's penalty and checks that it is convex on the size grid.
+    ``from_network_model`` derives it from a network, checking the regime.
     """
 
     num_locations: int
@@ -70,24 +71,6 @@ class MonotoneModel:
         object.__setattr__(self, "mobility", check_mobility(self.mobility, L))
         self.mobility.setflags(write=False)
 
-    def to_network_model(self) -> NetworkModel:
-        """Equivalent generic network (free Wi-Fi, uniform cellular price)."""
-        L = self.num_locations
-        price_cell = self.cellular_cost / self.mu_cellular if self.mu_cellular > 0 else 0.0
-        price = np.zeros((L, 3))
-        price[:, Action.CELLULAR] = price_cell
-        rate = np.zeros((L, 3))
-        rate[:, Action.CELLULAR] = self.mu_cellular
-        for l in self.wifi_locations:
-            rate[l - 1, Action.WIFI] = self.mu_wifi
-        return NetworkModel(
-            num_locations=L,
-            wifi_locations=self.wifi_locations,
-            mobility=self.mobility,
-            price=price,
-            rate=rate,
-        )
-
     @classmethod
     def from_network_model(cls, model: NetworkModel, spec: ProblemSpec) -> "MonotoneModel":
         """Derive the restricted description from a generic network.
@@ -95,14 +78,12 @@ class MonotoneModel:
         Every requirement is checked; a :class:`PreconditionError` names
         the first one violated.
         """
-        L = model.num_locations
-        wifi = sorted(model.wifi_locations)
+        wifi_rows = [l - 1 for l in sorted(model.wifi_locations)]
         cell_rates = model.rate[:, Action.CELLULAR]
         cell_prices = model.price[:, Action.CELLULAR]
-        wifi_rates = np.array([model.rate[l - 1, Action.WIFI] for l in wifi])
-        wifi_prices = np.array([model.price[l - 1, Action.WIFI] for l in wifi])
+        wifi_rates = model.rate[wifi_rows, Action.WIFI]
 
-        if wifi and wifi_prices.max(initial=0.0) > 0:
+        if model.price[wifi_rows, Action.WIFI].max(initial=0.0) > 0:
             raise PreconditionError(
                 "Wi-Fi must be free at every covered location"
             )
@@ -114,18 +95,18 @@ class MonotoneModel:
             raise PreconditionError(
                 "cellular rate must be location-independent"
             )
-        if wifi and _spread(wifi_rates) > _SPREAD_TOL:
+        if wifi_rows and _spread(wifi_rates) > _SPREAD_TOL:
             raise PreconditionError(
                 "Wi-Fi rate must be the same at every covered location"
             )
         mu1 = float(cell_rates[0])
-        mu2 = float(wifi_rates[0]) if wifi else 0.0
+        mu2 = float(wifi_rates[0]) if wifi_rows else 0.0
         p1 = float(cell_prices[0])
 
         check_convex(penalty_on_grid(spec.penalty, spec.grid_values))
 
         return cls(
-            num_locations=L,
+            num_locations=model.num_locations,
             wifi_locations=model.wifi_locations,
             mobility=model.mobility,
             mu_cellular=mu1,

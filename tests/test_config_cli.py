@@ -27,7 +27,7 @@ from offloadsim.config import (
 from offloadsim.errors import ConfigError
 from offloadsim.model import MAX_LATTICE_CELLS, State
 from offloadsim.sim import means_model
-from offloadsim.threshold import solve_monotone
+from offloadsim.threshold import MonotoneModel, solve_monotone
 
 from reference import decide
 
@@ -381,7 +381,7 @@ def test_cli_policy_map_monotone_matches_decide_per_cell(tmp_path, name):
     cfg_path = write_cfg(tmp_path, text)
     cfg = parse_config(cfg_path)
     model, spec, _ = next(sim.sample_runs(cfg, (0,)))
-    tp, _ = solve_monotone(means_model(cfg, model, spec), spec)
+    tp, _ = solve_monotone(MonotoneModel.from_network_model(means_model(cfg, model), spec), spec)
     for l in range(1, model.num_locations + 1):
         out = tmp_path / f"map{l}.csv"
         args = ["policy-map", "--config", cfg_path, "--solver", "monotone", "--location", str(l)]

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import offloadsim
-from offloadsim.errors import DomainError, OffloadError
+from offloadsim.dp import Policy, ValueTable
+from offloadsim.errors import ConfigError, DomainError, OffloadError
 from offloadsim.model import (
     Action,
     NetworkModel,
@@ -578,6 +579,52 @@ def test_oracle_primitives_refuse_a_size_that_is_no_number():
     # the grid rule keeps its own messages for a number off the grid or outside it
     assert raised(DomainError, calls[0], 5.0) == "size 5.0 is not on the 10.0 grid"
     assert raised(DomainError, calls[2], 30.0) == "size 30.0 outside [0, 20.0]"
+
+
+# a table of 2 epochs, 2 locations and sizes 0, 1, 2
+POLICY = Policy(np.zeros((2, 2, 3), dtype=np.int8), 1.0)
+VALUES = ValueTable(np.zeros((3, 2, 3)), 1.0)
+SPEC = ProblemSpec(20.0, 3, 10.0, QuadraticPenalty(1.0))
+NO_NUMBERS = ["a", None, 1j, (1.0,)]
+
+
+# Each used to raise a raw TypeError: the location, epoch or size was
+# compared or divided before any check.
+@pytest.mark.parametrize("bad", NO_NUMBERS)
+@pytest.mark.parametrize("name, call", [
+    ("location", lambda bad: simple_model().has_wifi(bad)),
+    ("location", lambda bad: simple_model().rate_of(bad, Action.CELLULAR)),
+    ("location", lambda bad: POLICY.action(1, 1.0, bad)),
+    ("location", lambda bad: VALUES.value(1, 1.0, bad)),
+    ("location", lambda bad: payment(simple_model(), SPEC, State(10.0, bad), Action.IDLE)),
+    ("epoch", lambda bad: POLICY.action(bad, 1.0, 1)),
+    ("epoch", lambda bad: VALUES.value(bad, 1.0, 1)),
+    ("size", lambda bad: POLICY.action(1, bad, 1)),
+])
+def test_a_location_epoch_or_size_that_is_no_number_is_refused_by_name(name, call, bad):
+    assert raised(DomainError, call, bad) == f"{name} must be a finite number, got {bad!r}"
+
+
+def test_range_rules_keep_their_messages_for_numbers():
+    assert raised(DomainError, POLICY.action, 1, 1.0, 5) == "location 5 out of range 1..2"
+    assert raised(DomainError, POLICY.action, 1, 1.0, 1.5) == "location 1.5 is not a whole number"
+    assert raised(DomainError, POLICY.action, 1, 1.0, math.nan) == "location nan out of range 1..2"
+    assert raised(DomainError, POLICY.action, 0, 1.0, 1) == "epoch 0 outside 1..2"
+    assert raised(DomainError, POLICY.action, math.nan, 1.0, 1) == "epoch nan outside 1..2"
+    assert raised(DomainError, POLICY.action, 1, math.nan, 1) == "size nan outside [0, 2.0]"
+    assert raised(DomainError, simple_model().has_wifi, 3) == "location 3 out of range 1..2"
+
+
+# Both used to raise "unhashable type: 'list'" from the repeat check.
+@pytest.mark.parametrize("call", [
+    lambda values: offloadsim.ScenarioConfig(sweep_values=values),
+    lambda values: offloadsim.run_experiment(
+        offloadsim.ScenarioConfig(runs=1), ("otso",), "deadline", values
+    ),
+])
+def test_a_list_where_one_sweep_value_belongs_is_refused_by_name(call):
+    assert raised(ConfigError, call, [[1.0]]) == "sweep value [1.0] is not a single entry"
+    assert raised(ConfigError, call, [1.0, {2.0}]) == "sweep value {2.0} is not a single entry"
 
 
 def test_mobility_row_tolerance():

@@ -85,9 +85,9 @@ def test_exact_flat_planner_matches_frontier_planner_on_benchmark_runs(name):
     file_mbytes, minutes = BENCHMARK_SCENARIOS[name]
     cfg = ScenarioConfig(file_mbytes=file_mbytes, deadline_minutes=minutes, seed=12345)
     for model, spec, _ in sim.sample_runs(cfg, range(8)):
-        mm = sim.means_model(cfg, model, spec)
-        tp, _ = solve_monotone(mm, spec)
-        policy, _ = dp.solve(mm.to_network_model(), spec, flat_payment=True)
+        net = sim.means_model(cfg, model)  # one network into both planners
+        tp, _ = solve_monotone(MonotoneModel.from_network_model(net, spec), spec)
+        policy, _ = dp.solve(net, spec, flat_payment=True)
         assert np.array_equal(tp.to_policy().actions, policy.actions), (name, spec.initial_location)
 
 

@@ -81,8 +81,7 @@ def test_value_monotone_in_size_on_generated_instances(instance):
 # pairs them with: the exact planner with full-slot billing on the frontier
 # planner's network, and the decisions-only frontier solve.
 def flat_solve(model, spec):
-    net = MonotoneModel.from_network_model(model, spec).to_network_model()
-    return (net,) + solve(net, spec, flat_payment=True)
+    return (model,) + solve(model, spec, flat_payment=True)
 
 
 @GENERATED

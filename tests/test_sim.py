@@ -47,7 +47,7 @@ from offloadsim.sim import (
     worker_count,
 )
 from offloadsim.streams import run_streams, seed_states
-from offloadsim.threshold import solve_monotone
+from offloadsim.threshold import MonotoneModel, solve_monotone
 
 from reference import (
     WifflerState,
@@ -511,12 +511,18 @@ def test_monotone_agent_plans_from_mean_rates():
     # the threshold agent must not depend on the sampled per-location rates
     cfg = small_cfg(runs=1, rate_std_mbps=5.0)
     model, spec = sample_instance(cfg, np.random.default_rng(15).spawn(4))
-    mm = means_model(cfg, model, spec)
-    tp, _ = solve_monotone(mm, spec)
+    tp = frontier_plan(cfg, model, spec)
     assert tp.horizon == spec.horizon
     # planner input was built from configured means, not instance draws
+    net = means_model(cfg, model)
     mu_c = cfg.rate_mbit_per_slot(cfg.mu_cellular_mbps)
-    assert mm.mu_cellular == mu_c == 900.0
+    mu_w = cfg.rate_mbit_per_slot(cfg.mu_wifi_mbps)
+    assert mu_c == 900.0 and (net.rate[:, Action.CELLULAR] == mu_c).all()
+    wifi_rows = [l - 1 for l in model.wifi_locations]
+    assert wifi_rows and (net.rate[wifi_rows, Action.WIFI] == mu_w).all()
+    assert np.count_nonzero(net.rate[:, Action.WIFI]) == len(wifi_rows)  # none off coverage
+    assert net.wifi_locations == model.wifi_locations and net.mobility is model.mobility
+    assert np.array_equal(net.price, model.price)
     assert tp.grid_step == spec.grid_step
     traj = sample_trajectory(model, spec, np.random.default_rng(16))
     agent = make_agent("monotone", model, spec, cfg, traj)
@@ -525,6 +531,12 @@ def test_monotone_agent_plans_from_mean_rates():
     assert np.array_equal(table_cells(agent, spec), table_cells(other, spec))
     ep = run_episode(agent, spec=spec)
     assert ep.total_cost >= 0.0
+
+
+def frontier_plan(cfg, model, spec):
+    """The frontier planner's ``ThresholdPolicy`` for a sampled instance, on
+    ``means_model``'s network through the regime check."""
+    return solve_monotone(MonotoneModel.from_network_model(means_model(cfg, model), spec), spec)[0]
 
 
 def table_cells(x, spec):
@@ -539,9 +551,10 @@ def test_longest_plan_walks_every_deadline_like_a_plan_for_it():
     # Wi-Fi faster than cellular, so the rows that never switch are read too
     cfg = small_cfg(mu_cellular_mbps=10.0, mu_wifi_mbps=12.0, deadline_minutes=3.0)
     model, spec = sample_instance(cfg, _run_rngs(cfg, 1)[0])
-    mm = means_model(cfg, model, spec)
-    tp, _ = solve_monotone(mm, spec)
-    assert mm.mu_wifi > mm.mu_cellular and 0 < len(tp.wifi_locations) < 4
+    rate = means_model(cfg, model).rate
+    tp = frontier_plan(cfg, model, spec)
+    assert all(rate[l - 1, Action.WIFI] > rate[l - 1, Action.CELLULAR] for l in tp.wifi_locations)
+    assert 0 < len(tp.wifi_locations) < 4
     assert all((tp.k_star_idx[l - 1] == spec.grid_points + 1).all() for l in tp.wifi_locations)
     for scheme in ("general", "monotone"):
         completed = set()
@@ -780,7 +793,8 @@ def test_sweep_builds_and_checks_each_grid_once(monkeypatch):
     counted("check", model_module, "check_array", lambda value, name, *shape: name == "mobility")
     counted("walk", model_module, "_walk_rows")
     sim._shared_grid_mobility.cache_clear()
-    # two grids; every run builds a NetworkModel and a MonotoneModel on its grid's matrix
+    # two grids; every run builds a NetworkModel, and its frontier plan a
+    # means network and a MonotoneModel, on its grid's matrix
     run_experiment(small_cfg(runs=3), SCHEMES, "p_stay", (0.3, 0.6))
     assert calls == {"build": 2, "check": 2, "walk": 2}
 
@@ -1016,9 +1030,7 @@ def test_walk_matches_reference(name):
         traj = sample_trajectory(model, spec, traj_rng)
         reference = {
             "general": lambda: _RefPolicyAgent(dp.solve(model, spec)[0]),
-            "monotone": lambda: _RefThresholdAgent(
-                solve_monotone(means_model(cfg, model, spec), spec)[0]
-            ),
+            "monotone": lambda: _RefThresholdAgent(frontier_plan(cfg, model, spec)),
             "no-offload": _RefNoOffloadAgent,
             "otso": lambda: _RefOtsoAgent(model),
             "wiffler": lambda: _RefWifflerAgent(
@@ -1046,7 +1058,7 @@ def test_planned_schemes_read_their_planners_tables(name):
         traj = sample_trajectory(model, spec, traj_rng)
         want = [dp.solve(model, spec)[0].actions]
         if "monotone" in schemes:
-            want.append(solve_monotone(means_model(cfg, model, spec), spec)[0].to_policy().actions)
+            want.append(frontier_plan(cfg, model, spec).to_policy().actions)
         for scheme, x, table in zip(schemes, plan_run(schemes, model, spec, cfg, traj), want):
             assert x.actions is None and x.run.spec.horizon == spec.horizon
             assert np.array_equal(table_cells(x, spec), table[:, :, 1:]), (name, j, scheme)

@@ -6,8 +6,9 @@ tolerance and the lattice budget, one for the list rule's messages
 finiteness, range), one for the frontier planner's convexity
 precondition, and one each for the location-range, off-grid and
 table-epoch messages.  Every Python file parses as Python 3.10.
-Commands sample and plan only through ``sim``, and ``sim.problem_spec``
-is the one place that builds a transfer task.  README's Python example
+Commands sample and plan only through ``sim``, ``sim.problem_spec``
+is the one place that builds a transfer task, and ``sim.plan`` the one
+place that derives the frontier planner's input.  README's Python example
 is run, so that it cannot name a removed API.  The console script that
 ``pyproject.toml`` declares runs, and CI's oldest leg tests the oldest
 Python and numpy that it declares."""
@@ -346,6 +347,52 @@ def test_only_problem_spec_builds_a_transfer_task(tmp_path):
         "    return a, b, dataclasses.replace(cfg, runs=2), 'ab'.replace('a', 'c')\n"
     )
     assert spec_sources(module) == ["f: dataclasses.replace", "f: replace"]
+
+
+def call_sites(path, names):
+    """``function: call`` for each call in ``path`` whose name ends in one of
+    ``names``, under the innermost function it sits in."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = ast.unparse(child.func)
+                if func.rsplit(".", 1)[-1] in names:
+                    found.append(f"{where}: {func}")
+            visit(child, where)
+
+    visit(_tree(path), "<module>")
+    return found
+
+
+def test_only_sim_plan_derives_a_frontier_input(tmp_path):
+    # a MonotoneModel is built only by the regime check, as cls(...), and
+    # only sim.plan runs that check, on means_model's network
+    names = {"MonotoneModel", "from_network_model"}
+    assert {p.name: call_sites(p, names) for p in MODULES if call_sites(p, names)} == {
+        "sim.py": ["plan: MonotoneModel.from_network_model"]
+    }
+    assert call_sites(PACKAGE / "threshold.py", {"cls"}) == ["from_network_model: cls"]
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from offloadsim import threshold\n"
+        "mm = threshold.MonotoneModel(1, (), [[1.0]], 1.0, 0.0, 1.0, None)\n"
+        "class C:\n"
+        "    @classmethod\n"
+        "    def f(cls, net, spec):\n"
+        "        def g():\n"
+        "            return threshold.MonotoneModel.from_network_model(net, spec)\n"
+        "        return cls(g())\n"
+    )
+    assert call_sites(module, names | {"cls"}) == [
+        "<module>: threshold.MonotoneModel",
+        "g: threshold.MonotoneModel.from_network_model",
+        "f: cls",
+    ]
 
 
 README_PYTHON = re.compile(r"^```python\n(.*?)^```$", re.DOTALL | re.MULTILINE)
